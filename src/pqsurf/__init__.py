@@ -37,7 +37,6 @@ from .groups import (
     catalog_group,
     centralizer_order,
     cyclic_subgroup,
-    element_order,
     group_from_generators,
     power_map,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "catalog_group",
     "centralizer_order",
     "cyclic_subgroup",
-    "element_order",
     "group_from_generators",
     "power_map",
     "IsotypicalFactor",

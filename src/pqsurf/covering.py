@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .chars import ClassFunction, induced_trivial
 from .errors import (
@@ -159,13 +160,17 @@ def _cosets(group: Group, subgroup: frozenset[Permutation]):
     return out
 
 
-def _discrete_log(base: Permutation, target: Permutation, order: int) -> int:
-    x = Permutation.identity(base.degree)
-    for s in range(order):
-        if x == target:
-            return s
-        x = x * base
-    raise ValueError("element not in cyclic subgroup")
+def rotation_exponent(generator: Permutation, m: int, t: Permutation) -> int:
+    """Exponent u with t acting by zeta_n^u, n = ord(t), at a point whose
+    distinguished stabilizer generator, of order m, rotates by zeta_m.
+
+    t = generator^s, so zeta_m^s = zeta_n^u with u = s / gcd(s, m)."""
+    x = Permutation.identity(generator.degree)
+    for s in range(m):
+        if x == t:
+            return s // gcd(s, m)
+        x = x * generator
+    raise ValueError("element does not stabilize the point")
 
 
 def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, ...]:
@@ -183,11 +188,7 @@ def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, 
             conj = x.inverse() * g * x
             if conj not in sub:
                 continue
-            s = _discrete_log(c, conj, m)
-            n = g.order()
-            # conj = c^s with gcd(s, m) = m/n; rotation exponent is s/(m/n)
-            assert s % (m // n) == 0
-            t = (s // (m // n)) % n
+            t = rotation_exponent(c, m, conj)
             out.append(FixedPoint(branch_index=j, coset_rep=x, rotation_exponent=t))
     return tuple(out)
 
@@ -201,14 +202,13 @@ def search_generating_vectors(
     max_space: int = DEFAULT_SEARCH_LIMIT,
 ) -> tuple[GeneratingVector, ...]:
     """All generating vectors with the given signature, up to simultaneous
-    conjugation, in a deterministic order.  The final monodromy is forced by
-    the long relation, so the scan runs over |G|^(2*g0 + r - 1) tuples."""
+    conjugation, in a deterministic order.  The handles range over G and the
+    free monodromies over the elements of their order; the final monodromy is
+    forced by the long relation.  So the scan runs over
+    |G|^(2*g0) * prod_{i<r} #{g : ord g = m_i} tuples, and SearchSpaceTooLarge
+    is raised when that exceeds ``max_space``."""
     orders = tuple(int(m) for m in orders)
     r = len(orders)
-    if group.order ** (2 * base_genus + r) > max_space:
-        raise SearchSpaceTooLarge(
-            f"|G|^(2g0+r) = {group.order ** (2 * base_genus + r)} exceeds {max_space}"
-        )
     for m in orders:
         if m < 2:
             raise OrderMismatch("branching orders must be at least 2")
@@ -218,6 +218,13 @@ def search_generating_vectors(
         by_order[m] = [g for g in group.elements if g.order() == m]
     if any(not by_order[m] for m in set(orders)):
         return ()
+    space = group.order ** (2 * base_genus)
+    for m in orders[:-1]:
+        space *= len(by_order[m])
+    if space > max_space:
+        raise SearchSpaceTooLarge(
+            f"|G|^(2g0) * prod_(i<r) #{{g : ord g = m_i}} = {space} tuples exceeds {max_space}"
+        )
 
     conjugators = [(x, x.inverse()) for x in group.elements]
 

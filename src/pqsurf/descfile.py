@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import configparser
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .covering import GeneratingVector
-from .errors import ParseError, PqsurfError
+from .errors import ParseError
 from .groups import Group, catalog_group, group_from_generators
 from .perms import parse_permutation
 
 _GROUP_KEYS = {"name", "generators"}
 _CURVE_KEYS = {"genus0", "handles", "monodromies", "orders", "search"}
-_OPTION_KEYS = {"format", "parallel"}
+_OPTION_KEYS = {"format"}
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class SurfaceDescription:
     curve1: CurveSpec
     curve2: CurveSpec
     output_format: str = "text"
-    parallel: int = 1
     aux: Optional[tuple[GroupSpec, CurveSpec]] = None
 
 
@@ -154,7 +154,6 @@ def _from_mappings(payload: dict) -> SurfaceDescription:
     curve1 = _curve_from_mapping("curve1", dict(payload["curve1"]))
     curve2 = _curve_from_mapping("curve2", dict(payload["curve2"]))
     fmt = "text"
-    parallel = 1
     if "options" in payload:
         opts = dict(payload["options"])
         unknown = set(opts) - _OPTION_KEYS
@@ -163,13 +162,12 @@ def _from_mappings(payload: dict) -> SurfaceDescription:
         fmt = str(opts.get("format", "text"))
         if fmt not in ("text", "json"):
             raise ParseError(f"unknown output format {fmt!r}")
-        parallel = int(opts.get("parallel", 1))
     aux = None
     if "aux" in payload:
         aux_data = dict(payload["aux"])
         aux_group_keys = {k: aux_data.pop(k) for k in ("name", "generators") if k in aux_data}
         aux = (_group_from_mapping(aux_group_keys), _curve_from_mapping("aux", aux_data))
-    return SurfaceDescription(group, curve1, curve2, fmt, parallel, aux)
+    return SurfaceDescription(group, curve1, curve2, fmt, aux)
 
 
 def resolve_group(spec: GroupSpec) -> Group:
@@ -184,7 +182,7 @@ def resolve_group(spec: GroupSpec) -> Group:
 
 
 def _max_point(perm_text: str) -> int:
-    digits = [int(tok) for tok in _tokenize_ints(perm_text)]
+    digits = [int(tok) for tok in re.findall(r"\d+", perm_text)]
     if not digits:
         return 1
     if perm_text.strip().startswith("["):
@@ -192,28 +190,10 @@ def _max_point(perm_text: str) -> int:
     return max(digits)
 
 
-def _tokenize_ints(text: str):
-    out = []
-    current = ""
-    for ch in text:
-        if ch.isdigit():
-            current += ch
-        else:
-            if current:
-                out.append(current)
-            current = ""
-    if current:
-        out.append(current)
-    return out
-
-
 def build_explicit_vector(curve: CurveSpec, group: Group) -> GeneratingVector:
     assert not curve.is_search
-    try:
-        handle_perms = [parse_permutation(h, group.degree) for h in curve.handles]
-        monos = [parse_permutation(c, group.degree) for c in curve.monodromies]
-    except PqsurfError:
-        raise
+    handle_perms = [parse_permutation(h, group.degree) for h in curve.handles]
+    monos = [parse_permutation(c, group.degree) for c in curve.monodromies]
     handles = tuple(
         (handle_perms[2 * i], handle_perms[2 * i + 1]) for i in range(curve.genus0)
     )

@@ -125,11 +125,6 @@ def group_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> Group:
     return Group(gens, elements)
 
 
-def element_order(group: Group, g: Permutation) -> int:
-    group.require(g)
-    return g.order()
-
-
 def cyclic_subgroup(group: Group, g: Permutation) -> frozenset[Permutation]:
     group.require(g)
     out = set()

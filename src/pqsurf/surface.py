@@ -1,8 +1,14 @@
 """Invariants of the minimal resolution of (C1 x C2)/G for a diagonal action.
 
 The quotient has cyclic singularities 1/n(1,q) at orbits of point pairs with
-common stabilizer; each is resolved by a Hirzebruch-Jung chain, and eta
-counts the exceptional curves.  The holomorphic invariants come from the
+common stabilizer.  A point of C1 over branch point i is a coset x<c_i> and
+a point of C2 over branch point j a coset y<d_j>, so the G-orbits of such
+pairs are the double cosets <c_i> g <d_j> with g = x^-1 y, and the pair at g
+has stabilizer <c_i> & g<d_j>g^-1, of order n = |<c_i>| |<d_j>| / |<c_i> g <d_j>|.
+Its generator c_i^(m_i/n) rotates C1 by zeta_n and C2 by zeta_n^q, q being
+read off against the rotation g d_j g^-1 of the point g<d_j>.  Each
+singularity is resolved by a Hirzebruch-Jung chain, and eta counts the
+exceptional curves.  The holomorphic invariants come from the
 Chevalley-Weil decomposition of H^0(C, Omega^1) and the Euler characteristic
 from the Lefschetz average over the group.
 """
@@ -15,11 +21,10 @@ from math import gcd
 from typing import Optional
 
 from .chars import character_table, eigenvalue_multiplicities
-from .covering import GeneratingVector, fixed_point_data, genus, require_same_group, validate
+from .covering import GeneratingVector, fixed_point_data, genus, require_same_group, rotation_exponent, validate
 from .cyclo import Cyclotomic
 from .errors import NotCoprime, OutOfRange
 from .groups import cyclic_subgroup
-from .perms import Permutation
 
 
 def hirzebruch_jung(n: int, q: int) -> tuple[int, ...]:
@@ -55,44 +60,6 @@ class QuotientSingularity:
         return f"1/{self.n}(1,{self.q})"
 
 
-@dataclass(frozen=True)
-class _StabilizedPoint:
-    # a ramification point of the cover, identified with a coset of <c_j>
-    branch_index: int
-    coset: frozenset
-    generator: Permutation  # distinguished stabilizer generator, rotates by zeta_m
-
-
-def _stabilized_points(gv: GeneratingVector) -> tuple[_StabilizedPoint, ...]:
-    group = gv.group
-    points = []
-    for j, c in enumerate(gv.monodromies, start=1):
-        sub = cyclic_subgroup(group, c)
-        seen = set()
-        for x in group.elements:
-            coset = frozenset(x * h for h in sub)
-            if coset in seen:
-                continue
-            seen.add(coset)
-            rep = min(coset)
-            points.append(
-                _StabilizedPoint(j, coset, rep * c * rep.inverse())
-            )
-    return tuple(points)
-
-
-def _local_exponent(point: _StabilizedPoint, t: Permutation, order_t: int) -> int:
-    """Exponent u with t acting at the point by zeta_{order_t}^u."""
-    m = point.generator.order()
-    x = Permutation.identity(t.degree)
-    for s in range(m):
-        if x == t:
-            assert s % (m // order_t) == 0
-            return (s // (m // order_t)) % order_t
-        x = x * point.generator
-    raise ValueError("element does not stabilize the point")
-
-
 def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[QuotientSingularity, ...]:
     """Singularity types of (C1 x C2)/G: one per G-orbit of point pairs with
     nontrivial common stabilizer, normalised so the generator acting by
@@ -100,43 +67,23 @@ def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tupl
     group = require_same_group(gv1, gv2)
     validate(gv1)
     validate(gv2)
-    pts1 = _stabilized_points(gv1)
-    pts2 = _stabilized_points(gv2)
-
-    def point_key(p: _StabilizedPoint):
-        return (p.branch_index, tuple(sorted(x.images for x in p.coset)))
-
-    def translate(p: _StabilizedPoint, g: Permutation) -> _StabilizedPoint:
-        return _StabilizedPoint(
-            p.branch_index,
-            frozenset(g * x for x in p.coset),
-            g * p.generator * g.inverse(),
-        )
-
-    seen_orbits = set()
     out = []
-    for p in pts1:
-        stab_p = frozenset(cyclic_subgroup(group, p.generator))
-        for q_pt in pts2:
-            stab_q = frozenset(cyclic_subgroup(group, q_pt.generator))
-            common = stab_p & stab_q
-            n = len(common)
-            if n <= 1:
-                continue
-            orbit_key = min(
-                (point_key(translate(p, g)), point_key(translate(q_pt, g)))
-                for g in group.elements
-            )
-            if orbit_key in seen_orbits:
-                continue
-            seen_orbits.add(orbit_key)
-            # generator of the common stabilizer rotating the first factor by zeta_n
-            m1 = p.generator.order()
-            t0 = p.generator ** (m1 // n)
-            assert t0 in common
-            q_exp = _local_exponent(q_pt, t0, n)
-            assert gcd(q_exp, n) == 1
-            out.append(QuotientSingularity(n, q_exp))
+    for c, m1 in zip(gv1.monodromies, gv1.orders):
+        sub1 = cyclic_subgroup(group, c)
+        for d, m2 in zip(gv2.monodromies, gv2.orders):
+            sub2 = cyclic_subgroup(group, d)
+            seen = set()
+            for g in group.elements:
+                if g in seen:
+                    continue
+                double_coset = {h * g * k for h in sub1 for k in sub2}
+                seen |= double_coset
+                n = m1 * m2 // len(double_coset)
+                if n <= 1:
+                    continue
+                t0 = c ** (m1 // n)
+                q = rotation_exponent(g * d * g.inverse(), m2, t0)
+                out.append(QuotientSingularity(n, q))
     return tuple(sorted(out, key=lambda s: (s.n, s.q)))
 
 

@@ -107,6 +107,17 @@ def test_exit_2_parse_errors(tmp_path, capsys):
     assert code == EXIT_PARSE
     assert "exactly one" in err
 
+    retired = tmp_path / "retired.surface"
+    retired.write_text(
+        "[group]\nname = V4\n"
+        "[curve1]\ngenus0 = 1\nsearch = 2, 2\n"
+        "[curve2]\ngenus0 = 1\nsearch = 2, 2\n"
+        "[options]\nparallel = 2\n"
+    )
+    code, _, err = run(capsys, "analyze", str(retired))
+    assert code == EXIT_PARSE
+    assert "unknown keys: parallel" in err
+
     garbage = tmp_path / "garbage.surface"
     garbage.write_text("this is not a description\n")
     code, _, _ = run(capsys, "analyze", str(garbage))
@@ -148,8 +159,8 @@ def test_reproduce_tables_row_filter(capsys):
     assert "1/1 rows matched" in out
 
 
-def test_reproduce_tables_json_and_parallel(capsys):
-    code, out, _ = run(capsys, "reproduce-tables", "--format", "json", "--parallel", "4")
+def test_reproduce_tables_json(capsys):
+    code, out, _ = run(capsys, "reproduce-tables", "--format", "json")
     assert code == 0
     results = json.loads(out)
     assert [r["row"] for r in results] == [r.name for r in ROWS]

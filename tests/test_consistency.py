@@ -1,15 +1,18 @@
 """Cross-module consistency on inputs outside the p_g = q = 2 catalog:
 the cohomological identities must hold for any valid pair."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsurf.chars import character_table
 from pqsurf.covering import genus, search_generating_vectors
-from pqsurf.groups import catalog_group
+from pqsurf.groups import catalog_group, group_from_generators
 from pqsurf.jacobian import isotypical_dimensions, motive_h2_decomposition
 from pqsurf.lattice import IntegralLattice, determinant, signature
-from pqsurf.surface import invariants, quotient_singularities
+from pqsurf.perms import Permutation
+from pqsurf.surface import hirzebruch_jung, invariants, quotient_singularities
 
 
 def test_c4_pair_with_order_4_singularities():
@@ -56,6 +59,53 @@ def test_identities_hold_across_cross_pairs():
             assert sum(
                 f.reduced_dim * f.multiplicity for f in isotypical_dimensions(gv)
             ) == genus(gv)
+
+
+def _basket(gv1, gv2, types):
+    """(K^2, e) of the resolved quotient from the genera and the basket of
+    singularity types (Bauer-Catanese-Grunewald-Pignatelli):
+    K^2 = 8(g1-1)(g2-1)/|G| - sum k_x, k_x = -2 + (2+q+q')/n + sum(b_i-2)
+    with q q' = 1 mod n, and e = 4(g1-1)(g2-1)/|G| + sum(l_x + 1 - 1/n)."""
+    base = Fraction((genus(gv1) - 1) * (genus(gv2) - 1), gv1.group.order)
+    k2, e = 8 * base, 4 * base
+    for n, q in types:
+        chain = hirzebruch_jung(n, q)
+        k2 -= -2 + Fraction(2 + q + pow(q, -1, n), n) + sum(b - 2 for b in chain)
+        e += len(chain) + 1 - Fraction(1, n)
+    return k2, e
+
+
+def _basket_pairs():
+    c5 = group_from_generators([Permutation((2, 3, 4, 5, 1))])
+    c5_vecs = search_generating_vectors(c5, 0, (5, 5, 5))
+    assert len(c5_vecs) == 12
+    yield from ((a, b) for a in c5_vecs for b in c5_vecs)
+    for name, orders in (("C4", (4, 4)), ("C6", (6, 6))):
+        vecs = search_generating_vectors(catalog_group(name), 1, orders)[:6]
+        yield from ((a, b) for a in vecs for b in vecs)
+    for name, orders1, orders2 in (("D4", (2,), (2, 2)), ("A4", (2,), (2,)), ("Q8", (2,), (2,))):
+        group = catalog_group(name)
+        vecs1 = search_generating_vectors(group, 1, orders1)[:3]
+        vecs2 = search_generating_vectors(group, 1, orders2)[:3]
+        yield from ((a, b) for a in vecs1 for b in vecs2)
+
+
+def test_basket_formulas_match_singularities():
+    types_seen = set()
+    for gv1, gv2 in _basket_pairs():
+        rep = invariants(gv1, gv2)
+        types = [(s.n, s.q) for s in rep.singularities]
+        types_seen.update(types)
+        assert _basket(gv1, gv2, types) == (rep.k2, rep.e)
+    assert {(4, 1), (4, 3), (5, 2), (5, 3), (6, 1), (6, 5)} <= types_seen
+
+
+def test_basket_formulas_reject_a_wrong_rotation():
+    vecs = search_generating_vectors(catalog_group("C4"), 1, (4, 4))
+    rep = invariants(vecs[0], vecs[1])
+    (n, q), *rest = [(s.n, s.q) for s in rep.singularities]
+    assert _basket(vecs[0], vecs[1], [(n, q)] + rest) == (rep.k2, rep.e)
+    assert _basket(vecs[0], vecs[1], [(n, n - q)] + rest) != (rep.k2, rep.e)
 
 
 def test_s3_character_table_literal():

@@ -203,8 +203,11 @@ def test_search_impossible_signature_is_empty():
 
 
 def test_search_space_cap():
+    # the cap bounds the tuples scanned: 12^4 handles * 3 * 3 involutions
     with pytest.raises(SearchSpaceTooLarge):
         search_generating_vectors(catalog_group("A4"), 2, (2, 2, 2), max_space=1000)
+    # 3 involutions * 8 elements of order 3 fit, though |G|^r = 1728 does not
+    assert search_generating_vectors(catalog_group("A4"), 0, (2, 3, 3), max_space=1000)
 
 
 def test_search_outputs_validate_and_are_deduplicated():
