@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .cyclo import Cyclotomic
-from .errors import GroupMismatch, NotASubgroup
+from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
 from .groups import Group, power_map
 from .perms import Permutation
 
@@ -446,7 +446,11 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 
 
 def induced_trivial(group: Group, subgroup) -> ClassFunction:
-    """Character of G induced from the trivial character of a subgroup."""
+    """Character of G induced from the trivial character of a subgroup.
+
+    At g it is |C_G(g)| |g^G & H| / |H|, so only the class of each element of
+    H is needed: #{x : x^-1 g x in H} = |C_G(g)| |g^G & H| with
+    |C_G(g)| = |G| / |g^G|."""
     sub = frozenset(subgroup)
     if not sub or any(h not in group for h in sub):
         raise NotASubgroup("subgroup elements must belong to the group")
@@ -457,10 +461,14 @@ def induced_trivial(group: Group, subgroup) -> ClassFunction:
             if a * b not in sub:
                 raise NotASubgroup("set is not closed under composition")
     h = len(sub)
+    hits = [0] * len(group.classes)
+    for x in sub:
+        hits[group.class_index(x)] += 1
     values = []
-    for rep in group.class_reps:
-        count = sum(1 for x in group.elements if x.inverse() * rep * x in sub)
-        assert count % h == 0
+    for c, size in enumerate(group.class_sizes):
+        count, rest = divmod(group.order * hits[c], size)
+        if rest or count % h:
+            raise InternalInconsistency("induced character value must be an integer")
         values.append(count // h)
     return ClassFunction(group, tuple(values))
 

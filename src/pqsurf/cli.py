@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 parse error, 3 validation error (the message names
 the violated invariant), 4 search exhaustion without a witness, 5 reference
-table mismatch, 6 search space too large.
+table mismatch, 6 search space too large, 7 internal inconsistency (an
+internal certificate failed).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .chars import character_table, rational_characters
 from .covering import search_generating_vectors, validate
 from .descfile import SurfaceDescription, build_explicit_vector, parse_description, resolve_group
 from .errors import (
+    InternalInconsistency,
     NoWitness,
     ParseError,
     PqsurfError,
@@ -42,6 +44,7 @@ EXIT_VALIDATION = 3
 EXIT_NO_WITNESS = 4
 EXIT_MISMATCH = 5
 EXIT_SEARCH_SPACE = 6
+EXIT_INTERNAL = 7
 
 
 def _curve_vectors(curve, group):
@@ -264,6 +267,9 @@ def main(argv=None) -> int:
     except NoWitness as exc:
         sys.stderr.write(f"NoWitness: {exc}\n")
         return EXIT_NO_WITNESS
+    except InternalInconsistency as exc:
+        sys.stderr.write(f"InternalInconsistency: {exc}\n")
+        return EXIT_INTERNAL
     except PqsurfError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_VALIDATION

@@ -4,18 +4,25 @@ A generating vector (a_1, b_1, ..., a_g0, b_g0; c_1, ..., c_r) encodes a
 branched G-cover of a genus-g0 curve with r branch points: the handles map
 to the a/b generators of the base surface group, the c_i are the local
 monodromies, and the long relation prod [a_j, b_j] * prod c_i = 1 holds.
+
+The per-curve stages here and in ``surface`` and ``jacobian`` (validation,
+genus, fixed-point counts, the Hurwitz and Chevalley-Weil characters, the
+isotypical dimensions) are decorated with ``per_vector``: each runs once per
+vector and keeps its value on the vector.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .chars import ClassFunction, induced_trivial
 from .errors import (
     GroupMismatch,
     IdentityElement,
+    InternalInconsistency,
     NotGenerating,
     OrderMismatch,
     RelationFails,
@@ -35,6 +42,7 @@ class GeneratingVector:
     handles: tuple[tuple[Permutation, Permutation], ...]
     monodromies: tuple[Permutation, ...]
     orders: tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_genus < 0:
@@ -64,10 +72,27 @@ class GeneratingVector:
         return (self.base_genus, self.orders)
 
 
+def per_vector(fn):
+    """Run the stage ``fn(gv)`` once per generating vector and keep its value
+    in ``gv._memo``, so it lives as long as the vector.  A call that raises
+    stores nothing.  Every caller shares the stored value, so it must be
+    immutable."""
+
+    @functools.wraps(fn)
+    def once(gv: GeneratingVector):
+        memo = gv._memo
+        if fn not in memo:
+            memo[fn] = fn(gv)
+        return memo[fn]
+
+    return once
+
+
 def _commutator(a: Permutation, b: Permutation) -> Permutation:
     return a * b * a.inverse() * b.inverse()
 
 
+@per_vector
 def validate(gv: GeneratingVector) -> None:
     """Check the three defining invariants; raises the named violation."""
     group = gv.group
@@ -105,6 +130,7 @@ def _closure_size(elements, group: Group) -> int:
     return len(seen)
 
 
+@per_vector
 def genus(gv: GeneratingVector) -> int:
     """Genus of the covering curve by Riemann-Hurwitz."""
     validate(gv)
@@ -112,26 +138,45 @@ def genus(gv: GeneratingVector) -> int:
     rhs = n * (2 * gv.base_genus - 2) + sum(
         (n // m) * (m - 1) for m in gv.orders
     )
-    assert rhs % 2 == 0
+    if rhs % 2:
+        raise InternalInconsistency("Riemann-Hurwitz gives an odd 2g - 2")
     g = (rhs + 2) // 2
-    assert g >= 0
+    if g < 0:
+        raise InternalInconsistency("Riemann-Hurwitz gives a negative genus")
     return g
 
 
-def hurwitz_character(gv: GeneratingVector) -> ClassFunction:
-    """Character of the group action on H^1 of the covering curve:
-    2*triv + 2(g0-1)*regular + sum_i (regular - induced from <c_i>)."""
+@per_vector
+def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
+    """sum_j Ind_{<c_j>}^G 1 on each class: the number of points over the
+    branch points fixed by the class's elements.  All fixed points of a
+    nontrivial element lie there, so off the identity class this is the
+    number of points of the covering curve it fixes."""
     validate(gv)
     group = gv.group
-    k = len(group.classes)
+    counts = [0] * len(group.classes)
+    for c in gv.monodromies:
+        ind = induced_trivial(group, cyclic_subgroup(group, c)).values
+        counts = [a + b for a, b in zip(counts, ind)]
+    return tuple(counts)
+
+
+@per_vector
+def hurwitz_character(gv: GeneratingVector) -> ClassFunction:
+    """Character of the group action on H^1 of the covering curve:
+    2*triv + 2(g0-1)*regular + sum_i (regular - induced from <c_i>), that is
+    2*triv + (2g0 - 2 + r)*regular minus the fixed-point counts."""
+    validate(gv)
+    group = gv.group
     regular = induced_trivial(group, (group.identity,)).values
-    values = [2 + 2 * (gv.base_genus - 1) * regular[c] for c in range(k)]
-    for ci in gv.monodromies:
-        ind = induced_trivial(group, cyclic_subgroup(group, ci)).values
-        for c in range(k):
-            values[c] += regular[c] - ind[c]
-    cf = ClassFunction(group, tuple(values))
-    assert cf.values[0] == 2 * genus(gv)
+    weight = 2 * gv.base_genus - 2 + gv.num_branch_points
+    values = tuple(
+        2 + weight * reg - fixed
+        for reg, fixed in zip(regular, fixed_point_counts(gv))
+    )
+    cf = ClassFunction(group, values)
+    if cf.values[0] != 2 * genus(gv):
+        raise InternalInconsistency("Hurwitz character degree must be 2g")
     return cf
 
 

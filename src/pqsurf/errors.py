@@ -6,6 +6,11 @@ class PqsurfError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InternalInconsistency(PqsurfError):
+    """An internal certificate failed: a value that exact arithmetic proves
+    integral, nonnegative or equal to another came out otherwise."""
+
+
 # -- permutation groups -------------------------------------------------
 
 class NonPermutation(PqsurfError):

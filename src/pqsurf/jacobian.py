@@ -20,8 +20,8 @@ from .chars import (
     inner_product,
     rational_characters,
 )
-from .covering import GeneratingVector, hurwitz_character, genus, require_same_group
-from .errors import BaseGenusUnsupported
+from .covering import GeneratingVector, hurwitz_character, genus, per_vector, require_same_group
+from .errors import BaseGenusUnsupported, InternalInconsistency
 from .groups import power_map
 from .surface import eta_of, quotient_singularities
 
@@ -38,6 +38,7 @@ class IsotypicalFactor:
         return self.rational_char_index == 0
 
 
+@per_vector
 def isotypical_dimensions(gv: GeneratingVector) -> tuple[IsotypicalFactor, ...]:
     """One factor per rational irreducible: d = (1/2) <psi, chi_V>."""
     table = character_table(gv.group)
@@ -47,7 +48,8 @@ def isotypical_dimensions(gv: GeneratingVector) -> tuple[IsotypicalFactor, ...]:
     for idx, rc in enumerate(rats):
         pairing = inner_product(rc.psi, chi_v)
         d = Fraction(pairing, 2)
-        assert d.denominator == 1 and d >= 0, "reduced dimension must be a nonnegative integer"
+        if d.denominator != 1 or d < 0:
+            raise InternalInconsistency("reduced dimension must be a nonnegative integer")
         factors.append(
             IsotypicalFactor(
                 rational_char_index=idx,
@@ -57,7 +59,8 @@ def isotypical_dimensions(gv: GeneratingVector) -> tuple[IsotypicalFactor, ...]:
             )
         )
     total = sum(f.reduced_dim * f.multiplicity for f in factors)
-    assert total == genus(gv), "dimension count must equal the genus"
+    if total != genus(gv):
+        raise InternalInconsistency("dimension count must equal the genus")
     return tuple(factors)
 
 

@@ -21,9 +21,17 @@ from math import gcd
 from typing import Optional
 
 from .chars import character_table, eigenvalue_multiplicities
-from .covering import GeneratingVector, fixed_point_data, genus, require_same_group, rotation_exponent, validate
+from .covering import (
+    GeneratingVector,
+    fixed_point_counts,
+    genus,
+    per_vector,
+    require_same_group,
+    rotation_exponent,
+    validate,
+)
 from .cyclo import Cyclotomic
-from .errors import NotCoprime, OutOfRange
+from .errors import InternalInconsistency, NotCoprime, OutOfRange
 from .groups import cyclic_subgroup
 
 
@@ -99,10 +107,15 @@ def chevalley_weil(gv: GeneratingVector) -> dict[int, int]:
     d*(g0 - 1) + [chi trivial] + sum over branch points i and eigenvalue
     exponents a of N_{i,a} * a/m_i.
     """
+    return dict(enumerate(_chevalley_weil(gv)))
+
+
+@per_vector
+def _chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
     validate(gv)
     table = character_table(gv.group)
     g0 = gv.base_genus
-    out: dict[int, int] = {}
+    out = []
     for i, d in enumerate(table.degrees):
         total = Fraction(d * (g0 - 1))
         if d == 1 and all(v == 1 for v in table.irreducibles[i].values):
@@ -111,24 +124,27 @@ def chevalley_weil(gv: GeneratingVector) -> dict[int, int]:
             mults = eigenvalue_multiplicities(table, i, c)
             for alpha, count in mults.items():
                 total += Fraction(count * alpha, m)
-        assert total.denominator == 1 and total >= 0, "Chevalley-Weil multiplicity must be a nonnegative integer"
-        out[i] = int(total)
-    assert sum(out[i] * table.degrees[i] for i in out) == genus(gv)
-    return out
+        if total.denominator != 1 or total < 0:
+            raise InternalInconsistency("Chevalley-Weil multiplicity must be a nonnegative integer")
+        out.append(int(total))
+    if sum(n * d for n, d in zip(out, table.degrees)) != genus(gv):
+        raise InternalInconsistency("Chevalley-Weil dimensions must sum to the genus")
+    return tuple(out)
 
 
-def _holomorphic_character_values(gv: GeneratingVector) -> list[Cyclotomic]:
+@per_vector
+def _holomorphic_character_values(gv: GeneratingVector) -> tuple[Cyclotomic, ...]:
     table = character_table(gv.group)
-    mults = chevalley_weil(gv)
+    mults = _chevalley_weil(gv)
     e = gv.group.exponent
     values = []
     for c in range(len(gv.group.classes)):
         total = Cyclotomic.zero(e)
-        for i, n_i in mults.items():
+        for i, n_i in enumerate(mults):
             if n_i:
                 total = total + table.irreducibles[i].value_cyc(c).scale(n_i)
         values.append(total)
-    return values
+    return tuple(values)
 
 
 def geometric_genus(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
@@ -142,7 +158,8 @@ def geometric_genus(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     for c in range(len(group.classes)):
         total = total + (v1[c] * v2[c]).scale(group.class_sizes[c])
     q = total.scale(Fraction(1, group.order)).as_rational()
-    assert q is not None and q.denominator == 1
+    if q is None or q.denominator != 1:
+        raise InternalInconsistency("p_g must be a rational integer")
     return int(q)
 
 
@@ -151,18 +168,17 @@ def euler_characteristic(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[
 
     The quotient value is the Lefschetz average
     (1/|G|) sum_g e(Fix_{C1}(g)) * e(Fix_{C2}(g)); resolving each cyclic
-    singularity adds one per exceptional curve, i.e. eta in total.
+    singularity adds one per exceptional curve, i.e. eta in total.  A
+    nontrivial g fixes finitely many points, counted by ``fixed_point_counts``.
     """
     group = require_same_group(gv1, gv2)
     g1, g2 = genus(gv1), genus(gv2)
     total = (2 - 2 * g1) * (2 - 2 * g2)
-    for c, rep in enumerate(group.class_reps):
-        if rep.is_identity():
-            continue
-        f1 = len(fixed_point_data(gv1, rep))
-        f2 = len(fixed_point_data(gv2, rep))
-        total += group.class_sizes[c] * f1 * f2
-    assert total % group.order == 0, "Lefschetz average must be an integer"
+    fixed1, fixed2 = fixed_point_counts(gv1), fixed_point_counts(gv2)
+    for c in range(1, len(group.classes)):  # class 0 is the identity
+        total += group.class_sizes[c] * fixed1[c] * fixed2[c]
+    if total % group.order:
+        raise InternalInconsistency("Lefschetz average must be an integer")
     e_quot = total // group.order
     eta = eta_of(quotient_singularities(gv1, gv2))
     return e_quot, e_quot + eta

@@ -14,7 +14,7 @@ from pqsurf.chars import (
 )
 from pqsurf.cyclo import Cyclotomic
 from pqsurf.errors import GroupMismatch, NotASubgroup
-from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup
+from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
 from pqsurf.perms import parse_permutation
 
 ABELIAN = ("C2", "C4", "C6", "V4")
@@ -249,3 +249,49 @@ def test_eigenvalue_multiplicities_reconstruct_values():
                     for a, m in mult.items():
                         total = total + Cyclotomic.root(G.exponent, a * t * (G.exponent // n)).scale(m)
                     assert total == ct.irreducibles[i].value_cyc(G.class_index(rep ** t))
+
+
+def _induced_by_conjugation(G, sub):
+    """The definition Ind_H^G 1(g) = #{x in G : x^-1 g x in H} / |H|."""
+    sub = frozenset(sub)
+    return tuple(
+        Fraction(sum(1 for x in G.elements if x.inverse() * rep * x in sub), len(sub))
+        for rep in G.class_reps
+    )
+
+
+def _s4():
+    return group_from_generators(
+        [parse_permutation("(1,2)", 4), parse_permutation("(1,2,3,4)", 4)]
+    )
+
+
+def test_induced_trivial_matches_the_conjugation_count():
+    groups = [catalog_group(name) for name in CATALOG_NAMES] + [_s4()]
+    checked = 0
+    for G in groups:
+        subgroups = {cyclic_subgroup(G, g) for g in G.elements}
+        subgroups |= {frozenset((G.identity,)), frozenset(G.elements)}
+        for sub in subgroups:
+            assert induced_trivial(G, sub).values == _induced_by_conjugation(G, sub)
+            checked += 1
+    a4 = catalog_group("A4")
+    klein = frozenset(g for g in a4.elements if g.order() <= 2)
+    assert len(klein) == 4
+    assert induced_trivial(a4, klein).values == _induced_by_conjugation(a4, klein)
+    assert induced_trivial(a4, klein).values == (3, 3, 0, 0)
+    assert checked > 60
+
+
+def test_induced_trivial_still_rejects_non_subgroups():
+    s4 = _s4()
+    a4 = catalog_group("A4")
+    p = lambda s: parse_permutation(s, 4)
+    for G, elements in [
+        (s4, ()),
+        (s4, (p("()"), p("(1,2)"), p("(1,2,3)"))),
+        (s4, (p("()"), p("(1,2,3)"))),
+        (a4, (p("()"), p("(1,2)"))),
+    ]:
+        with pytest.raises(NotASubgroup):
+            induced_trivial(G, elements)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from pqsurf import surface
 from pqsurf.catalog import ROWS, TableRow
 from pqsurf.cli import (
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_NO_WITNESS,
     EXIT_PARSE,
@@ -213,3 +218,26 @@ def test_search_cli(capsys):
     code, _, err = run(capsys, "search", "Nope", "1", "2")
     assert code == EXIT_VALIDATION
     assert "UnknownName" in err
+
+
+def test_exit_7_internal_inconsistency(monkeypatch, capsys):
+    # fixed-point counts that break the integrality of the Lefschetz average
+    monkeypatch.setattr(surface, "fixed_point_counts", lambda gv: (0, 1, 0, 0))
+    code, out, err = run(capsys, "analyze", str(SURFACES / "v4.surface"))
+    assert code == EXIT_INTERNAL == 7
+    assert out == ""
+    assert err.startswith("InternalInconsistency: Lefschetz average")
+
+
+def test_acceptance_suite_passes_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(REPO / "tests" / "test_acceptance.py")],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsurf.chars import character_table
-from pqsurf.covering import genus, search_generating_vectors
+from pqsurf.covering import fixed_point_counts, fixed_point_data, genus, search_generating_vectors
 from pqsurf.groups import catalog_group, group_from_generators
 from pqsurf.jacobian import isotypical_dimensions, motive_h2_decomposition
 from pqsurf.lattice import IntegralLattice, determinant, signature
 from pqsurf.perms import Permutation
-from pqsurf.surface import hirzebruch_jung, invariants, quotient_singularities
+from pqsurf.surface import euler_characteristic, hirzebruch_jung, invariants, quotient_singularities
 
 
 def test_c4_pair_with_order_4_singularities():
@@ -106,6 +106,24 @@ def test_basket_formulas_reject_a_wrong_rotation():
     (n, q), *rest = [(s.n, s.q) for s in rep.singularities]
     assert _basket(vecs[0], vecs[1], [(n, q)] + rest) == (rep.k2, rep.e)
     assert _basket(vecs[0], vecs[1], [(n, n - q)] + rest) != (rep.k2, rep.e)
+
+
+def test_fixed_point_counts_match_the_coset_walk():
+    walked = {}
+    for gv1, gv2 in _basket_pairs():
+        for gv in (gv1, gv2):
+            if gv not in walked:
+                reps = gv.group.class_reps[1:]
+                walked[gv] = [len(fixed_point_data(gv, rep)) for rep in reps]
+                assert list(fixed_point_counts(gv)[1:]) == walked[gv]
+        # the Lefschetz average, with the fixed points counted by the walk
+        group = gv1.group
+        total = (2 - 2 * genus(gv1)) * (2 - 2 * genus(gv2)) + sum(
+            size * f1 * f2
+            for size, f1, f2 in zip(group.class_sizes[1:], walked[gv1], walked[gv2])
+        )
+        assert euler_characteristic(gv1, gv2)[0] == total // group.order
+    assert len(walked) > 30
 
 
 def test_s3_character_table_literal():

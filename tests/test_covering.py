@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pqsurf.covering import (
@@ -217,3 +219,44 @@ def test_search_outputs_validate_and_are_deduplicated():
         validate(gv)
     keys = {gv.listed_elements() for gv in vectors}
     assert len(keys) == len(vectors)
+
+
+def test_per_vector_stages_run_once_and_share_their_value():
+    gv1, _ = v4_example_pair()
+    chi = hurwitz_character(gv1)
+    assert hurwitz_character(gv1) is chi
+    assert genus(gv1) == 3 and validate(gv1) is None
+
+
+def test_invalid_vector_raises_from_validate_on_every_call():
+    G = catalog_group("V4")
+    gv = GeneratingVector(
+        G, 1, ((p4("(1,3)(2,4)"), p4("()")),),
+        (p4("(1,2)(3,4)"), p4("(1,4)(2,3)")), (2, 2),
+    )
+    for _ in range(3):
+        with pytest.raises(RelationFails):
+            validate(gv)
+        with pytest.raises(RelationFails):
+            hurwitz_character(gv)
+    assert gv._memo == {}
+
+
+def test_memo_is_not_part_of_equality_hash_or_repr():
+    fresh, _ = v4_example_pair()
+    used, _ = v4_example_pair()
+    hurwitz_character(used)
+    assert used._memo and not fresh._memo
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert "_memo" not in repr(used)
+
+
+def test_replace_starts_with_an_empty_memo():
+    gv1, _ = v4_example_pair()
+    chi = hurwitz_character(gv1)
+    copy = dataclasses.replace(gv1)
+    assert copy == gv1 and copy._memo == {}
+    assert hurwitz_character(copy) == chi
+    assert hurwitz_character(copy) is not chi

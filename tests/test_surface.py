@@ -191,3 +191,13 @@ def test_singularity_chain_reconstruction():
     for b in reversed(s.hj_chain[:-1]):
         value = b - Fraction(1, value)
     assert value == Fraction(7, 3)
+
+
+def test_chevalley_weil_result_is_a_fresh_dict():
+    gv1, _ = v4_example_pair()
+    mult = chevalley_weil(gv1)
+    expected = dict(mult)
+    mult[0] += 5
+    mult.clear()
+    assert chevalley_weil(gv1) == expected
+    assert chevalley_weil(gv1) is not chevalley_weil(gv1)
