@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .chars import CharacterTable, character_table, rational_characters
 from .covering import GeneratingVector, genus, search_generating_vectors
-from .errors import NoWitness, UnknownName
+from .errors import InternalInconsistency, NoWitness, UnknownName
 from .groups import Group, catalog_group
 from .perms import parse_permutation
 from .surface import geometric_genus
@@ -97,7 +97,11 @@ def row_witnesses(name: str) -> tuple[GeneratingVector, GeneratingVector]:
     if not vectors1 or not vectors2:
         raise NoWitness(f"no generating vectors for row {row.name}")
     gv1, gv2 = select_pair(vectors1, vectors2, prefer_pg2=True)
-    assert genus(gv1) == row.genera[0] and genus(gv2) == row.genera[1]
+    if (genus(gv1), genus(gv2)) != row.genera:
+        raise InternalInconsistency(
+            f"row {row.name}: witnesses have genera {(genus(gv1), genus(gv2))}, "
+            f"not {row.genera}"
+        )
     return gv1, gv2
 
 
@@ -148,7 +152,11 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
             for i, cf in enumerate(table.irreducibles)
             if table.degrees[i] == 1 and i != _trivial_index(table) and cf.at(element) == 1
         ]
-        assert len(matches) == 1
+        if len(matches) != 1:
+            raise InternalInconsistency(
+                f"{len(matches)} nontrivial linear characters of {group_name} "
+                f"have {criterion[1]} in their kernel, not 1"
+            )
         return matches[0]
     if criterion[0] == "unique_degree":
         matches = [
@@ -156,7 +164,8 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
             for i, d in enumerate(table.degrees)
             if d == criterion[1] and i != _trivial_index(table)
         ]
-        assert len(matches) == 1, f"degree {criterion[1]} is not unique in {group_name}"
+        if len(matches) != 1:
+            raise InternalInconsistency(f"degree {criterion[1]} is not unique in {group_name}")
         return matches[0]
     if criterion[0] == "degree_not_self_dual":
         matches = [
@@ -164,7 +173,10 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
             for i, d in enumerate(table.degrees)
             if d == criterion[1] and not _self_dual(table, i)
         ]
-        assert matches, f"no non-self-dual degree-{criterion[1]} character in {group_name}"
+        if not matches:
+            raise InternalInconsistency(
+                f"no non-self-dual degree-{criterion[1]} character in {group_name}"
+            )
         return matches[0]
     raise AssertionError(f"unknown criterion {criterion!r}")  # pragma: no cover
 

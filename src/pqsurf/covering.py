@@ -240,6 +240,25 @@ def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, 
 
 # -- exhaustive search -------------------------------------------------------
 
+def _canonical(group: Group, vec: tuple[Permutation, ...]) -> tuple:
+    """The image tuples of the lexicographically smallest simultaneous
+    conjugate x vec x^-1 over x in G.
+
+    Its first entry is the smallest element of vec[0]'s class, the class
+    representative rep, and the x that move vec[0] there form the coset
+    C(rep) y for the recorded y with y vec[0] y^-1 = rep; so the minimum
+    runs over the centralizer only, and every candidate starts with rep."""
+    if not vec:
+        return ()
+    idx = group._class_of[vec[0]]
+    y = group._to_rep[vec[0]]
+    yi = y.inverse()
+    rest = [y * g * yi for g in vec[1:]]
+    return (group.class_reps[idx].images,) + min(
+        tuple((c * g * ci).images for g in rest) for c, ci in group._centralizer(idx)
+    )
+
+
 def search_generating_vectors(
     group: Group,
     base_genus: int,
@@ -251,7 +270,14 @@ def search_generating_vectors(
     free monodromies over the elements of their order; the final monodromy is
     forced by the long relation.  So the scan runs over
     |G|^(2*g0) * prod_{i<r} #{g : ord g = m_i} tuples, and SearchSpaceTooLarge
-    is raised when that exceeds ``max_space``."""
+    is raised when that exceeds ``max_space``.
+
+    Generating tuples are deduplicated by their smallest simultaneous
+    conjugate, computed over one centralizer coset (``_canonical``); the
+    first tuple met in each orbit is kept, and the vectors come out sorted
+    by that key.  An orbit-count certificate checks the result: the number
+    of generating tuples must be |G|/|Z(G)| times the number of orbits, or
+    InternalInconsistency is raised."""
     orders = tuple(int(m) for m in orders)
     r = len(orders)
     for m in orders:
@@ -271,14 +297,8 @@ def search_generating_vectors(
             f"|G|^(2g0) * prod_(i<r) #{{g : ord g = m_i}} = {space} tuples exceeds {max_space}"
         )
 
-    conjugators = [(x, x.inverse()) for x in group.elements]
-
-    def canonical(vec: tuple[Permutation, ...]) -> tuple:
-        return min(
-            tuple((x * g * xi).images for g in vec) for x, xi in conjugators
-        )
-
     found: dict[tuple, tuple[Permutation, ...]] = {}
+    accepted = 0
     handle_pool = [group.elements] * (2 * base_genus)
     free_monos = [by_order[m] for m in orders[:-1]] if r else []
 
@@ -306,9 +326,19 @@ def search_generating_vectors(
             listed = handle_vals + monos
             if _closure_size(listed, group) != group.order:
                 continue
-            key = canonical(listed)
+            accepted += 1
+            key = _canonical(group, listed)
             if key not in found:
                 found[key] = listed
+    # The accepted tuples are closed under simultaneous conjugation, and a
+    # generating tuple's stabilizer is the centre, so every orbit has
+    # |G| / |Z(G)| members.
+    centre = sum(1 for size in group.class_sizes if size == 1)
+    if accepted != len(found) * group.order // centre:
+        raise InternalInconsistency(
+            f"{accepted} generating tuples do not form {len(found)} conjugation "
+            f"orbits of size |G|/|Z(G)| = {group.order // centre}"
+        )
     vectors = []
     for key in sorted(found):
         flat = found[key]

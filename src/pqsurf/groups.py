@@ -27,9 +27,11 @@ class Group:
         self.degree: int = self.elements[0].degree
         self.order: int = len(self.elements)
         self._index = {g: i for i, g in enumerate(self.elements)}
-        self.classes: tuple[tuple[Permutation, ...], ...] = _conjugacy_classes(
-            self.elements, self.generators
-        )
+        classes, to_rep = _conjugacy_classes(self.elements, self.generators)
+        self.classes: tuple[tuple[Permutation, ...], ...] = classes
+        # g -> y with y g y^-1 the representative of g's class
+        self._to_rep: dict[Permutation, Permutation] = to_rep
+        self._centralizers: dict[int, tuple[tuple[Permutation, Permutation], ...]] = {}
         self.class_reps: tuple[Permutation, ...] = tuple(c[0] for c in self.classes)
         self.class_sizes: tuple[int, ...] = tuple(len(c) for c in self.classes)
         self._class_of = {}
@@ -75,27 +77,48 @@ class Group:
     def is_abelian(self) -> bool:
         return all(s == 1 for s in self.class_sizes)
 
+    def _centralizer(self, idx: int) -> tuple[tuple[Permutation, Permutation], ...]:
+        """The pairs (c, c^-1) for c in the centralizer of class ``idx``'s
+        representative; built on first use."""
+        pairs = self._centralizers.get(idx)
+        if pairs is None:
+            rep = self.class_reps[idx]
+            pairs = tuple((c, c.inverse()) for c in self.elements if c * rep == rep * c)
+            self._centralizers[idx] = pairs
+        return pairs
+
 
 def _conjugacy_classes(elements, generators):
-    """Orbits of the conjugation action, enumerated deterministically."""
-    remaining = set(elements)
+    """Orbits of the conjugation action, enumerated deterministically, and
+    for each element g a conjugator y with y g y^-1 the smallest element of
+    g's class.
+
+    Each orbit's search starts at its smallest element, since ``elements``
+    is sorted; an element reached as z = s w s^-1 gets y_z = y_w s^-1.
+    Classes and conjugators hold the group's own element objects."""
+    own = {g: g for g in elements}
+    identity = elements[0]
+    inverses = [(s, s.inverse()) for s in generators]
     classes = []
+    to_rep = {}
     for x in elements:
-        if x not in remaining:
+        if x in to_rep:
             continue
-        orbit = {x}
+        to_rep[x] = identity
+        orbit = [x]
         frontier = [x]
         while frontier:
-            y = frontier.pop()
-            for s in generators:
-                z = s * y * s.inverse()
-                if z not in orbit:
-                    orbit.add(z)
+            w = frontier.pop()
+            yw = to_rep[w]
+            for s, si in inverses:
+                z = own[s * w * si]
+                if z not in to_rep:
+                    to_rep[z] = own[yw * si]
+                    orbit.append(z)
                     frontier.append(z)
-        remaining -= orbit
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda c: (c[0].order(), c[0].images))
-    return tuple(classes)
+    return tuple(classes), to_rep
 
 
 def group_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> Group:
@@ -138,8 +161,8 @@ def cyclic_subgroup(group: Group, g: Permutation) -> frozenset[Permutation]:
 
 
 def centralizer_order(group: Group, g: Permutation) -> int:
-    group.require(g)
-    return sum(1 for x in group.elements if x * g == g * x)
+    """|C_G(g)| = |G| / |g^G| (orbit-stabilizer)."""
+    return group.order // group.class_sizes[group.class_index(g)]
 
 
 def power_map(group: Group, k: int) -> tuple[int, ...]:

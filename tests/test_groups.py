@@ -147,3 +147,33 @@ def test_closure_under_products():
             b = rng.choice(G.elements)
             assert a * b in G
             assert a.inverse() in G
+
+
+def conjugation_test_groups():
+    groups = [catalog_group(name) for name in CATALOG_NAMES]
+    for degree, gens in ((4, ("(1,2)", "(1,2,3,4)")), (5, ("(1,2)", "(1,2,3,4,5)"))):
+        groups.append(group_from_generators([parse_permutation(g, degree) for g in gens]))
+    return groups
+
+
+@pytest.mark.parametrize("G", conjugation_test_groups(), ids=repr)
+def test_recorded_conjugator_reaches_class_representative(G):
+    for g in G.elements:
+        y = G._to_rep[g]
+        assert y in G
+        assert y * g * y.inverse() == G.class_reps[G.class_index(g)]
+
+
+@pytest.mark.parametrize("G", conjugation_test_groups(), ids=repr)
+def test_centralizers_match_brute_force(G):
+    for idx, rep in enumerate(G.class_reps):
+        pairs = G._centralizer(idx)
+        assert all(ci == c.inverse() for c, ci in pairs)
+        assert {c for c, _ in pairs} == {c for c in G.elements if c * rep == rep * c}
+        assert G._centralizer(idx) is pairs
+
+
+@pytest.mark.parametrize("G", conjugation_test_groups(), ids=repr)
+def test_centralizer_order_matches_counting(G):
+    for g in G.elements:
+        assert centralizer_order(G, g) == sum(1 for x in G.elements if x * g == g * x)
