@@ -5,7 +5,9 @@ Witness generating vectors are re-derived by exhaustive search constrained
 to each row's (group, genera, branch) data; among the searched pairs the
 selector keeps the first one with p_g = 2, which is the defining condition
 of these families (branch data alone also admits degenerate pairs, e.g. two
-V4 covers branched over the same involution).
+V4 covers branched over the same involution).  ``row_witnesses`` keeps no
+cache of its own: the searches it makes are kept on the catalog group, so
+rows and descriptions that share a signature search it once per process.
 
 Character positions follow an external computer-algebra numbering in the
 reference lists; the alias table below records the hand-matched criterion
@@ -16,7 +18,6 @@ position to a character of this package's canonical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .chars import CharacterTable, character_table, rational_characters
 from .covering import GeneratingVector, genus, search_generating_vectors
@@ -87,7 +88,6 @@ def select_pair(vectors1, vectors2, prefer_pg2: bool):
     raise NoWitness("search produced no generating vector pair")
 
 
-@lru_cache(maxsize=None)
 def row_witnesses(name: str) -> tuple[GeneratingVector, GeneratingVector]:
     """Deterministic witness pair for a catalog row."""
     row = row_by_name(name)

@@ -277,7 +277,13 @@ def search_generating_vectors(
     first tuple met in each orbit is kept, and the vectors come out sorted
     by that key.  An orbit-count certificate checks the result: the number
     of generating tuples must be |G|/|Z(G)| times the number of orbits, or
-    InternalInconsistency is raised."""
+    InternalInconsistency is raised.
+
+    The result of a completed search is kept on the group object for the
+    life of the process: a repeated call with the same base genus and orders
+    passes the space check again and then returns the same vectors, with
+    their per-vector stages.  An equal group built separately searches
+    again, and a search that raises keeps nothing."""
     orders = tuple(int(m) for m in orders)
     r = len(orders)
     for m in orders:
@@ -296,6 +302,10 @@ def search_generating_vectors(
         raise SearchSpaceTooLarge(
             f"|G|^(2g0) * prod_(i<r) #{{g : ord g = m_i}} = {space} tuples exceeds {max_space}"
         )
+
+    searched = group._searches.get((base_genus, orders))
+    if searched is not None:
+        return searched
 
     found: dict[tuple, tuple[Permutation, ...]] = {}
     accepted = 0
@@ -349,7 +359,9 @@ def search_generating_vectors(
         gv = GeneratingVector(group, base_genus, handles, monos, orders)
         validate(gv)
         vectors.append(gv)
-    return tuple(vectors)
+    vectors = tuple(vectors)
+    group._searches[(base_genus, orders)] = vectors
+    return vectors
 
 
 def require_same_group(gv1: GeneratingVector, gv2: GeneratingVector) -> Group:

@@ -32,6 +32,8 @@ class Group:
         # g -> y with y g y^-1 the representative of g's class
         self._to_rep: dict[Permutation, Permutation] = to_rep
         self._centralizers: dict[int, tuple[tuple[Permutation, Permutation], ...]] = {}
+        # (base genus, orders) -> the vectors of a completed search
+        self._searches: dict[tuple, tuple] = {}
         self.class_reps: tuple[Permutation, ...] = tuple(c[0] for c in self.classes)
         self.class_sizes: tuple[int, ...] = tuple(len(c) for c in self.classes)
         self._class_of = {}

@@ -2,17 +2,25 @@
 sufficient criterion for a unique primitive embedding into an even
 unimodular lattice.
 
-All arithmetic is exact: signatures come from rational congruent
-diagonalisation, determinants from fraction-free (Bareiss) elimination,
-and discriminant groups from an integer Smith normal form.
+All arithmetic is exact and in integers: signatures come from symmetric
+integer elimination (each trailing block scaled by its pivot and divided by
+the gcd of its entries, a congruence up to a positive scalar), determinants
+from fraction-free (Bareiss) elimination, and discriminant groups from an
+integer Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
-from .errors import Degenerate, InvalidParameter, NotEven, NotUnimodular
+from .errors import (
+    Degenerate,
+    InternalInconsistency,
+    InvalidParameter,
+    NotEven,
+    NotUnimodular,
+)
 
 GUARANTEED = "guaranteed"
 CRITERION_NOT_SATISFIED = "criterion_not_satisfied"
@@ -162,40 +170,53 @@ def determinant(lattice: IntegralLattice) -> int:
 
 
 def signature(lattice: IntegralLattice) -> tuple[int, int]:
-    """(s_+, s_-) by symmetric congruent diagonalisation over Q."""
+    """(s_+, s_-) by symmetric elimination in integers.
+
+    A pivot p with column a below it leaves the block p*A22 - a a^T, divided
+    by the gcd of its entries and negated when p < 0: a positive multiple of
+    the Schur complement A22 - a a^T / p, so congruent to it up to a
+    positive scalar, and the signature is unchanged.  A zero diagonal is
+    swapped with a nonzero one, or else folded with a nonzero off-diagonal
+    entry; a block with neither is degenerate."""
     n = lattice.rank
-    if determinant(lattice) == 0:
-        raise Degenerate("lattice is degenerate")
-    m = [[Fraction(x) for x in row] for row in lattice.gram]
+    m = [list(row) for row in lattice.gram]
     plus = minus = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+    while m:
+        size = len(m)
+        if m[0][0] == 0:
+            swap = next((j for j in range(1, size) if m[j][j] != 0), None)
             if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
+                m[0], m[swap] = m[swap], m[0]
                 for row in m:
-                    row[k], row[swap] = row[swap], row[k]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                # all trailing diagonal entries vanish; fold a nonzero
-                # off-diagonal entry onto the diagonal
-                j = next(j for j in range(k + 1, n) if m[k][j] != 0)
-                for col in range(n):
-                    m[k][col] += m[j][col]
+                # all diagonal entries vanish; fold a nonzero off-diagonal
+                # entry onto the diagonal
+                j = next((j for j in range(1, size) if m[0][j] != 0), None)
+                if j is None:
+                    raise Degenerate("lattice is degenerate")
+                for col in range(size):
+                    m[0][col] += m[j][col]
                 for row in m:
-                    row[k] += row[j]
-        pivot = m[k][k]
+                    row[0] += row[j]
+        pivot = m[0][0]
         if pivot > 0:
-            plus += 1
+            plus, sign = plus + 1, 1
         else:
-            minus += 1
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                for j in range(n):
-                    m[i][j] -= factor * m[k][j]
-                for row in m:
-                    row[i] -= factor * row[k]
-    assert plus + minus == n
+            minus, sign = minus + 1, -1
+        column = [row[0] for row in m[1:]]
+        m = [
+            [sign * (pivot * x - ai * aj) for x, aj in zip(row[1:], column)]
+            for row, ai in zip(m[1:], column)
+        ]
+        common = 0
+        for row in m:
+            for x in row:
+                common = gcd(common, x)
+        if common > 1:
+            m = [[x // common for x in row] for row in m]
+    if plus + minus != n:
+        raise InternalInconsistency(f"signature ({plus}, {minus}) does not add up to rank {n}")
     return (plus, minus)
 
 
@@ -253,8 +274,6 @@ def _smith_normal_form(mat: list[list[int]]) -> list[int]:
             continue
         diag.append(abs(pivot))
         top += 1
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0, "invariant factors must form a divisibility chain"
     return diag
 
 
@@ -264,11 +283,19 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
     if det == 0:
         raise Degenerate("lattice is degenerate")
     diag = _smith_normal_form([list(row) for row in lattice.gram])
+    for a, b in zip(diag, diag[1:]):
+        if b % a:
+            raise InternalInconsistency(
+                f"invariant factors {a} and {b} do not form a divisibility chain"
+            )
     factors = tuple(d for d in diag if d > 1)
     order = 1
     for d in factors:
         order *= d
-    assert order == abs(det)
+    if order != abs(det):
+        raise InternalInconsistency(
+            f"invariant factors multiply to {order}, not |det| = {abs(det)}"
+        )
     return DiscriminantGroup(factors)
 
 

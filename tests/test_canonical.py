@@ -81,11 +81,19 @@ def test_canonical_matches_minimum_over_group(sig):
             assert _canonical(G, tuple(x * g * xi for g in vec)) == key
 
 
+def fresh_group(G):
+    """An equal group built anew, so that no earlier search is kept on it
+    and a patched search really scans."""
+    return group_from_generators(G.generators)
+
+
 @pytest.mark.parametrize("sig", SIGNATURES, ids=signature_id)
 def test_search_matches_reference_search(sig, monkeypatch):
     expected = search(*sig)
     monkeypatch.setattr(covering, "_canonical", reference_canonical)
-    assert search_generating_vectors(group(sig[0]), sig[1], sig[2]) == expected
+    found = search_generating_vectors(fresh_group(group(sig[0])), sig[1], sig[2])
+    assert found is not expected
+    assert found == expected
 
 
 def test_canonical_of_empty_tuple():
@@ -97,7 +105,10 @@ def test_orbit_count_certificate(monkeypatch, capsys):
     # orbit, which the certificate must reject
     monkeypatch.setattr(covering, "_canonical", lambda G, vec: tuple(g.images for g in vec))
     with pytest.raises(InternalInconsistency, match="orbits"):
-        search_generating_vectors(catalog_group("S3"), 1, (3,))
+        search_generating_vectors(fresh_group(catalog_group("S3")), 1, (3,))
+    # the command searches the catalog group itself; drop what earlier
+    # searches kept on it for the length of this test
+    monkeypatch.setattr(catalog_group("S3"), "_searches", {})
     assert main(["search", "S3", "1", "3"]) == EXIT_INTERNAL == 7
     err = capsys.readouterr().err
     assert err.startswith("InternalInconsistency:")

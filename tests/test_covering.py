@@ -1,7 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from pqsurf import covering
+from pqsurf.cli import main
 from pqsurf.covering import (
     GeneratingVector,
     fixed_point_data,
@@ -13,14 +16,18 @@ from pqsurf.covering import (
 from pqsurf.chars import ClassFunction, inner_product
 from pqsurf.errors import (
     IdentityElement,
+    InternalInconsistency,
     NotGenerating,
     OrderMismatch,
     RelationFails,
     SearchSpaceTooLarge,
     TrivialMonodromy,
 )
-from pqsurf.groups import catalog_group
+from pqsurf.groups import catalog_group, group_from_generators
 from pqsurf.perms import parse_permutation
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def p4(s):
@@ -260,3 +267,83 @@ def test_replace_starts_with_an_empty_memo():
     assert copy == gv1 and copy._memo == {}
     assert hurwitz_character(copy) == chi
     assert hurwitz_character(copy) is not chi
+
+
+# -- searches kept on the group ---------------------------------------------------
+
+def fresh(name):
+    """An equal copy of a catalog group that no earlier test has searched."""
+    return group_from_generators(catalog_group(name).generators)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts the closure checks made, one per scanned candidate and one
+    per validated vector."""
+    count = [0]
+    closure_size = covering._closure_size
+
+    def counting(elements, group):
+        count[0] += 1
+        return closure_size(elements, group)
+
+    monkeypatch.setattr(covering, "_closure_size", counting)
+    return count
+
+
+def test_repeated_search_returns_the_kept_vectors(scans):
+    G = fresh("D4")
+    first = search_generating_vectors(G, 1, (2,))
+    chi = hurwitz_character(first[0])
+    assert scans[0] > 0
+    scans[0] = 0
+    again = search_generating_vectors(G, 1, (2,))
+    assert again is first and scans[0] == 0
+    assert hurwitz_character(again[0]) is chi
+
+
+def test_other_signatures_and_equal_groups_search_anew(scans):
+    G = fresh("D4")
+    kept = search_generating_vectors(G, 1, (2,))
+    # other orders, then the same orders over another base genus
+    earlier = [kept]
+    for g0, orders in ((1, (2, 2)), (0, (2, 2, 4)), (1, (2, 2, 4))):
+        scans[0] = 0
+        vectors = search_generating_vectors(G, g0, orders)
+        assert vectors and scans[0] > 0
+        assert all(vectors is not e for e in earlier)
+        earlier.append(vectors)
+    scans[0] = 0
+    other = fresh("D4")
+    assert other == G
+    again = search_generating_vectors(other, 1, (2,))
+    assert again == kept and again is not kept and scans[0] > 0
+
+
+def test_kept_search_still_checks_the_space_bound():
+    G = fresh("A4")
+    assert search_generating_vectors(G, 1, (2,))  # 12^2 = 144 tuples
+    with pytest.raises(SearchSpaceTooLarge):
+        search_generating_vectors(G, 1, (2,), max_space=100)
+
+
+def test_search_that_raises_keeps_nothing(monkeypatch):
+    G = fresh("S3")
+    with monkeypatch.context() as patch:
+        # a key that separates conjugate tuples fails the orbit count
+        patch.setattr(covering, "_canonical", lambda G, vec: tuple(g.images for g in vec))
+        with pytest.raises(InternalInconsistency):
+            search_generating_vectors(G, 1, (3,))
+    assert G._searches == {}
+    assert search_generating_vectors(G, 1, (3,)) == search_generating_vectors(fresh("S3"), 1, (3,))
+
+
+def test_analyze_searches_a_shared_directive_once(scans, monkeypatch, capsys):
+    # both curves of a4.surface carry the directive "genus0 = 1, search = 2"
+    monkeypatch.setattr(catalog_group("A4"), "_searches", {})
+    assert main(["analyze", str(REPO / "surfaces" / "a4.surface")]) == 0
+    capsys.readouterr()
+    analyze_scans = scans[0]
+    scans[0] = 0
+    search_generating_vectors(fresh("A4"), 1, (2,))
+    assert analyze_scans == scans[0] > 0

@@ -1,8 +1,22 @@
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsurf.errors import Degenerate, InvalidParameter, NotEven, NotUnimodular
+from pqsurf import lattice
+from pqsurf.errors import (
+    Degenerate,
+    InternalInconsistency,
+    InvalidParameter,
+    NotEven,
+    NotUnimodular,
+)
 from pqsurf.lattice import (
     CRITERION_NOT_SATISFIED,
     GUARANTEED,
@@ -205,3 +219,143 @@ def test_signature_counts_match_rank(lat):
     # cross-check the sign of the determinant: (-1)^minus
     det = determinant(lat)
     assert (det > 0) == (minus % 2 == 0)
+
+
+# -- the integer signature against the rational diagonalisation ---------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def fraction_signature(lat):
+    """Reference: symmetric congruent diagonalisation over Q, as signature
+    computed it before the integer elimination."""
+    n = lat.rank
+    if determinant(lat) == 0:
+        raise Degenerate("lattice is degenerate")
+    m = [[Fraction(x) for x in row] for row in lat.gram]
+    plus = minus = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                j = next(j for j in range(k + 1, n) if m[k][j] != 0)
+                for col in range(n):
+                    m[k][col] += m[j][col]
+                for row in m:
+                    row[k] += row[j]
+        pivot = m[k][k]
+        if pivot > 0:
+            plus += 1
+        else:
+            minus += 1
+        for i in range(k + 1, n):
+            factor = m[i][k] / pivot
+            if factor:
+                for j in range(n):
+                    m[i][j] -= factor * m[k][j]
+                for row in m:
+                    row[i] -= factor * row[k]
+    return (plus, minus)
+
+
+def random_gram(rng):
+    """A symmetric integer matrix of rank 1-9: plain, with a zero diagonal
+    (every pivot then starts with a fold), or made degenerate by repeating a
+    row and column or by a Gram matrix B^T D B of lower rank."""
+    n = rng.randint(1, 9)
+    kind = rng.choice(("plain", "zero_diagonal", "repeated", "low_rank"))
+    if kind == "low_rank":
+        k = rng.randint(0, n - 1)
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]
+        return [
+            [sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(n)]
+            for i in range(n)
+        ]
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+    if kind == "zero_diagonal":
+        for i in range(n):
+            gram[i][i] = 0
+    if kind == "repeated" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        for row in gram:
+            row[j] = row[i]
+        gram[j] = list(gram[i])
+    return gram
+
+
+def assert_same_signature(lat):
+    try:
+        expected = fraction_signature(lat)
+    except Degenerate:
+        with pytest.raises(Degenerate):
+            signature(lat)
+        return "degenerate"
+    assert signature(lat) == expected
+    return "regular"
+
+
+def test_integer_signature_matches_the_rational_one_on_random_matrices():
+    rng = random.Random(20191)
+    outcomes = {"degenerate": 0, "regular": 0}
+    for _ in range(1500):
+        lat = IntegralLattice(tuple(map(tuple, random_gram(rng))))
+        outcomes[assert_same_signature(lat)] += 1
+    assert outcomes["degenerate"] >= 300 and outcomes["regular"] >= 600
+
+
+def test_integer_signature_matches_the_rational_one_on_named_lattices():
+    u = hyperbolic_plane()
+    lattices = [k3_lattice(), e8_minus(), direct_sum(e8_minus(), e8_minus())]
+    lattices += [lambda_d(d) for d in range(1, 13)]
+    lattices += [direct_sum(*[u] * k) for k in range(1, 5)]
+    lattices += [rescale(lat, -1) for lat in lattices[:3]]
+    for lat in lattices:
+        assert assert_same_signature(lat) == "regular"
+
+
+# -- certificates of the discriminant group ---------------------------------------
+
+def test_broken_smith_form_is_internal_inconsistency(monkeypatch):
+    lat = direct_sum(rank1(1), rank1(3))  # |det| = 12, invariant factors 2, 6
+    assert discriminant_group(lat).invariant_factors == (2, 6)
+    monkeypatch.setattr(lattice, "_smith_normal_form", lambda m: [3, 4])
+    with pytest.raises(InternalInconsistency, match="divisibility chain"):
+        discriminant_group(lat)
+    monkeypatch.setattr(lattice, "_smith_normal_form", lambda m: [2, 2])
+    with pytest.raises(InternalInconsistency, match="multiply"):
+        discriminant_group(lat)
+
+
+def test_broken_smith_form_raises_under_python_O():
+    script = (
+        "from pqsurf import lattice\n"
+        "from pqsurf.errors import InternalInconsistency\n"
+        "lat = lattice.direct_sum(lattice.rank1(1), lattice.rank1(3))\n"
+        "for diag in ([3, 4], [2, 2]):\n"
+        "    lattice._smith_normal_form = lambda m, diag=diag: diag\n"
+        "    try:\n"
+        "        lattice.discriminant_group(lat)\n"
+        "    except InternalInconsistency as exc:\n"
+        "        print('raised', exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("raised") and "divisibility chain" in lines[0]
+    assert lines[1].startswith("raised") and "multiply" in lines[1]
