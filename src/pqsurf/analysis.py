@@ -5,7 +5,7 @@ bytes (the only run-dependent field is the tool version)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,13 +41,6 @@ class CurveSummary:
 
 
 @dataclass(frozen=True)
-class LatticeSummary:
-    rank_new: Optional[int]
-    signature_bound: Optional[tuple[int, int]]
-    embedding: Optional[str]
-
-
-@dataclass(frozen=True)
 class Analysis:
     group_label: str
     group: Group
@@ -55,7 +48,7 @@ class Analysis:
     surface: SurfaceReport
     motive: Optional[MotiveDecomposition]
     pairing: PairingReport
-    lattice: LatticeSummary
+    embedding: Optional[str]
     warnings: tuple[str, ...]
     aux: Optional[tuple[str, tuple[IsotypicalFactor, ...]]] = None
     input_echo: Optional[str] = None
@@ -88,19 +81,9 @@ def analyze_pair(gv1: GeneratingVector, gv2: GeneratingVector, group_label: str 
     motive = None
     if gv1.base_genus == 1 and gv2.base_genus == 1:
         motive = motive_h2_decomposition(gv1, gv2)
-        surf = replace(surf, decomposition=motive)
-    surf = replace(
-        surf,
-        jacobian1=isotypical_dimensions(gv1),
-        jacobian2=isotypical_dimensions(gv2),
-    )
-
-    if surf.rank_new is not None:
-        n_bound = surf.rank_new - 2
-        embedding = GUARANTEED if 0 <= n_bound <= 8 else CRITERION_NOT_SATISFIED
-        lattice = LatticeSummary(surf.rank_new, (2, n_bound), embedding)
-    else:
-        lattice = LatticeSummary(None, None, None)
+    embedding = None
+    if surf.signature_new is not None:
+        embedding = GUARANTEED if 0 <= surf.signature_new[1] <= 8 else CRITERION_NOT_SATISFIED
 
     warnings = list(surf.warnings)
     rats = rational_characters(character_table(group))
@@ -116,7 +99,7 @@ def analyze_pair(gv1: GeneratingVector, gv2: GeneratingVector, group_label: str 
         surface=surf,
         motive=motive,
         pairing=pairing,
-        lattice=lattice,
+        embedding=embedding,
         warnings=tuple(dict.fromkeys(warnings)),
     )
 
@@ -241,11 +224,11 @@ def to_json_dict(analysis: Analysis) -> dict:
             "notes": list(analysis.pairing.notes),
         },
         "lattice": {
-            "rank_new": analysis.lattice.rank_new,
-            "transcendental_signature_bound": list(analysis.lattice.signature_bound)
-            if analysis.lattice.signature_bound
+            "rank_new": analysis.surface.rank_new,
+            "transcendental_signature_bound": list(analysis.surface.signature_new)
+            if analysis.surface.signature_new
             else None,
-            "k3_embedding": analysis.lattice.embedding,
+            "k3_embedding": analysis.embedding,
         },
         "warnings": list(analysis.warnings),
         "notes": {"rank_new_convention": RANK_NEW_NOTE},
@@ -316,10 +299,10 @@ def render_text(analysis: Analysis) -> str:
             f"[{match.d1},{match.n1},{match.m1}], curve2 = "
             f"[{match.d2},{match.n2},{match.m2}]{flag}{partner}"
         )
-    if analysis.lattice.embedding is not None:
+    if analysis.embedding is not None:
         push(
-            f"lattice: signature bound {analysis.lattice.signature_bound}, "
-            f"embedding into the K3 lattice: {analysis.lattice.embedding}"
+            f"lattice: signature bound {surf.signature_new}, "
+            f"embedding into the K3 lattice: {analysis.embedding}"
         )
     if analysis.aux is not None:
         label, factors = analysis.aux

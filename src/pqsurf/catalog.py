@@ -144,13 +144,13 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
     group = catalog_group(group_name)
     table = character_table(group)
     if criterion[0] == "trivial":
-        return _trivial_index(table)
+        return 0  # ``character_table`` certifies that the trivial character is first
     if criterion[0] == "kernel":
         element = parse_permutation(criterion[1], group.degree)
         matches = [
             i
             for i, cf in enumerate(table.irreducibles)
-            if table.degrees[i] == 1 and i != _trivial_index(table) and cf.at(element) == 1
+            if table.degrees[i] == 1 and i != 0 and cf.at(element) == 1
         ]
         if len(matches) != 1:
             raise InternalInconsistency(
@@ -159,11 +159,7 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
             )
         return matches[0]
     if criterion[0] == "unique_degree":
-        matches = [
-            i
-            for i, d in enumerate(table.degrees)
-            if d == criterion[1] and i != _trivial_index(table)
-        ]
+        matches = [i for i, d in enumerate(table.degrees) if d == criterion[1] and i != 0]
         if len(matches) != 1:
             raise InternalInconsistency(f"degree {criterion[1]} is not unique in {group_name}")
         return matches[0]
@@ -179,13 +175,6 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
             )
         return matches[0]
     raise AssertionError(f"unknown criterion {criterion!r}")  # pragma: no cover
-
-
-def _trivial_index(table: CharacterTable) -> int:
-    for i, cf in enumerate(table.irreducibles):
-        if table.degrees[i] == 1 and all(v == 1 for v in cf.values):
-            return i
-    raise AssertionError("character table has no trivial character")  # pragma: no cover
 
 
 def _self_dual(table: CharacterTable, index: int) -> bool:

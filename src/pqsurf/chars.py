@@ -424,6 +424,9 @@ def character_table(group: Group) -> CharacterTable:
         characters.append(ClassFunction(group, tuple(values)))
 
     characters.sort(key=lambda cf: (cf.values[0].degree(), tuple(v.sort_key() for v in cf.values)))
+    # the trivial character, eigenvalue 1 on every class, sorts first
+    if not all(v == 1 for v in characters[0].values):
+        raise InternalInconsistency("the first character of the table is not the trivial one")
     degrees = tuple(cf.values[0].degree() for cf in characters)
     return CharacterTable(group, tuple(characters), degrees)
 

@@ -70,21 +70,14 @@ def _analysis_from_description(desc: SurfaceDescription) -> Analysis:
         aux_vectors = _curve_vectors(aux_curve, aux_group)
         if not aux_vectors:
             raise NoWitness("aux search produced no generating vector")
-        aux_factors = isotypical_dimensions(aux_vectors[0])
         warnings = list(analysis.warnings)
         aux_rats = rational_characters(character_table(aux_group))
         if any(rc.schur_index_unverified for rc in aux_rats):
             warnings.append("schur_index_unverified")
-        analysis = Analysis(
-            group_label=analysis.group_label,
-            group=analysis.group,
-            curves=analysis.curves,
-            surface=analysis.surface,
-            motive=analysis.motive,
-            pairing=analysis.pairing,
-            lattice=analysis.lattice,
+        analysis = replace(
+            analysis,
             warnings=tuple(dict.fromkeys(warnings)),
-            aux=(aux_group_spec.label(), aux_factors),
+            aux=(aux_group_spec.label(), isotypical_dimensions(aux_vectors[0])),
         )
     return analysis
 
@@ -118,8 +111,8 @@ def _check_row(row: TableRow) -> dict:
     analysis = analyze_pair(gv1, gv2, group_label=row.group_name)
     surf = analysis.surface
     computed_sing = tuple(sorted((s.n, s.q) for s in surf.singularities))
-    jac1 = _nontrivial_dn(surf.jacobian1)
-    jac2 = _nontrivial_dn(surf.jacobian2)
+    jac1 = _nontrivial_dn(analysis.curves[0].factors)
+    jac2 = _nontrivial_dn(analysis.curves[1].factors)
 
     mismatches = []
 

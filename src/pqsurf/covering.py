@@ -8,7 +8,9 @@ monodromies, and the long relation prod [a_j, b_j] * prod c_i = 1 holds.
 The per-curve stages here and in ``surface`` and ``jacobian`` (validation,
 genus, fixed-point counts, the Hurwitz and Chevalley-Weil characters, the
 isotypical dimensions) are decorated with ``per_vector``: each runs once per
-vector and keeps its value on the vector.
+vector and keeps its value on the vector.  So are the pair stages (the
+singularities, the geometric genus and the K3 pairing): each runs once per
+ordered pair and keeps its value on the first vector, keyed by the partner.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .groups import Group, cyclic_subgroup
 from .perms import Permutation
 
 DEFAULT_SEARCH_LIMIT = 10 ** 8
+_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -73,17 +76,22 @@ class GeneratingVector:
 
 
 def per_vector(fn):
-    """Run the stage ``fn(gv)`` once per generating vector and keep its value
-    in ``gv._memo``, so it lives as long as the vector.  A call that raises
+    """Run the stage ``fn(gv, *partners)`` once per generating vector and
+    partner vectors, and keep its value in ``gv._memo``, so it lives as long
+    as the vector.  A one-vector stage is keyed by ``fn``; a pair stage
+    ``fn(gv1, gv2)`` is kept on the first vector, keyed by ``(fn, gv2)``, so
+    (gv1, gv2) and (gv2, gv1) are separate entries.  A call that raises
     stores nothing.  Every caller shares the stored value, so it must be
     immutable."""
 
     @functools.wraps(fn)
-    def once(gv: GeneratingVector):
+    def once(gv: GeneratingVector, *partners: GeneratingVector):
         memo = gv._memo
-        if fn not in memo:
-            memo[fn] = fn(gv)
-        return memo[fn]
+        key = (fn, *partners) if partners else fn
+        value = memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = memo[key] = fn(gv, *partners)
+        return value
 
     return once
 

@@ -131,7 +131,6 @@ class PairingReport:
     matches: tuple[PairingMatch, ...]
     rank_z2: int
     generic_k: int
-    generic: bool
     notes: tuple[str, ...]
 
 
@@ -145,14 +144,15 @@ def _rank_z2(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     )
     trivial = ClassFunction(group, tuple([1] * len(group.classes)))
     total = inner_product(product, trivial)
-    assert total.denominator == 1
-    rank_z = int(total)
-    rank_z1 = 4 * gv1.base_genus * gv2.base_genus
-    rank = rank_z - rank_z1
-    assert rank >= 0 and rank % 2 == 0
+    if total.denominator != 1:
+        raise InternalInconsistency("rank of Z must be an integer")
+    rank = int(total) - 4 * gv1.base_genus * gv2.base_genus
+    if rank < 0 or rank % 2:
+        raise InternalInconsistency(f"rank of Z2 must be even and nonnegative, not {rank}")
     return rank
 
 
+@per_vector
 def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
     """Locate the rational characters W with nonzero reduced dimension on the
     first curve whose dual W^v has nonzero reduced dimension on the second.
@@ -222,7 +222,6 @@ def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
         matches=tuple(matches),
         rank_z2=rank_z2,
         generic_k=generic_k,
-        generic=True,
         notes=tuple(notes),
     )
 
@@ -252,7 +251,6 @@ def motive_h2_decomposition(gv1: GeneratingVector, gv2: GeneratingVector) -> Mot
     require_same_group(gv1, gv2)
     if gv1.base_genus != 1 or gv2.base_genus != 1:
         raise BaseGenusUnsupported("motive decomposition requires elliptic bases")
-    rank_z2 = _rank_z2(gv1, gv2)
     eta = eta_of(quotient_singularities(gv1, gv2))
     pairing = k3_pairing(gv1, gv2)
     if pairing.status == "unique":
@@ -267,7 +265,7 @@ def motive_h2_decomposition(gv1: GeneratingVector, gv2: GeneratingVector) -> Mot
     return MotiveDecomposition(
         rank_U=2,
         rank_Z1=4 * gv1.base_genus * gv2.base_genus,
-        rank_Z2=rank_z2,
+        rank_Z2=pairing.rank_z2,
         eta=eta,
         z2_label=z2_label,
         partner_label=partner,

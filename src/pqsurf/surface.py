@@ -49,7 +49,8 @@ def hirzebruch_jung(n: int, q: int) -> tuple[int, ...]:
         step = -(-a // b)
         chain.append(step)
         a, b = b, step * b - a
-    assert all(s >= 2 for s in chain) and chain
+    if not chain or any(s < 2 for s in chain):
+        raise InternalInconsistency(f"Hirzebruch-Jung chain of {n}/{q} has an entry below 2")
     return tuple(chain)
 
 
@@ -68,6 +69,7 @@ class QuotientSingularity:
         return f"1/{self.n}(1,{self.q})"
 
 
+@per_vector
 def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[QuotientSingularity, ...]:
     """Singularity types of (C1 x C2)/G: one per G-orbit of point pairs with
     nontrivial common stabilizer, normalised so the generator acting by
@@ -118,7 +120,7 @@ def _chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
     out = []
     for i, d in enumerate(table.degrees):
         total = Fraction(d * (g0 - 1))
-        if d == 1 and all(v == 1 for v in table.irreducibles[i].values):
+        if i == 0:  # the trivial character
             total += 1
         for c, m in zip(gv.monodromies, gv.orders):
             mults = eigenvalue_multiplicities(table, i, c)
@@ -147,6 +149,7 @@ def _holomorphic_character_values(gv: GeneratingVector) -> tuple[Cyclotomic, ...
     return tuple(values)
 
 
+@per_vector
 def geometric_genus(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     """p_g of the quotient surface: dim of the G-invariants of
     H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2})."""
@@ -206,9 +209,6 @@ class SurfaceReport:
     eta: int
     family_dim: int
     warnings: tuple[str, ...]
-    decomposition: object = None
-    jacobian1: tuple = ()
-    jacobian2: tuple = ()
 
 
 def _family_dimension(gv: GeneratingVector) -> int:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pqsurf import chars
 from pqsurf.chars import (
     ClassFunction,
     character_table,
@@ -13,7 +14,7 @@ from pqsurf.chars import (
     rational_characters,
 )
 from pqsurf.cyclo import Cyclotomic
-from pqsurf.errors import GroupMismatch, NotASubgroup
+from pqsurf.errors import GroupMismatch, InternalInconsistency, NotASubgroup
 from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
 from pqsurf.perms import parse_permutation
 
@@ -295,3 +296,19 @@ def test_induced_trivial_still_rejects_non_subgroups():
     ]:
         with pytest.raises(NotASubgroup):
             induced_trivial(G, elements)
+
+
+def test_trivial_rational_character_comes_first():
+    for name in CATALOG_NAMES:
+        assert rational_characters(character_table(catalog_group(name)))[0].orbit == (0,)
+
+
+def test_table_certifies_its_trivial_character(monkeypatch):
+    # an order that sorts the trivial character last; the group is one no
+    # other test builds, so its table is not cached yet
+    monkeypatch.setattr(
+        chars.CyclotomicValue, "sort_key", lambda v: tuple((-a, m) for a, m in v.multiplicities)
+    )
+    G = group_from_generators([parse_permutation("(5,6,7)", 7)])
+    with pytest.raises(InternalInconsistency, match="trivial"):
+        character_table(G)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pqsurf import surface
+from pqsurf import jacobian, surface
 from pqsurf.catalog import ROWS, TableRow
 from pqsurf.cli import (
     EXIT_INTERNAL,
@@ -16,6 +16,10 @@ from pqsurf.cli import (
     main,
     reproduce_tables,
 )
+from pqsurf.chars import ClassFunction
+from pqsurf.covering import search_generating_vectors
+from pqsurf.groups import catalog_group
+from pqsurf.jacobian import isotypical_dimensions
 
 REPO = Path(__file__).resolve().parents[1]
 SURFACES = REPO / "surfaces"
@@ -229,6 +233,28 @@ def test_exit_7_internal_inconsistency(monkeypatch, capsys):
     assert err.startswith("InternalInconsistency: Lefschetz average")
 
 
+def test_exit_7_from_the_rank_z2_certificate(monkeypatch, capsys):
+    # a4.surface searches A4; search anew so that no earlier pairing is
+    # kept, and keep the isotypical dimensions before the patch below, so
+    # that only the rank of Z2 sees it
+    group = catalog_group("A4")
+    monkeypatch.setattr(group, "_searches", {})
+    for gv in search_generating_vectors(group, 1, (2,)):
+        isotypical_dimensions(gv)
+    # adding the trivial character to both Hurwitz characters adds
+    # 2 g0 + 2 g0' + 1 = 5 to the rank of Z, so the rank of Z2 turns odd
+    real = jacobian.hurwitz_character
+    monkeypatch.setattr(
+        jacobian,
+        "hurwitz_character",
+        lambda gv: ClassFunction(gv.group, tuple(v + 1 for v in real(gv).values)),
+    )
+    code, out, err = run(capsys, "analyze", str(SURFACES / "a4.surface"))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("InternalInconsistency: rank of Z2 must be even")
+
+
 def test_acceptance_suite_passes_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -236,7 +262,7 @@ def test_acceptance_suite_passes_under_python_O():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(REPO / "tests" / "test_acceptance.py")],
+         str(REPO / "tests" / "test_acceptance.py"), str(REPO / "tests" / "test_golden.py")],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

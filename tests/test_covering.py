@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 from pathlib import Path
 
 import pytest
 
-from pqsurf import covering
+from pqsurf import covering, jacobian, surface
+from pqsurf.analysis import analyze_pair
 from pqsurf.cli import main
 from pqsurf.covering import (
     GeneratingVector,
@@ -15,6 +17,7 @@ from pqsurf.covering import (
 )
 from pqsurf.chars import ClassFunction, inner_product
 from pqsurf.errors import (
+    GroupMismatch,
     IdentityElement,
     InternalInconsistency,
     NotGenerating,
@@ -347,3 +350,84 @@ def test_analyze_searches_a_shared_directive_once(scans, monkeypatch, capsys):
     scans[0] = 0
     search_generating_vectors(fresh("A4"), 1, (2,))
     assert analyze_scans == scans[0] > 0
+
+
+# -- pair stages kept on the first vector -----------------------------------------
+
+PAIR_STAGES = (surface.quotient_singularities, surface.geometric_genus, jacobian.k3_pairing)
+
+
+@pytest.fixture
+def bodies(monkeypatch):
+    """Counts calls of helpers that only one pair stage's body makes:
+    ``_rank_z2`` and ``dual_rational_index`` (``k3_pairing``),
+    ``cyclic_subgroup`` and ``rotation_exponent`` (``quotient_singularities``)
+    and ``_holomorphic_character_values`` (``geometric_genus``, twice a run)."""
+    count = collections.Counter()
+    for module, name in (
+        (jacobian, "_rank_z2"),
+        (jacobian, "dual_rational_index"),
+        (surface, "cyclic_subgroup"),
+        (surface, "rotation_exponent"),
+        (surface, "_holomorphic_character_values"),
+    ):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            count[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return count
+
+
+def one_pass(bodies, gv1, gv2):
+    """Helper calls of one run of every pair stage, on fresh copies."""
+    bodies.clear()
+    for stage in PAIR_STAGES:
+        stage(dataclasses.replace(gv1), dataclasses.replace(gv2))
+    counts = collections.Counter(bodies)
+    bodies.clear()
+    return counts
+
+
+def test_analyze_pair_runs_each_pair_stage_once(bodies):
+    # a pair with two singular points, on vectors no other test has used
+    gv1, gv2 = search_generating_vectors(fresh("A4"), 1, (2,))[:2]
+    expected = one_pass(bodies, gv1, gv2)
+    assert expected["_rank_z2"] == 1 and expected["rotation_exponent"] == 2
+    assert expected["_holomorphic_character_values"] == 2
+    analysis = analyze_pair(gv1, gv2)
+    assert bodies == expected
+    assert analysis.motive.rank_Z2 == analysis.pairing.rank_z2
+    assert analysis.surface.eta == analysis.motive.eta == 2
+
+
+def test_cli_analyze_runs_each_pair_stage_once(bodies, capsys):
+    # v4.surface lists its vectors, so the CLI builds them anew; select_pair
+    # asks for p_g before invariants does
+    gv1, gv2 = v4_example_pair()
+    expected = one_pass(bodies, gv1, gv2)
+    assert main(["analyze", str(REPO / "surfaces" / "v4.surface")]) == 0
+    capsys.readouterr()
+    assert bodies == expected and bodies["_rank_z2"] == 1
+
+
+def test_pair_values_are_kept_per_ordered_pair(bodies):
+    gv1, gv2, gv3 = search_generating_vectors(fresh("A4"), 1, (2,))[:3]
+    for a, b in ((gv1, gv2), (gv2, gv1), (gv1, gv3)):
+        for stage in PAIR_STAGES:
+            bodies.clear()
+            value = stage(a, b)
+            assert bodies, "each ordered pair is computed"
+            assert (stage.__wrapped__, b) in a._memo
+            bodies.clear()
+            assert stage(a, b) is value and not bodies
+            assert value == stage(dataclasses.replace(a), dataclasses.replace(b))
+
+
+def test_pair_over_different_groups_keeps_nothing():
+    gv1, _ = v4_example_pair()
+    other = search_generating_vectors(catalog_group("S3"), 1, (3,))[0]
+    for stage in PAIR_STAGES:
+        with pytest.raises(GroupMismatch):
+            stage(gv1, other)
+    assert not any(isinstance(key, tuple) for key in gv1._memo)
