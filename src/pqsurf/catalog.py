@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chars import CharacterTable, character_table, rational_characters
+from .chars import character_table, rational_characters
 from .covering import GeneratingVector, genus, search_generating_vectors
 from .errors import InternalInconsistency, NoWitness, UnknownName
 from .groups import Group, catalog_group
@@ -167,7 +167,7 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
         matches = [
             i
             for i, d in enumerate(table.degrees)
-            if d == criterion[1] and not _self_dual(table, i)
+            if d == criterion[1] and table.dual[i] != i
         ]
         if not matches:
             raise InternalInconsistency(
@@ -175,15 +175,6 @@ def resolve_reference_character(group_name: str, ref_index: int) -> int:
             )
         return matches[0]
     raise AssertionError(f"unknown criterion {criterion!r}")  # pragma: no cover
-
-
-def _self_dual(table: CharacterTable, index: int) -> bool:
-    from .groups import power_map
-
-    pm = power_map(table.group, -1)
-    cf = table.irreducibles[index]
-    k = len(table.group.classes)
-    return all(cf.value_cyc(c) == cf.value_cyc(pm[c]) for c in range(k))
 
 
 def rational_index_of_complex(group: Group, complex_index: int) -> int:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _root_power
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
 from .groups import Group, power_map
 from .perms import Permutation
@@ -34,12 +34,13 @@ class CyclotomicValue:
     multiplicities: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        total = Cyclotomic.zero(self.order)
+        coords = [0] * len(_root_power(self.order, 0))
         for exp, count in self.multiplicities:
             if count < 0:
                 raise ValueError("negative eigenvalue multiplicity")
-            total = total + Cyclotomic.root(self.order, exp).scale(count)
-        object.__setattr__(self, "_number", total)
+            for i, c in enumerate(_root_power(self.order, exp)):
+                coords[i] += count * c
+        object.__setattr__(self, "_number", Cyclotomic(self.order, coords))
 
     @classmethod
     def from_dict(cls, order: int, mapping) -> "CyclotomicValue":
@@ -85,6 +86,11 @@ class CyclotomicValue:
         return f"CyclotomicValue(e={self.order}, {{{body}}})"
 
 
+def _rational_valued(cf) -> bool:
+    """Whether every value of the class function is an int or a Fraction."""
+    return all(isinstance(v, (int, Fraction)) for v in cf.values)
+
+
 def _as_cyclotomic(value, order: int) -> Cyclotomic:
     if isinstance(value, Cyclotomic):
         return value
@@ -114,6 +120,8 @@ class ClassFunction:
         return _as_cyclotomic(self.values[class_index], self.group.exponent)
 
     def rational_values(self) -> tuple[Fraction, ...]:
+        if _rational_valued(self):
+            return tuple(Fraction(v) for v in self.values)
         out = []
         for i in range(len(self.values)):
             q = self.value_cyc(i).as_rational()
@@ -131,6 +139,8 @@ class CharacterTable:
     group: Group
     irreducibles: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
+    # dual[i] is the index of the complex conjugate of irreducible i
+    dual: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -266,7 +276,8 @@ def _coords_in_basis(basis: list, targets: list, p: int) -> list[list[int]]:
     m = len(basis)
     rows = [[basis[s][i] for s in range(m)] + [t[i] for t in targets] for i in range(k)]
     red, pivots = _rref(rows, p)
-    assert pivots[:m] == list(range(m)), "basis vectors are dependent"
+    if pivots[:m] != list(range(m)):
+        raise InternalInconsistency("Dixon: eigenspace basis vectors are dependent")
     coords = []
     for t in range(len(targets)):
         coords.append([red[r][m + t] for r in range(m)])
@@ -358,13 +369,16 @@ def _central_characters(group: Group, p: int) -> list[list[int]]:
                                 v[idx] = (v[idx] + c * basis[t][idx]) % p
                     ambient.append(v)
                 refined.append(ambient)
-            assert covered == m, "class matrix failed to diagonalise"
+            if covered != m:
+                raise InternalInconsistency("Dixon: a class matrix failed to diagonalise")
         spaces = refined
-    assert all(len(s) == 1 for s in spaces), "central characters not separated"
+    if not all(len(s) == 1 for s in spaces):
+        raise InternalInconsistency("Dixon: the central characters are not separated")
     omegas = []
     for basis in spaces:
         v = basis[0]
-        assert v[0] % p, "eigenvector vanishes on the identity class"
+        if not v[0] % p:
+            raise InternalInconsistency("Dixon: an eigenvector vanishes on the identity class")
         inv = pow(v[0], -1, p)
         omegas.append([x * inv % p for x in v])
     return omegas
@@ -390,11 +404,13 @@ def character_table(group: Group) -> CharacterTable:
         s = sum(omega[i] * omega[inverse_class[i]] % p * size_inv[i] for i in range(k)) % p
         d_sq = n_g * pow(s, -1, p) % p
         d = isqrt(d_sq)
-        assert d * d == d_sq and 1 <= d <= isqrt(n_g), "degree recovery failed"
+        if d * d != d_sq or not 1 <= d <= isqrt(n_g):
+            raise InternalInconsistency("Dixon: degree recovery failed")
         chibar = [d * omega[i] % p * size_inv[i] % p for i in range(k)]
         rows.append((d, chibar))
 
-    assert sum(d * d for d, _ in rows) == n_g, "degrees violate sum of squares"
+    if sum(d * d for d, _ in rows) != n_g:
+        raise InternalInconsistency("Dixon: the degrees violate the sum of squares")
 
     z = pow(_primitive_root(p), (p - 1) // e, p)
     # class-power tables: class index of rep^t
@@ -416,10 +432,14 @@ def character_table(group: Group) -> CharacterTable:
                 for t in range(n):
                     total += chibar[power_classes[c][t]] * pow(zn, (-alpha * t) % n, p)
                 m_alpha = total % p * n_inv % p
-                assert m_alpha <= d, "eigenvalue multiplicity failed to lift"
+                if m_alpha > d:
+                    raise InternalInconsistency("Dixon: an eigenvalue multiplicity failed to lift")
                 if m_alpha:
                     mult[alpha * (e // n) % e] = m_alpha
-            assert sum(mult.values()) == d, "eigenvalue multiplicities do not sum to degree"
+            if sum(mult.values()) != d:
+                raise InternalInconsistency(
+                    "Dixon: the eigenvalue multiplicities do not sum to the degree"
+                )
             values.append(CyclotomicValue.from_dict(e, mult))
         characters.append(ClassFunction(group, tuple(values)))
 
@@ -428,16 +448,56 @@ def character_table(group: Group) -> CharacterTable:
     if not all(v == 1 for v in characters[0].values):
         raise InternalInconsistency("the first character of the table is not the trivial one")
     degrees = tuple(cf.values[0].degree() for cf in characters)
-    return CharacterTable(group, tuple(characters), degrees)
+    dual = _dual_map(characters, degrees, inverse_class)
+    return CharacterTable(group, tuple(characters), degrees, dual)
+
+
+def _dual_map(characters, degrees, inverse_class) -> tuple[int, ...]:
+    """Index of the complex conjugate of each irreducible.
+
+    chi-bar(g) = chi(g^-1), so the eigenvalue multisets of chi-bar are chi's
+    read at the inverse classes; the multisets are the lookup keys.
+    Complex conjugation must be a degree-preserving involution that fixes
+    the trivial character."""
+    index = {tuple(v.multiplicities for v in cf.values): i for i, cf in enumerate(characters)}
+    dual = []
+    for cf in characters:
+        j = index.get(tuple(cf.values[c].multiplicities for c in inverse_class))
+        if j is None:
+            raise InternalInconsistency(
+                "the conjugate of an irreducible character is not in the table"
+            )
+        dual.append(j)
+    if dual[0] != 0 or any(
+        dual[j] != i or degrees[j] != degrees[i] for i, j in enumerate(dual)
+    ):
+        raise InternalInconsistency(
+            "complex conjugation must be a degree-preserving involution "
+            "fixing the trivial character"
+        )
+    return tuple(dual)
 
 
 # -- operations on class functions ---------------------------------------------
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    """<a, b> = (1/|G|) sum over classes of size * a * conj(b); exact rational."""
+    """<a, b> = (1/|G|) sum over classes of size * a * conj(b); exact rational.
+
+    When both arguments are rational-valued (every value an int or a
+    Fraction) the values are scaled to integers by the least common
+    denominator of each argument and summed in integers; otherwise the sum
+    runs in the cyclotomic field."""
     if a.group != b.group:
         raise GroupMismatch("class functions live over different groups")
     group = a.group
+    if _rational_valued(a) and _rational_valued(b):
+        den_a = lcm(*(x.denominator for x in a.values))
+        den_b = lcm(*(y.denominator for y in b.values))
+        total = sum(
+            size * x.numerator * (den_a // x.denominator) * y.numerator * (den_b // y.denominator)
+            for size, x, y in zip(group.class_sizes, a.values, b.values)
+        )
+        return Fraction(total, group.order * den_a * den_b)
     total = Cyclotomic.zero(group.exponent)
     for c in range(len(group.classes)):
         term = a.value_cyc(c) * b.value_cyc(c).conjugate()
@@ -485,10 +545,9 @@ def frobenius_schur(table: CharacterTable, index: int) -> int:
     for c in range(len(group.classes)):
         total = total + chi.value_cyc(squares[c]).scale(group.class_sizes[c])
     q = total.scale(Fraction(1, group.order)).as_rational()
-    assert q is not None and q.denominator == 1
-    fs = int(q)
-    assert fs in (-1, 0, 1)
-    return fs
+    if q is None or q.denominator != 1 or q not in (-1, 0, 1):
+        raise InternalInconsistency(f"Frobenius-Schur indicator must be -1, 0 or 1, not {q}")
+    return int(q)
 
 
 @lru_cache(maxsize=None)
@@ -533,9 +592,11 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
             for j in orbit_t:
                 total = total + table.irreducibles[j].value_cyc(c)
             q = total.scale(schur).as_rational()
-            assert q is not None and q.denominator == 1, "orbit sum must be integral"
+            if q is None or q.denominator != 1:
+                raise InternalInconsistency("a Galois orbit sum must be integral")
             values.append(int(q))
-        assert degree % schur == 0
+        if degree % schur:
+            raise InternalInconsistency("the Schur index must divide the degree")
         out.append(
             RationalCharacter(
                 psi=ClassFunction(group, tuple(values)),

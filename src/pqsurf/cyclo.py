@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InternalInconsistency
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -33,18 +35,20 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
         out[shift] = coef
         for i, c in enumerate(den):
             num[shift + i] -= coef * c
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise InternalInconsistency("cyclotomic polynomial division left a remainder")
     return out
 
 
 @lru_cache(maxsize=None)
-def _root_power(e: int, k: int) -> tuple[Fraction, ...]:
-    """Coordinates of zeta_e^k on the reduced power basis."""
+def _root_power(e: int, k: int) -> tuple[int, ...]:
+    """Coordinates of zeta_e^k on the reduced power basis; integers, since
+    Phi_e is monic with integer coefficients."""
     k %= e
     dim = len(cyclotomic_polynomial(e)) - 1
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return tuple(_reduce(coeffs, e, dim))
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
+    return tuple(int(c) for c in _reduce(coeffs, e, dim))
 
 
 def _reduce(coeffs: list[Fraction], e: int, dim: int) -> list[Fraction]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .covering import GeneratingVector
-from .errors import ParseError
+from .errors import InternalInconsistency, ParseError
 from .groups import Group, catalog_group, group_from_generators
 from .perms import parse_permutation
 
@@ -191,7 +191,8 @@ def _max_point(perm_text: str) -> int:
 
 
 def build_explicit_vector(curve: CurveSpec, group: Group) -> GeneratingVector:
-    assert not curve.is_search
+    if curve.is_search:
+        raise InternalInconsistency("an explicit vector was asked of a search curve")
     handle_perms = [parse_permutation(h, group.degree) for h in curve.handles]
     monos = [parse_permutation(c, group.degree) for c in curve.monodromies]
     handles = tuple(

@@ -41,6 +41,8 @@ class Group:
             for g in cls:
                 self._class_of[g] = idx
         self.exponent: int = lcm(*(g.order() for g in self.elements))
+        # every pair-stage memo lookup hashes the group
+        self._hash = hash((self.degree, self.elements))
 
     # Groups compare by their underlying element set; all derived data is
     # a function of it.
@@ -52,7 +54,7 @@ class Group:
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Group(order={self.order}, degree={self.degree}, classes={len(self.classes)})"

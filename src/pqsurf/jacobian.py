@@ -22,7 +22,6 @@ from .chars import (
 )
 from .covering import GeneratingVector, hurwitz_character, genus, per_vector, require_same_group
 from .errors import BaseGenusUnsupported, InternalInconsistency
-from .groups import power_map
 from .surface import eta_of, quotient_singularities
 
 
@@ -98,15 +97,16 @@ def decomposition_label(gv: GeneratingVector) -> str:
 
 
 def dual_rational_index(group, index: int) -> int:
-    """Index of the rational character dual to the given one (psi o inverse)."""
+    """Index of the rational character dual to the given one (psi o inverse):
+    the Galois orbit holding the complex conjugate of the orbit's first
+    member."""
     table = character_table(group)
     rats = rational_characters(table)
-    pm = power_map(group, -1)
-    target = tuple(rats[index].psi.values[pm[c]] for c in range(len(group.classes)))
+    target = table.dual[rats[index].orbit[0]]
     for j, rc in enumerate(rats):
-        if rc.psi.values == target:
+        if target in rc.orbit:
             return j
-    raise AssertionError("dual of a rational character must be rational")  # pragma: no cover
+    raise AssertionError("every complex character belongs to an orbit")  # pragma: no cover
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,19 @@ Its generator c_i^(m_i/n) rotates C1 by zeta_n and C2 by zeta_n^q, q being
 read off against the rotation g d_j g^-1 of the point g<d_j>.  Each
 singularity is resolved by a Hirzebruch-Jung chain, and eta counts the
 exceptional curves.  The holomorphic invariants come from the
-Chevalley-Weil decomposition of H^0(C, Omega^1) and the Euler characteristic
+Chevalley-Weil decomposition of H^0(C, Omega^1): with a_i(chi) the
+multiplicity of the irreducible chi in H^0(C_i, Omega^1),
+
+    p_g = dim (H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2}))^G = sum_chi a1(chi) a2(chi-bar),
+
+an integer sum over the character table.  The Euler characteristic comes
 from the Lefschetz average over the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .chars import character_table, eigenvalue_multiplicities
@@ -30,7 +34,6 @@ from .covering import (
     rotation_exponent,
     validate,
 )
-from .cyclo import Cyclotomic
 from .errors import InternalInconsistency, NotCoprime, OutOfRange
 from .groups import cyclic_subgroup
 
@@ -114,56 +117,45 @@ def chevalley_weil(gv: GeneratingVector) -> dict[int, int]:
 
 @per_vector
 def _chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
+    # the multiplicity times L = lcm(m_i), summed in integers
     validate(gv)
     table = character_table(gv.group)
     g0 = gv.base_genus
+    big = lcm(*gv.orders)
     out = []
     for i, d in enumerate(table.degrees):
-        total = Fraction(d * (g0 - 1))
+        total = d * (g0 - 1) * big
         if i == 0:  # the trivial character
-            total += 1
+            total += big
         for c, m in zip(gv.monodromies, gv.orders):
             mults = eigenvalue_multiplicities(table, i, c)
             for alpha, count in mults.items():
-                total += Fraction(count * alpha, m)
-        if total.denominator != 1 or total < 0:
-            raise InternalInconsistency("Chevalley-Weil multiplicity must be a nonnegative integer")
-        out.append(int(total))
+                total += count * alpha * (big // m)
+        n, rest = divmod(total, big)
+        if rest:
+            raise InternalInconsistency("Chevalley-Weil multiplicity must be an integer")
+        if n < 0:
+            raise InternalInconsistency("Chevalley-Weil multiplicity must be nonnegative")
+        out.append(n)
     if sum(n * d for n, d in zip(out, table.degrees)) != genus(gv):
         raise InternalInconsistency("Chevalley-Weil dimensions must sum to the genus")
     return tuple(out)
 
 
-@per_vector
-def _holomorphic_character_values(gv: GeneratingVector) -> tuple[Cyclotomic, ...]:
-    table = character_table(gv.group)
-    mults = _chevalley_weil(gv)
-    e = gv.group.exponent
-    values = []
-    for c in range(len(gv.group.classes)):
-        total = Cyclotomic.zero(e)
-        for i, n_i in enumerate(mults):
-            if n_i:
-                total = total + table.irreducibles[i].value_cyc(c).scale(n_i)
-        values.append(total)
-    return tuple(values)
+def _dual_pairing(a1: tuple[int, ...], a2: tuple[int, ...], dual: tuple[int, ...]) -> int:
+    """sum_i a1[i] * a2[dual[i]]."""
+    return sum(n * a2[j] for n, j in zip(a1, dual))
 
 
 @per_vector
 def geometric_genus(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     """p_g of the quotient surface: dim of the G-invariants of
-    H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2})."""
+    H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2}), that is
+    p_g = sum_chi a1(chi) a2(chi-bar) over the Chevalley-Weil multiplicities
+    a1, a2 of the two curves, since <chi psi, 1> = [psi = chi-bar]."""
     group = require_same_group(gv1, gv2)
-    v1 = _holomorphic_character_values(gv1)
-    v2 = _holomorphic_character_values(gv2)
-    e = group.exponent
-    total = Cyclotomic.zero(e)
-    for c in range(len(group.classes)):
-        total = total + (v1[c] * v2[c]).scale(group.class_sizes[c])
-    q = total.scale(Fraction(1, group.order)).as_rational()
-    if q is None or q.denominator != 1:
-        raise InternalInconsistency("p_g must be a rational integer")
-    return int(q)
+    dual = character_table(group).dual
+    return _dual_pairing(_chevalley_weil(gv1), _chevalley_weil(gv2), dual)
 
 
 def euler_characteristic(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[int, int]:

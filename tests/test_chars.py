@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,13 @@ from pqsurf.chars import (
 )
 from pqsurf.cyclo import Cyclotomic
 from pqsurf.errors import GroupMismatch, InternalInconsistency, NotASubgroup
-from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
+from pqsurf.groups import (
+    CATALOG_NAMES,
+    catalog_group,
+    cyclic_subgroup,
+    group_from_generators,
+    power_map,
+)
 from pqsurf.perms import parse_permutation
 
 ABELIAN = ("C2", "C4", "C6", "V4")
@@ -312,3 +322,120 @@ def test_table_certifies_its_trivial_character(monkeypatch):
     G = group_from_generators([parse_permutation("(5,6,7)", 7)])
     with pytest.raises(InternalInconsistency, match="trivial"):
         character_table(G)
+
+
+# -- certificates with a planted fault -----------------------------------------
+#
+# Each plant breaks one step of Dixon's method, the Frobenius-Schur sum, the
+# Galois orbit sums or the dual map, and the certificate after it must raise
+# InternalInconsistency.  The tests check only through ``pytest.raises``, so
+# they keep their meaning under ``python -O``, which strips ``assert``.
+
+REPO = Path(__file__).resolve().parents[1]
+build_table = character_table.__wrapped__  # bypass the cache, so plants take effect
+
+
+def _identity_class_constants(group):
+    k = len(group.classes)
+    return [[[int(i == j) for j in range(k)] for i in range(k)] for _ in range(k)]
+
+
+def _plant_scaled_central_characters(monkeypatch):
+    real = chars._central_characters
+    monkeypatch.setattr(
+        chars, "_central_characters", lambda g, p: [[2 * x % p for x in w] for w in real(g, p)]
+    )
+
+
+def _plant_dropped_central_character(monkeypatch):
+    real = chars._central_characters
+    monkeypatch.setattr(chars, "_central_characters", lambda g, p: real(g, p)[:-1])
+
+
+def _plant_vanishing_eigenvector(monkeypatch):
+    # C2: two eigenvalues whose eigenspaces both come back as the second
+    # basis vector, which is 0 on the identity class
+    monkeypatch.setattr(chars, "_eigenvalues", lambda R, p: [0, 1])
+    monkeypatch.setattr(chars, "_kernel", lambda mat, p: [[0] * (len(mat[0]) - 1) + [1]])
+
+
+def _plant(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(chars, name, value)
+
+
+DIXON_PLANTS = [
+    ("C4", _plant("_eigenvalues", lambda R, p: []), "failed to diagonalise"),
+    ("S3", _plant("_class_constants", _identity_class_constants), "not separated"),
+    ("C2", _plant_vanishing_eigenvector, "vanishes on the identity class"),
+    ("A4", _plant_scaled_central_characters, "degree recovery failed"),
+    ("Q8", _plant_dropped_central_character, "sum of squares"),
+    ("S3", _plant("_primitive_root", lambda p: 1), "do not sum to the degree"),
+]
+
+
+@pytest.mark.parametrize("name, plant, message", DIXON_PLANTS, ids=[m for _, _, m in DIXON_PLANTS])
+def test_planted_dixon_fault_is_internal_inconsistency(monkeypatch, name, plant, message):
+    plant(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="Dixon: .*" + message):
+        build_table(catalog_group(name))
+
+
+def test_planted_dependent_basis_is_internal_inconsistency():
+    with pytest.raises(InternalInconsistency, match="dependent"):
+        chars._coords_in_basis([[1, 0], [2, 0]], [[1, 0]], 7)
+
+
+def test_planted_frobenius_schur_fault_is_internal_inconsistency(monkeypatch):
+    table = character_table(catalog_group("S3"))
+    real = chars.power_map
+    # squares all landing on the identity make the indicator the degree, 2
+    monkeypatch.setattr(
+        chars, "power_map", lambda g, k: (0,) * len(g.classes) if k == 2 else real(g, k)
+    )
+    with pytest.raises(InternalInconsistency, match="Frobenius-Schur"):
+        frobenius_schur(table, table.degrees.index(2))
+
+
+def test_planted_orbit_fault_is_internal_inconsistency(monkeypatch):
+    table = character_table(catalog_group("C4"))
+    # only the unit 1: every orbit is a single character, and i is not rational
+    monkeypatch.setattr(chars, "gcd", lambda a, b: a)
+    with pytest.raises(InternalInconsistency, match="orbit sum must be integral"):
+        rational_characters.__wrapped__(table)
+
+
+def test_planted_schur_index_fault_is_internal_inconsistency(monkeypatch):
+    table = character_table(catalog_group("C4"))
+    monkeypatch.setattr(chars, "frobenius_schur", lambda t, i: -1)
+    with pytest.raises(InternalInconsistency, match="Schur index must divide"):
+        rational_characters.__wrapped__(table)
+
+
+def test_planted_dual_map_fault_is_internal_inconsistency():
+    s3 = character_table(catalog_group("S3"))
+    c4 = catalog_group("C4")
+    table = character_table(c4)
+    # every class read at the identity: the degree-2 character of S3 reads
+    # as twice the trivial one, which is not in the table
+    with pytest.raises(InternalInconsistency, match="not in the table"):
+        chars._dual_map(s3.irreducibles, s3.degrees, (0,) * 3)
+    # the linear characters of C4 read at the identity all become trivial
+    with pytest.raises(InternalInconsistency, match="involution"):
+        chars._dual_map(table.irreducibles, table.degrees, (0,) * 4)
+    # i and -i swapped by conjugation, but given different degrees
+    with pytest.raises(InternalInconsistency, match="degree-preserving"):
+        chars._dual_map(table.irreducibles, (1, 1, 1, 2), power_map(c4, -1))
+
+
+def test_planted_faults_raise_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(REPO / "tests" / "test_chars.py"), "-k", "planted and not python_O"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(DIXON_PLANTS) + 5} passed" in proc.stdout

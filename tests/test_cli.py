@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pqsurf import jacobian, surface
+import pytest
+
+from pqsurf import cli, jacobian, surface
 from pqsurf.catalog import ROWS, TableRow
 from pqsurf.cli import (
     EXIT_INTERNAL,
@@ -18,6 +20,8 @@ from pqsurf.cli import (
 )
 from pqsurf.chars import ClassFunction
 from pqsurf.covering import search_generating_vectors
+from pqsurf.descfile import build_explicit_vector, parse_description, resolve_group
+from pqsurf.errors import InternalInconsistency
 from pqsurf.groups import catalog_group
 from pqsurf.jacobian import isotypical_dimensions
 
@@ -267,3 +271,39 @@ def test_acceptance_suite_passes_under_python_O():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " passed" in proc.stdout
+
+
+def test_explicit_vector_of_a_search_curve_is_exit_7(monkeypatch, capsys):
+    desc = parse_description(SURFACES / "a4.surface")
+    assert desc.curve1.is_search
+    with pytest.raises(InternalInconsistency, match="search curve"):
+        build_explicit_vector(desc.curve1, resolve_group(desc.group))
+    # a dispatcher that forgets the search directive
+    monkeypatch.setattr(
+        cli, "_curve_vectors", lambda curve, group: (build_explicit_vector(curve, group),)
+    )
+    code, out, err = run(capsys, "analyze", str(SURFACES / "a4.surface"))
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("InternalInconsistency: an explicit vector was asked of a search curve")
+
+
+def test_explicit_vector_of_a_search_curve_raises_under_python_O():
+    script = (
+        "from pqsurf.descfile import build_explicit_vector, parse_description, resolve_group\n"
+        "from pqsurf.errors import InternalInconsistency\n"
+        "desc = parse_description('surfaces/a4.surface')\n"
+        "try:\n"
+        "    build_explicit_vector(desc.curve1, resolve_group(desc.group))\n"
+        "except InternalInconsistency as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised an explicit vector was asked of a search curve")

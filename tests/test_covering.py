@@ -362,14 +362,14 @@ def bodies(monkeypatch):
     """Counts calls of helpers that only one pair stage's body makes:
     ``_rank_z2`` and ``dual_rational_index`` (``k3_pairing``),
     ``cyclic_subgroup`` and ``rotation_exponent`` (``quotient_singularities``)
-    and ``_holomorphic_character_values`` (``geometric_genus``, twice a run)."""
+    and ``_dual_pairing`` (``geometric_genus``)."""
     count = collections.Counter()
     for module, name in (
         (jacobian, "_rank_z2"),
         (jacobian, "dual_rational_index"),
         (surface, "cyclic_subgroup"),
         (surface, "rotation_exponent"),
-        (surface, "_holomorphic_character_values"),
+        (surface, "_dual_pairing"),
     ):
         def counting(*args, _fn=getattr(module, name), _name=name):
             count[_name] += 1
@@ -394,7 +394,7 @@ def test_analyze_pair_runs_each_pair_stage_once(bodies):
     gv1, gv2 = search_generating_vectors(fresh("A4"), 1, (2,))[:2]
     expected = one_pass(bodies, gv1, gv2)
     assert expected["_rank_z2"] == 1 and expected["rotation_exponent"] == 2
-    assert expected["_holomorphic_character_values"] == 2
+    assert expected["_dual_pairing"] == 1
     analysis = analyze_pair(gv1, gv2)
     assert bodies == expected
     assert analysis.motive.rank_Z2 == analysis.pairing.rank_z2

@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from pqsurf.cyclo import Cyclotomic, cyclotomic_polynomial
+import pytest
+
+from pqsurf import cyclo
+from pqsurf.cyclo import Cyclotomic, _root_power, cyclotomic_polynomial
+from pqsurf.errors import InternalInconsistency
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_cyclotomic_polynomials():
@@ -56,3 +66,44 @@ def test_scale_and_equality_with_ints():
     two = Cyclotomic.from_rational(4, 1).scale(2)
     assert two == 2
     assert Cyclotomic.root(4, 2) == -1
+
+
+def test_root_coordinates_are_integers():
+    for e in (1, 2, 3, 4, 5, 6, 8, 12, 15, 30):
+        for k in range(-e, 2 * e):
+            coords = _root_power(e, k)
+            assert all(type(c) is int for c in coords)
+            assert Cyclotomic(e, coords) == Cyclotomic.root(e, k)
+    # zeta_4^2 = -1 and zeta_6^3 = -1 on the power basis
+    assert _root_power(4, 2) == (-1, 0) and _root_power(6, 3) == (-1, 0)
+
+
+def test_planted_polynomial_fault_is_internal_inconsistency(monkeypatch):
+    # Phi_1 = Phi_2 = x + 1 leaves x^4 - 1 a remainder on the second division
+    uncached = cyclo.cyclotomic_polynomial.__wrapped__
+    monkeypatch.setattr(cyclo, "cyclotomic_polynomial", lambda n: (1, 1))
+    with pytest.raises(InternalInconsistency, match="remainder"):
+        uncached(4)
+
+
+def test_planted_polynomial_fault_raises_under_python_O():
+    script = (
+        "from pqsurf import cyclo\n"
+        "from pqsurf.errors import InternalInconsistency\n"
+        "wrapped = cyclo.cyclotomic_polynomial.__wrapped__\n"
+        "cyclo.cyclotomic_polynomial = lambda n: (1, 1)\n"
+        "try:\n"
+        "    wrapped(4)\n"
+        "except InternalInconsistency as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised cyclotomic polynomial division left a remainder")

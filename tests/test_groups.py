@@ -177,3 +177,14 @@ def test_centralizers_match_brute_force(G):
 def test_centralizer_order_matches_counting(G):
     for g in G.elements:
         assert centralizer_order(G, g) == sum(1 for x in G.elements if x * g == g * x)
+
+
+def test_group_hash_is_kept_and_agrees_with_equality():
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        assert hash(G) == hash((G.degree, G.elements))
+        again = group_from_generators(G.generators)
+        assert again is not G and again == G and hash(again) == hash(G)
+    s5 = group_from_generators([parse_permutation(g, 5) for g in ("(1,2)", "(1,2,3,4,5)")])
+    other = group_from_generators([parse_permutation(g, 5) for g in ("(1,2,3,4,5)", "(4,5)")])
+    assert s5 == other and hash(s5) == hash(other) == hash((5, s5.elements))

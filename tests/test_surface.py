@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from pqsurf.chars import character_table
 from pqsurf.covering import GeneratingVector, hurwitz_character, genus, search_generating_vectors
 from pqsurf.cyclo import Cyclotomic
-from pqsurf.errors import NotCoprime, OutOfRange
+from pqsurf import surface
+from pqsurf.errors import InternalInconsistency, NotCoprime, OutOfRange
 from pqsurf.groups import catalog_group
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import (
@@ -201,3 +203,19 @@ def test_chevalley_weil_result_is_a_fresh_dict():
     mult.clear()
     assert chevalley_weil(gv1) == expected
     assert chevalley_weil(gv1) is not chevalley_weil(gv1)
+
+
+def test_planted_chevalley_weil_faults_are_internal_inconsistency(monkeypatch):
+    # fresh vectors, so no multiplicities are kept on them yet
+    s3 = catalog_group("S3")
+    elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
+    rational = dataclasses.replace(search_generating_vectors(s3, 0, (2, 2, 3))[0])
+    # a single eigenvalue zeta_3 at the branch point of order 3 adds 1/3: not an integer
+    monkeypatch.setattr(surface, "eigenvalue_multiplicities", lambda table, i, c: {1: 1})
+    with pytest.raises(InternalInconsistency, match="must be an integer"):
+        surface.chevalley_weil(elliptic)
+    # no eigenvalues at all leaves d (g0 - 1) = -d for a nontrivial character
+    monkeypatch.setattr(surface, "eigenvalue_multiplicities", lambda table, i, c: {})
+    with pytest.raises(InternalInconsistency, match="nonnegative"):
+        surface.chevalley_weil(rational)
+    assert surface._chevalley_weil.__wrapped__ not in elliptic._memo
