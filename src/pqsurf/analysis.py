@@ -213,7 +213,7 @@ def to_json_dict(analysis: Analysis) -> dict:
             "matches": [
                 {
                     "rational_char": m.rational_index,
-                    "dual_char": m.dual_index,
+                    "dual_char": m.rational_index,
                     "curve1": {"d": m.d1, "n": m.n1, "m": m.m1},
                     "curve2": {"d": m.d2, "n": m.n2, "m": m.m2},
                     "quaternionic": m.quaternionic,

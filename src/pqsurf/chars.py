@@ -134,8 +134,11 @@ class ClassFunction:
         return self.values[self.group.class_index(g)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
+    """Compared and hashed by identity: ``character_table`` builds one per
+    group, so a cache keyed on a table never hashes its values."""
+
     group: Group
     irreducibles: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
@@ -414,16 +417,15 @@ def character_table(group: Group) -> CharacterTable:
 
     z = pow(_primitive_root(p), (p - 1) // e, p)
     # class-power tables: class index of rep^t
-    power_classes = []
-    for rep in group.class_reps:
-        n = rep.order()
-        power_classes.append([group.class_index(rep ** t) for t in range(n)])
+    power_classes = [
+        [group.class_index(x) for x in rep.powers()] for rep in group.class_reps
+    ]
 
     characters = []
     for d, chibar in rows:
         values = []
-        for c, rep in enumerate(group.class_reps):
-            n = rep.order()
+        for c in range(k):
+            n = len(power_classes[c])
             zn = pow(z, e // n, p)
             n_inv = pow(n, -1, p)
             mult: dict[int, int] = {}
@@ -452,22 +454,32 @@ def character_table(group: Group) -> CharacterTable:
     return CharacterTable(group, tuple(characters), degrees, dual)
 
 
-def _dual_map(characters, degrees, inverse_class) -> tuple[int, ...]:
-    """Index of the complex conjugate of each irreducible.
+def _twist(characters, *power_maps) -> tuple[tuple[int, ...], ...]:
+    """For each power map k (class c -> the class of rep_c^k, ``power_map``),
+    the index of every irreducible's Galois twist chi^(k)(g) = chi(g^k).
 
-    chi-bar(g) = chi(g^-1), so the eigenvalue multisets of chi-bar are chi's
-    read at the inverse classes; the multisets are the lookup keys.
+    The eigenvalue multisets of chi^(k) are chi's read at the k-th power
+    classes, so the multisets are the lookup keys, indexed once per call.
+    The twist by -1 is complex conjugation, and the twists by the units
+    mod e make up a Galois orbit, so a rational character and its dual are
+    the same orbit."""
+    index = {tuple(v.multiplicities for v in cf.values): i for i, cf in enumerate(characters)}
+    try:
+        return tuple(
+            tuple(index[tuple(cf.values[c].multiplicities for c in classes)] for cf in characters)
+            for classes in power_maps
+        )
+    except KeyError:
+        raise InternalInconsistency(
+            "the twist of an irreducible character is not in the table"
+        ) from None
+
+
+def _dual_map(characters, degrees, inverse_class) -> tuple[int, ...]:
+    """Index of the complex conjugate of each irreducible: the twist by -1.
     Complex conjugation must be a degree-preserving involution that fixes
     the trivial character."""
-    index = {tuple(v.multiplicities for v in cf.values): i for i, cf in enumerate(characters)}
-    dual = []
-    for cf in characters:
-        j = index.get(tuple(cf.values[c].multiplicities for c in inverse_class))
-        if j is None:
-            raise InternalInconsistency(
-                "the conjugate of an irreducible character is not in the table"
-            )
-        dual.append(j)
+    (dual,) = _twist(characters, inverse_class)
     if dual[0] != 0 or any(
         dual[j] != i or degrees[j] != degrees[i] for i, j in enumerate(dual)
     ):
@@ -475,7 +487,7 @@ def _dual_map(characters, degrees, inverse_class) -> tuple[int, ...]:
             "complex conjugation must be a degree-preserving involution "
             "fixing the trivial character"
         )
-    return tuple(dual)
+    return dual
 
 
 # -- operations on class functions ---------------------------------------------
@@ -554,7 +566,8 @@ def frobenius_schur(table: CharacterTable, index: int) -> int:
 def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     """Galois orbits of the complex irreducibles, one rational character each.
 
-    The Schur index is set to 2 exactly for real-valued orbits with
+    The orbit of chi is its twists by the units mod e (``_twist``).  The
+    Schur index is set to 2 exactly for real-valued orbits with
     Frobenius-Schur indicator -1 (the quaternionic case); non-real orbits of
     degree > 1 are flagged ``schur_index_unverified`` since the heuristic does
     not certify their index.
@@ -563,24 +576,14 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     e = group.exponent
     k = len(group.classes)
     units = [u for u in range(1, e + 1) if gcd(u, e) == 1]
-    key_to_index = {
-        tuple(cf.value_cyc(c) for c in range(k)): i
-        for i, cf in enumerate(table.irreducibles)
-    }
-    power_maps = {u: power_map(group, u) for u in units}
+    twists = _twist(table.irreducibles, *(power_map(group, u) for u in units))
 
     seen: set[int] = set()
     out = []
-    for i, cf in enumerate(table.irreducibles):
+    for i in range(k):
         if i in seen:
             continue
-        orbit = set()
-        for u in units:
-            pm = power_maps[u]
-            twisted = tuple(cf.value_cyc(pm[c]) for c in range(k))
-            j = key_to_index[twisted]
-            orbit.add(j)
-        orbit_t = tuple(sorted(orbit))
+        orbit_t = tuple(sorted({twist[i] for twist in twists}))
         seen.update(orbit_t)
         fs = frobenius_schur(table, i)
         schur = 2 if fs == -1 else 1

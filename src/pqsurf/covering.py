@@ -117,25 +117,8 @@ def validate(gv: GeneratingVector) -> None:
         word = word * c
     if not word.is_identity():
         raise RelationFails("long relation does not close up")
-    listed = gv.listed_elements()
-    if _closure_size(listed, group) != group.order:
+    if not group.generated_by(gv.listed_elements()):
         raise NotGenerating("listed elements generate a proper subgroup")
-
-
-def _closure_size(elements, group: Group) -> int:
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = [g for g in elements if not g.is_identity()]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = s * x
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-                if len(seen) == group.order:
-                    return group.order
-    return len(seen)
 
 
 @per_vector
@@ -217,13 +200,16 @@ def rotation_exponent(generator: Permutation, m: int, t: Permutation) -> int:
     """Exponent u with t acting by zeta_n^u, n = ord(t), at a point whose
     distinguished stabilizer generator, of order m, rotates by zeta_m.
 
-    t = generator^s, so zeta_m^s = zeta_n^u with u = s / gcd(s, m)."""
-    x = Permutation.identity(generator.degree)
-    for s in range(m):
-        if x == t:
-            return s // gcd(s, m)
-        x = x * generator
-    raise ValueError("element does not stabilize the point")
+    t = generator^s, s the index of t in ``generator.powers()``, so
+    zeta_m^s = zeta_n^u with u = s / gcd(s, m).  The inverse rotation
+    zeta_n^-u is the twist by the unit -1 that takes a character to its
+    complex conjugate, so a rational character, the sum over a whole Galois
+    orbit, is its own dual."""
+    try:
+        s = generator.powers().index(t)
+    except ValueError:
+        raise ValueError("element does not stabilize the point") from None
+    return s // gcd(s, m)
 
 
 def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, ...]:
@@ -342,7 +328,7 @@ def search_generating_vectors(
             else:
                 monos = ()
             listed = handle_vals + monos
-            if _closure_size(listed, group) != group.order:
+            if not group.generated_by(listed):
                 continue
             accepted += 1
             key = _canonical(group, listed)

@@ -24,7 +24,9 @@ class Group:
     def __init__(self, generators, elements) -> None:
         self.generators: tuple[Permutation, ...] = tuple(generators)
         self.elements: tuple[Permutation, ...] = tuple(sorted(elements))
-        self.degree: int = self.elements[0].degree
+        # the identity is the smallest image tuple
+        self.identity: Permutation = self.elements[0]
+        self.degree: int = self.identity.degree
         self.order: int = len(self.elements)
         self._index = {g: i for i, g in enumerate(self.elements)}
         classes, to_rep = _conjugacy_classes(self.elements, self.generators)
@@ -59,10 +61,6 @@ class Group:
     def __repr__(self) -> str:
         return f"Group(order={self.order}, degree={self.degree}, classes={len(self.classes)})"
 
-    @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def __contains__(self, g) -> bool:
         return isinstance(g, Permutation) and g in self._index
 
@@ -78,8 +76,10 @@ class Group:
         self.require(g)
         return self._class_of[g]
 
-    def is_abelian(self) -> bool:
-        return all(s == 1 for s in self.class_sizes)
+    def generated_by(self, elements) -> bool:
+        """Whether the elements generate the whole group; the closure stops
+        as soon as it holds |G| elements."""
+        return len(_closure(elements, self.identity, self.order)) == self.order
 
     def _centralizer(self, idx: int) -> tuple[tuple[Permutation, Permutation], ...]:
         """The pairs (c, c^-1) for c in the centralizer of class ``idx``'s
@@ -125,6 +125,24 @@ def _conjugacy_classes(elements, generators):
     return tuple(classes), to_rep
 
 
+def _closure(gens, identity: Permutation, limit: int) -> set[Permutation]:
+    """The elements generated by ``gens``, or the first ``limit`` > 1 of
+    them met, whichever is fewer."""
+    gens = [s for s in gens if s != identity]
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = s * x
+            if y not in elements:
+                elements.add(y)
+                if len(elements) >= limit:
+                    return elements
+                frontier.append(y)
+    return elements
+
+
 def group_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> Group:
     """Close a generator list under composition and inverse.
 
@@ -137,31 +155,15 @@ def group_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> Group:
     for g in gens:
         if g.degree != degree:
             raise NotInGroup("generators have mixed degrees")
-    identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = s * x
-            if y not in elements:
-                if len(elements) >= max_order:
-                    raise SizeLimit(f"closure exceeds {max_order} elements")
-                elements.add(y)
-                frontier.append(y)
+    elements = _closure(gens, Permutation.identity(degree), max_order + 1)
+    if len(elements) > max_order:
+        raise SizeLimit(f"closure exceeds {max_order} elements")
     return Group(gens, elements)
 
 
 def cyclic_subgroup(group: Group, g: Permutation) -> frozenset[Permutation]:
     group.require(g)
-    out = set()
-    x = group.identity
-    while True:
-        out.add(x)
-        x = x * g
-        if x in out:
-            break
-    return frozenset(out)
+    return frozenset(g.powers())
 
 
 def centralizer_order(group: Group, g: Permutation) -> int:

@@ -32,10 +32,6 @@ class IsotypicalFactor:
     multiplicity: int     # n_i, with B_i^{n_i} in the decomposition
     schur_index: int
 
-    @property
-    def is_trivial_factor(self) -> bool:
-        return self.rational_char_index == 0
-
 
 @per_vector
 def isotypical_dimensions(gv: GeneratingVector) -> tuple[IsotypicalFactor, ...]:
@@ -96,23 +92,9 @@ def decomposition_label(gv: GeneratingVector) -> str:
     return " x ".join(parts) if parts else "0"
 
 
-def dual_rational_index(group, index: int) -> int:
-    """Index of the rational character dual to the given one (psi o inverse):
-    the Galois orbit holding the complex conjugate of the orbit's first
-    member."""
-    table = character_table(group)
-    rats = rational_characters(table)
-    target = table.dual[rats[index].orbit[0]]
-    for j, rc in enumerate(rats):
-        if target in rc.orbit:
-            return j
-    raise AssertionError("every complex character belongs to an orbit")  # pragma: no cover
-
-
 @dataclass(frozen=True)
 class PairingMatch:
     rational_index: int
-    dual_index: int
     d1: int
     n1: int
     m1: int
@@ -156,6 +138,8 @@ def _rank_z2(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
 def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
     """Locate the rational characters W with nonzero reduced dimension on the
     first curve whose dual W^v has nonzero reduced dimension on the second.
+    Complex conjugation is the Galois twist by -1, so W^v is W's own orbit:
+    W and its dual are the same rational character.
 
     A unique match with d = 1 on both sides certifies the Kummer surface of a
     product of elliptic curves as K3 partner; a quaternionic match (Schur
@@ -172,12 +156,11 @@ def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
     for idx, rc in enumerate(rats):
         if idx == 0:
             continue  # the trivial character belongs to the Albanese part
-        dual = dual_rational_index(group, idx)
         f1 = dims1[idx]
-        f2 = dims2[dual]
+        f2 = dims2[idx]
         if f1.reduced_dim == 0 or f2.reduced_dim == 0:
             continue
-        quaternionic = rc.schur_index == 2 or rats[dual].schur_index == 2
+        quaternionic = rc.schur_index == 2
         if f1.reduced_dim == 1 and f2.reduced_dim == 1:
             partner = "Km(L1 x L2)"
         elif quaternionic and 2 in (f1.reduced_dim, f2.reduced_dim):
@@ -187,7 +170,6 @@ def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
         matches.append(
             PairingMatch(
                 rational_index=idx,
-                dual_index=dual,
                 d1=f1.reduced_dim,
                 n1=f1.multiplicity,
                 m1=f1.schur_index,

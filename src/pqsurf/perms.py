@@ -49,22 +49,26 @@ class Permutation:
             inv[img - 1] = i
         return Permutation(inv)
 
+    def powers(self) -> tuple["Permutation", ...]:
+        """(1, g, g^2, ..., g^(m-1)) for g = self of order m: g^k is the
+        entry k mod m, and the index of an element is its discrete log."""
+        one = Permutation.identity(self.degree)
+        out = [one]
+        x = self
+        while x != one:
+            out.append(x)
+            x = x * self
+        return tuple(out)
+
     def __pow__(self, k: int) -> "Permutation":
-        k %= self.order()
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        powers = self.powers()
+        return powers[k % len(powers)]
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest point."""

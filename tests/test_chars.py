@@ -313,6 +313,25 @@ def test_trivial_rational_character_comes_first():
         assert rational_characters(character_table(catalog_group(name)))[0].orbit == (0,)
 
 
+def test_tables_hash_by_identity(monkeypatch):
+    # a table built outside the cache, so rational_characters computes anew
+    table = chars.character_table.__wrapped__(catalog_group("A4"))
+
+    def refuse(value):
+        raise AssertionError("a character value was hashed")
+
+    monkeypatch.setattr(chars.CyclotomicValue, "__hash__", refuse)
+    first = rational_characters(table)
+    assert rational_characters(table) is first
+    assert len(first) == 3  # the two non-real linear characters form one orbit
+    monkeypatch.undo()
+    # equal groups built separately share one table
+    gens = catalog_group("S3").generators
+    assert character_table(group_from_generators(gens)) is character_table(
+        group_from_generators(gens)
+    )
+
+
 def test_table_certifies_its_trivial_character(monkeypatch):
     # an order that sorts the trivial character last; the group is one no
     # other test builds, so its table is not cached yet

@@ -26,7 +26,7 @@ from pqsurf.errors import (
     SearchSpaceTooLarge,
     TrivialMonodromy,
 )
-from pqsurf.groups import catalog_group, group_from_generators
+from pqsurf.groups import Group, catalog_group, group_from_generators
 from pqsurf.perms import parse_permutation
 
 
@@ -284,13 +284,13 @@ def scans(monkeypatch):
     """Counts the closure checks made, one per scanned candidate and one
     per validated vector."""
     count = [0]
-    closure_size = covering._closure_size
+    generated_by = Group.generated_by
 
-    def counting(elements, group):
+    def counting(group, elements):
         count[0] += 1
-        return closure_size(elements, group)
+        return generated_by(group, elements)
 
-    monkeypatch.setattr(covering, "_closure_size", counting)
+    monkeypatch.setattr(Group, "generated_by", counting)
     return count
 
 
@@ -360,13 +360,12 @@ PAIR_STAGES = (surface.quotient_singularities, surface.geometric_genus, jacobian
 @pytest.fixture
 def bodies(monkeypatch):
     """Counts calls of helpers that only one pair stage's body makes:
-    ``_rank_z2`` and ``dual_rational_index`` (``k3_pairing``),
+    ``_rank_z2`` (``k3_pairing``),
     ``cyclic_subgroup`` and ``rotation_exponent`` (``quotient_singularities``)
     and ``_dual_pairing`` (``geometric_genus``)."""
     count = collections.Counter()
     for module, name in (
         (jacobian, "_rank_z2"),
-        (jacobian, "dual_rational_index"),
         (surface, "cyclic_subgroup"),
         (surface, "rotation_exponent"),
         (surface, "_dual_pairing"),
