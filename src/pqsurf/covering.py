@@ -241,7 +241,9 @@ def _canonical(group: Group, vec: tuple[Permutation, ...]) -> tuple:
     Its first entry is the smallest element of vec[0]'s class, the class
     representative rep, and the x that move vec[0] there form the coset
     C(rep) y for the recorded y with y vec[0] y^-1 = rep; so the minimum
-    runs over the centralizer only, and every candidate starts with rep."""
+    runs over the centralizer only, and every candidate starts with rep.
+    Central elements conjugate trivially, so it runs over one element of
+    each coset of Z(G) in C(rep), that is over C(rep)/Z(G)."""
     if not vec:
         return ()
     idx = group._class_of[vec[0]]
@@ -266,11 +268,15 @@ def search_generating_vectors(
     |G|^(2*g0) * prod_{i<r} #{g : ord g = m_i} tuples, and SearchSpaceTooLarge
     is raised when that exceeds ``max_space``.
 
-    Generating tuples are deduplicated by their smallest simultaneous
-    conjugate, computed over one centralizer coset (``_canonical``); the
-    first tuple met in each orbit is kept, and the vectors come out sorted
-    by that key.  An orbit-count certificate checks the result: the number
-    of generating tuples must be |G|/|Z(G)| times the number of orbits, or
+    Each tuple that passes the relation and the order checks is keyed by
+    its smallest simultaneous conjugate (``_canonical``, a minimum over
+    C(rep)/Z(G) for the class representative rep of its first entry), and
+    the key is computed before any closure.  Generation is invariant under
+    conjugation, so one verdict is kept per key: the closure runs only for
+    a key not met before, and the first tuple met in each generating orbit
+    is kept.  The vectors come out sorted by their key.  An orbit-count
+    certificate checks the result: the number of tuples with a generating
+    key must be |G|/|Z(G)| times the number of orbits, or
     InternalInconsistency is raised.
 
     The result of a completed search is kept on the group object for the
@@ -301,6 +307,9 @@ def search_generating_vectors(
     if searched is not None:
         return searched
 
+    # canonical key -> whether its tuples generate G
+    verdicts: dict[tuple, bool] = {}
+    # generating key -> the first tuple met with it
     found: dict[tuple, tuple[Permutation, ...]] = {}
     accepted = 0
     handle_pool = [group.elements] * (2 * base_genus)
@@ -328,16 +337,18 @@ def search_generating_vectors(
             else:
                 monos = ()
             listed = handle_vals + monos
-            if not group.generated_by(listed):
-                continue
-            accepted += 1
             key = _canonical(group, listed)
-            if key not in found:
-                found[key] = listed
+            generating = verdicts.get(key)
+            if generating is None:
+                generating = verdicts[key] = group.generated_by(listed)
+                if generating:
+                    found[key] = listed
+            if generating:
+                accepted += 1
     # The accepted tuples are closed under simultaneous conjugation, and a
     # generating tuple's stabilizer is the centre, so every orbit has
     # |G| / |Z(G)| members.
-    centre = sum(1 for size in group.class_sizes if size == 1)
+    centre = len(group.centre)
     if accepted != len(found) * group.order // centre:
         raise InternalInconsistency(
             f"{accepted} generating tuples do not form {len(found)} conjugation "

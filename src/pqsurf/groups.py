@@ -42,6 +42,8 @@ class Group:
         for idx, cls in enumerate(self.classes):
             for g in cls:
                 self._class_of[g] = idx
+        # Z(G): the elements alone in their class
+        self.centre: tuple[Permutation, ...] = tuple(c[0] for c in self.classes if len(c) == 1)
         self.exponent: int = lcm(*(g.order() for g in self.elements))
         # every pair-stage memo lookup hashes the group
         self._hash = hash((self.degree, self.elements))
@@ -82,13 +84,21 @@ class Group:
         return len(_closure(elements, self.identity, self.order)) == self.order
 
     def _centralizer(self, idx: int) -> tuple[tuple[Permutation, Permutation], ...]:
-        """The pairs (c, c^-1) for c in the centralizer of class ``idx``'s
-        representative; built on first use."""
+        """The pairs (c, c^-1) for one c per coset c Z(G) of the centre in
+        the centralizer of class ``idx``'s representative, each c the
+        smallest of its coset; built on first use.  Central elements
+        conjugate trivially, so these c give every conjugate by the whole
+        centralizer."""
         pairs = self._centralizers.get(idx)
         if pairs is None:
             rep = self.class_reps[idx]
-            pairs = tuple((c, c.inverse()) for c in self.elements if c * rep == rep * c)
-            self._centralizers[idx] = pairs
+            covered = set()
+            pairs = []
+            for c in self.elements:
+                if c not in covered and c * rep == rep * c:
+                    covered.update(c * z for z in self.centre)
+                    pairs.append((c, c.inverse()))
+            pairs = self._centralizers[idx] = tuple(pairs)
         return pairs
 
 

@@ -281,8 +281,8 @@ def fresh(name):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Counts the closure checks made, one per scanned candidate and one
-    per validated vector."""
+    """Counts the closure checks made: a search makes one per canonical key
+    it meets and one per vector it validates."""
     count = [0]
     generated_by = Group.generated_by
 
@@ -321,6 +321,35 @@ def test_other_signatures_and_equal_groups_search_anew(scans):
     assert other == G
     again = search_generating_vectors(other, 1, (2,))
     assert again == kept and again is not kept and scans[0] > 0
+
+
+def candidate_keys(G, orders):
+    """The canonical keys of the g0 = 1 tuples (a, b, c) with c = [a, b]^-1
+    of order orders[0]: the candidates of a one-branch-point search."""
+    (m,) = orders
+    keys = set()
+    for a in G.elements:
+        for b in G.elements:
+            c = (a * b * a.inverse() * b.inverse()).inverse()
+            if not c.is_identity() and c.order() == m:
+                keys.add(covering._canonical(G, (a, b, c)))
+    return keys
+
+
+@pytest.mark.parametrize("name, orders", [("S3", (3,)), ("D4", (2,)), ("Q8", (2,)), ("A4", (2,))])
+def test_search_closes_once_per_key_and_once_per_vector(scans, name, orders):
+    G = fresh(name)
+    vectors = search_generating_vectors(G, 1, orders)
+    assert vectors
+    assert scans[0] == len(candidate_keys(G, orders)) + len(vectors)
+
+
+def test_s5_search_closes_once_per_key(scans):
+    S5 = group_from_generators([parse_permutation(g, 5) for g in ("(1,2)", "(1,2,3,4,5)")])
+    vectors = search_generating_vectors(S5, 1, (2,))
+    # 3720 candidate tuples in 34 conjugation orbits, 24 of them generating
+    assert len(vectors) == 24
+    assert scans[0] == 34 + 24
 
 
 def test_kept_search_still_checks_the_space_bound():

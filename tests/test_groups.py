@@ -166,10 +166,17 @@ def test_recorded_conjugator_reaches_class_representative(G):
 
 @pytest.mark.parametrize("G", conjugation_test_groups(), ids=repr)
 def test_centralizers_match_brute_force(G):
+    centre = {z for z in G.elements if all(z * g == g * z for g in G.elements)}
+    assert set(G.centre) == centre and len(G.centre) == len(centre)
     for idx, rep in enumerate(G.class_reps):
         pairs = G._centralizer(idx)
         assert all(ci == c.inverse() for c, ci in pairs)
-        assert {c for c, _ in pairs} == {c for c in G.elements if c * rep == rep * c}
+        # one c per coset c Z(G): the cosets are pairwise disjoint and
+        # cover exactly the centralizer
+        cosets = [{c * z for z in centre} for c, _ in pairs]
+        covered = set().union(*cosets)
+        assert sum(len(coset) for coset in cosets) == len(covered)
+        assert covered == {c for c in G.elements if c * rep == rep * c}
         assert G._centralizer(idx) is pairs
 
 
