@@ -5,13 +5,22 @@ are simultaneously diagonalised over a prime field F_p with p = 1 (mod e),
 e the group exponent and p > 2|G|, and the mod-p character values are lifted
 to exact eigenvalue multisets of e-th roots of unity by a discrete Fourier
 inversion over F_p.  No floating point is involved anywhere.
+
+Character values stay eigenvalue multisets.  Galois orbits are found by
+reading the multisets at power classes (``_twist``), and every rational
+quantity built from the values (orbit sums, Frobenius-Schur indicators) is
+a sum of Galois averages in Fractions: a rational sum of roots of unity
+equals its Galois average, and zeta_e^a averages to mu(n)/phi(n) with
+n = e/gcd(a, e).  Elements of Q(zeta_e) (``Cyclotomic``) are built only on
+demand, for equality, hashing and class functions that are not rational.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from .cyclo import Cyclotomic, _root_power
@@ -26,21 +35,29 @@ from .perms import Permutation
 class CyclotomicValue:
     """A character value stored as the eigenvalue multiset of a group element:
     ``multiplicities`` records, for each residue a mod ``order``, how many
-    eigenvalues zeta_order^a occur.  Two values compare equal when they agree
-    as cyclotomic numbers (i.e. after reduction by the cyclotomic relations).
+    eigenvalues zeta_order^a occur.
+
+    Rational quantities are read off the multiset by ``galois_average``.
+    The element of Q(zeta_order) is built on first use by ``as_cyclotomic``,
+    equality or hashing, and then kept.  Two values compare equal when they
+    agree as cyclotomic numbers (i.e. after reduction by the cyclotomic
+    relations).
     """
 
     order: int
     multiplicities: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if any(count < 0 for _, count in self.multiplicities):
+            raise ValueError("negative eigenvalue multiplicity")
+
+    @cached_property
+    def _number(self) -> Cyclotomic:
         coords = [0] * len(_root_power(self.order, 0))
         for exp, count in self.multiplicities:
-            if count < 0:
-                raise ValueError("negative eigenvalue multiplicity")
             for i, c in enumerate(_root_power(self.order, exp)):
                 coords[i] += count * c
-        object.__setattr__(self, "_number", Cyclotomic(self.order, coords))
+        return Cyclotomic(self.order, coords)
 
     @classmethod
     def from_dict(cls, order: int, mapping) -> "CyclotomicValue":
@@ -55,6 +72,18 @@ class CyclotomicValue:
 
     def degree(self) -> int:
         return sum(m for _, m in self.multiplicities)
+
+    def galois_average(self) -> Fraction:
+        """The mean of the value's Galois conjugates, a rational number:
+        sum of m_a mu(n_a)/phi(n_a) with n_a = order/gcd(a, order).  A sum
+        of values that is rational equals the sum of their averages."""
+        e = self.order
+        # math.gcd, not the module's gcd: that name picks the units of an
+        # orbit, and a planted fault may replace it
+        return sum(
+            (m * _mobius_over_phi(e // math.gcd(a, e)) for a, m in self.multiplicities),
+            Fraction(0),
+        )
 
     def sort_key(self):
         return self.multiplicities
@@ -84,6 +113,24 @@ class CyclotomicValue:
     def __repr__(self) -> str:
         body = ",".join(f"{a}:{m}" for a, m in self.multiplicities)
         return f"CyclotomicValue(e={self.order}, {{{body}}})"
+
+
+@lru_cache(maxsize=None)
+def _mobius_over_phi(n: int) -> Fraction:
+    """mu(n)/phi(n), the mean of the primitive n-th roots of unity."""
+    mu, phi, rest, q = 1, 1, n, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            power = 1
+            while rest % q == 0:
+                rest //= q
+                power *= q
+            mu = 0 if power > q else -mu
+            phi *= power - power // q
+        q += 1
+    if rest > 1:
+        mu, phi = -mu, phi * (rest - 1)
+    return Fraction(mu, phi)
 
 
 def _rational_valued(cf) -> bool:
@@ -324,14 +371,16 @@ def _primitive_root(p: int) -> int:
 
 
 def _class_constants(group: Group) -> list[list[list[int]]]:
+    """mats[i][j][l] = #{x in class i : x^-1 z in class j}, z the
+    representative of class l."""
     k = len(group.classes)
+    class_of = group._class_of
+    inverses = [[x.inverse() for x in cls] for cls in group.classes]
     mats = [[[0] * k for _ in range(k)] for _ in range(k)]
     for l, z in enumerate(group.class_reps):
-        for i in range(k):
-            row = mats[i]
-            for x in group.classes[i]:
-                j = group.class_index(x.inverse() * z)
-                row[j][l] += 1
+        for row, cls_inverses in zip(mats, inverses):
+            for x_inv in cls_inverses:
+                row[class_of[x_inv * z]][l] += 1
     return mats
 
 
@@ -416,10 +465,7 @@ def character_table(group: Group) -> CharacterTable:
         raise InternalInconsistency("Dixon: the degrees violate the sum of squares")
 
     z = pow(_primitive_root(p), (p - 1) // e, p)
-    # class-power tables: class index of rep^t
-    power_classes = [
-        [group.class_index(x) for x in rep.powers()] for rep in group.class_reps
-    ]
+    power_classes = group._power_classes
 
     characters = []
     for d, chibar in rows:
@@ -447,7 +493,7 @@ def character_table(group: Group) -> CharacterTable:
 
     characters.sort(key=lambda cf: (cf.values[0].degree(), tuple(v.sort_key() for v in cf.values)))
     # the trivial character, eigenvalue 1 on every class, sorts first
-    if not all(v == 1 for v in characters[0].values):
+    if any(v.multiplicities != ((0, 1),) for v in characters[0].values):
         raise InternalInconsistency("the first character of the table is not the trivial one")
     degrees = tuple(cf.values[0].degree() for cf in characters)
     dual = _dual_map(characters, degrees, inverse_class)
@@ -549,15 +595,17 @@ def induced_trivial(group: Group, subgroup) -> ClassFunction:
 
 
 def frobenius_schur(table: CharacterTable, index: int) -> int:
-    """(1/|G|) sum of chi(g^2); -1, 0 or 1."""
+    """(1/|G|) sum of chi(g^2); -1, 0 or 1.
+
+    The sum is rational, so it is summed as (1/|G|) sum over classes c of
+    |c| times the Galois average of chi at the class of rep_c^2."""
     group = table.group
     squares = power_map(group, 2)
-    total = Cyclotomic.zero(group.exponent)
-    chi = table.irreducibles[index]
-    for c in range(len(group.classes)):
-        total = total + chi.value_cyc(squares[c]).scale(group.class_sizes[c])
-    q = total.scale(Fraction(1, group.order)).as_rational()
-    if q is None or q.denominator != 1 or q not in (-1, 0, 1):
+    values = table.irreducibles[index].values
+    q = sum(
+        size * values[squares[c]].galois_average() for c, size in enumerate(group.class_sizes)
+    ) / group.order
+    if q not in (-1, 0, 1):
         raise InternalInconsistency(f"Frobenius-Schur indicator must be -1, 0 or 1, not {q}")
     return int(q)
 
@@ -571,6 +619,12 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     Frobenius-Schur indicator -1 (the quaternionic case); non-real orbits of
     degree > 1 are flagged ``schur_index_unverified`` since the heuristic does
     not certify their index.
+
+    The orbit members are Galois conjugates with equal Galois averages, so
+    psi(c) = |orbit| * m * (the average of chi(c)), in integers.  Two
+    certificates check it: every value is an integer, and
+    sum |c| psi(c)^2 = |G| m^2 |orbit|, which fails for a sum over part of
+    an orbit.
     """
     group = table.group
     e = group.exponent
@@ -589,15 +643,14 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
         schur = 2 if fs == -1 else 1
         degree = table.degrees[i]
         unverified = fs == 0 and degree > 1
-        values = []
-        for c in range(k):
-            total = Cyclotomic.zero(e)
-            for j in orbit_t:
-                total = total + table.irreducibles[j].value_cyc(c)
-            q = total.scale(schur).as_rational()
-            if q is None or q.denominator != 1:
-                raise InternalInconsistency("a Galois orbit sum must be integral")
-            values.append(int(q))
+        scale = len(orbit_t) * schur
+        sums = [scale * v.galois_average() for v in table.irreducibles[i].values]
+        norm = sum(size * q * q for size, q in zip(group.class_sizes, sums))
+        if any(q.denominator != 1 for q in sums) or norm != group.order * schur * scale:
+            raise InternalInconsistency(
+                "a Galois orbit sum must be integral, of norm |G| m^2 |orbit|"
+            )
+        values = [q.numerator for q in sums]
         if degree % schur:
             raise InternalInconsistency("the Schur index must divide the degree")
         out.append(

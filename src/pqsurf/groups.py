@@ -7,7 +7,7 @@ derived table and report is stable across runs.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import NonPermutation, NotInGroup, SizeLimit, UnknownName
@@ -82,6 +82,12 @@ class Group:
         """Whether the elements generate the whole group; the closure stops
         as soon as it holds |G| elements."""
         return len(_closure(elements, self.identity, self.order)) == self.order
+
+    @cached_property
+    def _power_classes(self) -> tuple[tuple[int, ...], ...]:
+        """For each class c, the class index of rep_c^t for t < ord(rep_c);
+        built on first use."""
+        return tuple(tuple(self._class_of[x] for x in rep.powers()) for rep in self.class_reps)
 
     def _centralizer(self, idx: int) -> tuple[tuple[Permutation, Permutation], ...]:
         """The pairs (c, c^-1) for one c per coset c Z(G) of the centre in
@@ -182,8 +188,9 @@ def centralizer_order(group: Group, g: Permutation) -> int:
 
 
 def power_map(group: Group, k: int) -> tuple[int, ...]:
-    """Class index of rep**k for each class; well defined on classes."""
-    return tuple(group.class_index(rep ** k) for rep in group.class_reps)
+    """Class index of rep**k for each class; well defined on classes.  Read
+    off the group's power-class table at k mod ord(rep)."""
+    return tuple(row[k % len(row)] for row in group._power_classes)
 
 
 # -- catalog ----------------------------------------------------------------

@@ -423,6 +423,44 @@ def test_planted_orbit_fault_is_internal_inconsistency(monkeypatch):
         rational_characters.__wrapped__(table)
 
 
+def _c3xc5():
+    return group_from_generators(
+        [parse_permutation("(1,2,3)", 8), parse_permutation("(4,5,6,7,8)", 8)]
+    )
+
+
+TRUNCATED_ORBIT_GROUPS = {"C4": lambda: catalog_group("C4"), "C3xC5": _c3xc5}
+
+
+@pytest.mark.parametrize("name", TRUNCATED_ORBIT_GROUPS)
+def test_planted_truncated_orbit_is_internal_inconsistency(monkeypatch, name):
+    table = character_table(TRUNCATED_ORBIT_GROUPS[name]())
+    real = chars._twist
+
+    def truncated(characters, *power_maps):
+        # the first 2-element orbit {i, j} loses j: no twist of i reaches it
+        twists = real(characters, *power_maps)
+        i = next(i for i in range(len(characters)) if len({t[i] for t in twists}) == 2)
+        return tuple(t[:i] + (i,) + t[i + 1:] for t in twists)
+
+    monkeypatch.setattr(chars, "_twist", truncated)
+    with pytest.raises(InternalInconsistency, match="orbit sum must be integral"):
+        rational_characters.__wrapped__(table)
+
+
+TRIVIAL_PLANT_GROUPS = ("S3", "Q8")
+
+
+@pytest.mark.parametrize("name", TRIVIAL_PLANT_GROUPS)
+def test_planted_trivial_character_fault_is_internal_inconsistency(monkeypatch, name):
+    # an order that sorts a nontrivial linear character before the trivial one
+    monkeypatch.setattr(
+        chars.CyclotomicValue, "sort_key", lambda v: tuple((-a, m) for a, m in v.multiplicities)
+    )
+    with pytest.raises(InternalInconsistency, match="not the trivial one"):
+        build_table(catalog_group(name))
+
+
 def test_planted_schur_index_fault_is_internal_inconsistency(monkeypatch):
     table = character_table(catalog_group("C4"))
     monkeypatch.setattr(chars, "frobenius_schur", lambda t, i: -1)
@@ -457,4 +495,5 @@ def test_planted_faults_raise_under_python_O():
         cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(DIXON_PLANTS) + 5} passed" in proc.stdout
+    planted = len(DIXON_PLANTS) + len(TRUNCATED_ORBIT_GROUPS) + len(TRIVIAL_PLANT_GROUPS) + 5
+    assert f"{planted} passed" in proc.stdout
