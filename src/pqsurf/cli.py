@@ -27,7 +27,13 @@ from .catalog import (
 )
 from .chars import character_table, rational_characters
 from .covering import search_generating_vectors, validate
-from .descfile import SurfaceDescription, build_explicit_vector, parse_description, resolve_group
+from .descfile import (
+    SurfaceDescription,
+    build_explicit_vector,
+    parse_description,
+    resolve_group,
+    _split_ints,
+)
 from .errors import (
     InternalInconsistency,
     NoWitness,
@@ -204,7 +210,9 @@ def cmd_reproduce_tables(args) -> int:
 
 def cmd_search(args) -> int:
     group = catalog_group(args.group)
-    orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
+    if args.genus0 < 0:
+        raise ParseError(f"genus0 must be nonnegative, not {args.genus0}")
+    orders = _split_ints(args.orders, "orders")
     vectors = search_generating_vectors(group, args.genus0, orders)
     sys.stdout.write(f"count {len(vectors)}\n")
     for i, gv in enumerate(vectors):

@@ -142,13 +142,23 @@ def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
     """sum_j Ind_{<c_j>}^G 1 on each class: the number of points over the
     branch points fixed by the class's elements.  All fixed points of a
     nontrivial element lie there, so off the identity class this is the
-    number of points of the covering curve it fixes."""
+    number of points of the covering curve it fixes.
+
+    Ind_{<c>}^G 1 at class k is |G| #{t < m : c^t in k} / (|k| m), the
+    classes of the powers c^t read off the group's power-class table; a
+    division that is not exact raises InternalInconsistency."""
     validate(gv)
     group = gv.group
     counts = [0] * len(group.classes)
-    for c in gv.monodromies:
-        ind = induced_trivial(group, cyclic_subgroup(group, c)).values
-        counts = [a + b for a, b in zip(counts, ind)]
+    for c, m in zip(gv.monodromies, gv.orders):
+        hits = [0] * len(group.classes)
+        for k in group._power_classes[group._class_of[c]]:
+            hits[k] += 1
+        for k, h in enumerate(hits):
+            value, rest = divmod(group.order * h, group.class_sizes[k] * m)
+            if rest:
+                raise InternalInconsistency("induced character value must be an integer")
+            counts[k] += value
     return tuple(counts)
 
 
@@ -284,6 +294,8 @@ def search_generating_vectors(
     passes the space check again and then returns the same vectors, with
     their per-vector stages.  An equal group built separately searches
     again, and a search that raises keeps nothing."""
+    if base_genus < 0:
+        raise ValueError("base genus must be nonnegative")
     orders = tuple(int(m) for m in orders)
     r = len(orders)
     for m in orders:

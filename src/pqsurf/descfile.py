@@ -60,10 +60,25 @@ def _split_perms(raw: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in raw.split(";") if p.strip())
 
 
-def _split_ints(raw) -> tuple[int, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(x) for x in raw)
-    return tuple(int(tok) for tok in str(raw).split(",") if tok.strip())
+def _to_int(raw, what: str) -> int:
+    """An int, or a string of one; a JSON fraction or boolean is refused
+    rather than truncated."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, not {raw!r}")
+
+
+def _split_ints(raw, what: str) -> tuple[int, ...]:
+    """The integers of a list or of a comma-separated string; ParseError
+    names ``what`` when an entry is not an integer."""
+    if not isinstance(raw, (list, tuple)):
+        raw = [tok.strip() for tok in str(raw).split(",") if tok.strip()]
+    return tuple(_to_int(tok, what) for tok in raw)
 
 
 def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
@@ -72,7 +87,9 @@ def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
         raise ParseError(f"[{section}] has unknown keys: {', '.join(sorted(unknown))}")
     if "genus0" not in data:
         raise ParseError(f"[{section}] requires genus0")
-    genus0 = int(data["genus0"])
+    genus0 = _to_int(data["genus0"], f"[{section}] genus0")
+    if genus0 < 0:
+        raise ParseError(f"[{section}] genus0 must be nonnegative, not {genus0}")
     has_search = "search" in data
     has_explicit = any(k in data for k in ("handles", "monodromies", "orders"))
     if has_search == has_explicit:
@@ -80,7 +97,7 @@ def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
             f"[{section}] must contain exactly one of a search directive or an explicit vector"
         )
     if has_search:
-        return CurveSpec(genus0, None, None, None, _split_ints(data["search"]))
+        return CurveSpec(genus0, None, None, None, _split_ints(data["search"], f"[{section}] search"))
     if "monodromies" not in data or "orders" not in data:
         raise ParseError(f"[{section}] explicit vectors need monodromies and orders")
     handles_raw = data.get("handles", "")
@@ -93,7 +110,7 @@ def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
         monos = tuple(str(c) for c in monos_raw)
     else:
         monos = _split_perms(monos_raw)
-    orders = _split_ints(data["orders"])
+    orders = _split_ints(data["orders"], f"[{section}] orders")
     if len(handles) != 2 * genus0:
         raise ParseError(f"[{section}] needs {2 * genus0} handle entries, got {len(handles)}")
     if len(monos) != len(orders):

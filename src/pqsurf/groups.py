@@ -44,7 +44,8 @@ class Group:
                 self._class_of[g] = idx
         # Z(G): the elements alone in their class
         self.centre: tuple[Permutation, ...] = tuple(c[0] for c in self.classes if len(c) == 1)
-        self.exponent: int = lcm(*(g.order() for g in self.elements))
+        # element order is a class function
+        self.exponent: int = lcm(*(g.order() for g in self.class_reps))
         # every pair-stage memo lookup hashes the group
         self._hash = hash((self.degree, self.elements))
 

@@ -5,12 +5,23 @@ common stabilizer.  A point of C1 over branch point i is a coset x<c_i> and
 a point of C2 over branch point j a coset y<d_j>, so the G-orbits of such
 pairs are the double cosets <c_i> g <d_j> with g = x^-1 y, and the pair at g
 has stabilizer <c_i> & g<d_j>g^-1, of order n = |<c_i>| |<d_j>| / |<c_i> g <d_j>|.
-Its generator c_i^(m_i/n) rotates C1 by zeta_n and C2 by zeta_n^q, q being
-read off against the rotation g d_j g^-1 of the point g<d_j>.  Each
-singularity is resolved by a Hirzebruch-Jung chain, and eta counts the
-exceptional curves.  The holomorphic invariants come from the
-Chevalley-Weil decomposition of H^0(C, Omega^1): with a_i(chi) the
-multiplicity of the irreducible chi in H^0(C_i, Omega^1),
+Its generator c_i^(m_i/n) rotates C1 by zeta_n and C2 by zeta_n^q, where
+c_i^(m_i/n) = g d_j^((m'_j/n) q) g^-1.  The basket is counted from class
+data alone: for n | gcd(m_i, m'_j) and a unit q mod n (q = 0 when n = 1),
+
+    A(n, q) = #{g : g d_j^((m'_j/n) q) g^-1 = c_i^(m_i/n)}
+            = |G| / |class of c_i^(m_i/n)|  when the two powers are conjugate, else 0,
+
+read off the group's power-class table.  A g counted in A(n, q) has a
+stabilizer of order N with n | N and exponent q' = q mod n, so going down
+the divisors, E(n, q) = A(n, q) - sum E(N, q') over N > n, n | N, q' = q
+mod n counts the g whose stabilizer has order exactly n and exponent q.
+Each double coset holds m_i m'_j / n such g, so 1/n(1,q) occurs
+E(n, q) n / (m_i m'_j) times.  Each singularity is resolved by a
+Hirzebruch-Jung chain, and eta counts the exceptional curves.  The
+holomorphic invariants come from the Chevalley-Weil decomposition of
+H^0(C, Omega^1): with a_i(chi) the multiplicity of the irreducible chi in
+H^0(C_i, Omega^1),
 
     p_g = dim (H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2}))^G = sum_chi a1(chi) a2(chi-bar),
 
@@ -31,11 +42,10 @@ from .covering import (
     genus,
     per_vector,
     require_same_group,
-    rotation_exponent,
     validate,
 )
 from .errors import InternalInconsistency, NotCoprime, OutOfRange
-from .groups import cyclic_subgroup
+from .groups import Group
 
 
 def hirzebruch_jung(n: int, q: int) -> tuple[int, ...]:
@@ -72,31 +82,58 @@ class QuotientSingularity:
         return f"1/{self.n}(1,{self.q})"
 
 
+def _basket(group: Group, c, m1: int, d, m2: int) -> dict[tuple[int, int], int]:
+    """(n, q) -> the number of double cosets <c> g <d> whose point pair has
+    a stabilizer of order n > 1 acting by (zeta_n, zeta_n^q), counted from
+    the power classes of c and d (see the module docstring).
+
+    Certificate: every level, n = 1 included, must count a nonnegative
+    whole number of double cosets, or InternalInconsistency is raised."""
+    row1 = group._power_classes[group._class_of[c]]
+    row2 = group._power_classes[group._class_of[d]]
+    top = gcd(m1, m2)
+    exact: dict[tuple[int, int], int] = {}
+    basket = {}
+    for n in range(top, 0, -1):
+        if top % n:
+            continue
+        k = row1[m1 // n % m1]
+        for q in range(n):
+            if gcd(q, n) != 1:  # the units mod n; q = 0 when n = 1
+                continue
+            e = group.order // group.class_sizes[k] if row2[m2 // n * q % m2] == k else 0
+            e -= sum(v for (big, u), v in exact.items() if big % n == 0 and u % n == q)
+            exact[n, q] = e
+            count, rest = divmod(e * n, m1 * m2)
+            if rest or count < 0:
+                raise InternalInconsistency(
+                    f"{e} elements of exact stabilizer order {n} do not fill whole "
+                    f"double cosets of size {m1 * m2 // n}"
+                )
+            if count and n > 1:
+                basket[n, q] = count
+    return basket
+
+
 @per_vector
 def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[QuotientSingularity, ...]:
     """Singularity types of (C1 x C2)/G: one per G-orbit of point pairs with
     nontrivial common stabilizer, normalised so the generator acting by
-    zeta_n on the first factor acts by zeta_n^q on the second."""
+    zeta_n on the first factor acts by zeta_n^q on the second.
+
+    For each pair of monodromies c_i, d_j, the type 1/n(1,q) occurs
+    E(n, q) n / (m_i m'_j) times, E(n, q) being the number of g in G with
+    <c_i> & g<d_j>g^-1 of order exactly n and c_i^(m_i/n) = g d_j^((m'_j/n) q) g^-1,
+    counted from the power classes of c_i and d_j; no element of G is
+    visited."""
     group = require_same_group(gv1, gv2)
     validate(gv1)
     validate(gv2)
     out = []
     for c, m1 in zip(gv1.monodromies, gv1.orders):
-        sub1 = cyclic_subgroup(group, c)
         for d, m2 in zip(gv2.monodromies, gv2.orders):
-            sub2 = cyclic_subgroup(group, d)
-            seen = set()
-            for g in group.elements:
-                if g in seen:
-                    continue
-                double_coset = {h * g * k for h in sub1 for k in sub2}
-                seen |= double_coset
-                n = m1 * m2 // len(double_coset)
-                if n <= 1:
-                    continue
-                t0 = c ** (m1 // n)
-                q = rotation_exponent(g * d * g.inverse(), m2, t0)
-                out.append(QuotientSingularity(n, q))
+            for (n, q), count in _basket(group, c, m1, d, m2).items():
+                out += [QuotientSingularity(n, q)] * count
     return tuple(sorted(out, key=lambda s: (s.n, s.q)))
 
 

@@ -137,6 +137,82 @@ def test_exit_2_parse_errors(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+V4_SEARCH = "[group]\nname = V4\n[curve2]\ngenus0 = 1\nsearch = 2, 2\n"
+
+# file name -> (contents, the ParseError message)
+MALFORMED_INTEGERS = {
+    "genus0.surface": (
+        V4_SEARCH + "[curve1]\ngenus0 = x\nsearch = 2, 2\n",
+        "[curve1] genus0 must be an integer, not 'x'",
+    ),
+    "search.surface": (
+        V4_SEARCH + "[curve1]\ngenus0 = 1\nsearch = 3, y\n",
+        "[curve1] search must be an integer, not 'y'",
+    ),
+    "orders.surface": (
+        V4_SEARCH + "[curve1]\ngenus0 = 1\nhandles = () ; ()\n"
+        "monodromies = (1,2)(3,4) ; (1,2)(3,4)\norders = 2, y\n",
+        "[curve1] orders must be an integer, not 'y'",
+    ),
+    "negative.surface": (
+        V4_SEARCH + "[curve1]\ngenus0 = -2\nsearch = 2, 2\n",
+        "[curve1] genus0 must be nonnegative, not -2",
+    ),
+    "negative.json": (
+        json.dumps({
+            "group": {"name": "V4"},
+            "curve1": {"genus0": -2, "search": [2, 2]},
+            "curve2": {"genus0": 1, "search": [2, 2]},
+        }),
+        "[curve1] genus0 must be nonnegative, not -2",
+    ),
+    "fraction.json": (
+        json.dumps({
+            "group": {"name": "V4"},
+            "curve1": {"genus0": 1, "search": [2.7, 2]},
+            "curve2": {"genus0": 1, "search": [2, 2]},
+        }),
+        "[curve1] search must be an integer, not 2.7",
+    ),
+    "boolean.json": (
+        json.dumps({
+            "group": {"name": "V4"},
+            "curve1": {"genus0": True, "search": [2, 2]},
+            "curve2": {"genus0": 1, "search": [2, 2]},
+        }),
+        "[curve1] genus0 must be an integer, not True",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INTEGERS))
+def test_exit_2_malformed_integer_fields(tmp_path, capsys, name):
+    text, message = MALFORMED_INTEGERS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"ParseError: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("S3", "1", "3,x"), "orders must be an integer, not 'x'"),
+        (("S3", "-1", "3"), "genus0 must be nonnegative, not -1"),
+    ],
+)
+def test_exit_2_malformed_search_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "search", *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"ParseError: {message}\n"
+
+
+def test_search_refuses_a_negative_base_genus():
+    with pytest.raises(ValueError, match="base genus must be nonnegative"):
+        search_generating_vectors(catalog_group("S3"), -1, (3,))
+
+
 def test_exit_4_no_witness(tmp_path, capsys):
     impossible = tmp_path / "impossible.surface"
     impossible.write_text(

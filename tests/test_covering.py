@@ -390,13 +390,12 @@ PAIR_STAGES = (surface.quotient_singularities, surface.geometric_genus, jacobian
 def bodies(monkeypatch):
     """Counts calls of helpers that only one pair stage's body makes:
     ``_rank_z2`` (``k3_pairing``),
-    ``cyclic_subgroup`` and ``rotation_exponent`` (``quotient_singularities``)
+    ``_basket``, once per pair of monodromies (``quotient_singularities``)
     and ``_dual_pairing`` (``geometric_genus``)."""
     count = collections.Counter()
     for module, name in (
         (jacobian, "_rank_z2"),
-        (surface, "cyclic_subgroup"),
-        (surface, "rotation_exponent"),
+        (surface, "_basket"),
         (surface, "_dual_pairing"),
     ):
         def counting(*args, _fn=getattr(module, name), _name=name):
@@ -418,10 +417,11 @@ def one_pass(bodies, gv1, gv2):
 
 
 def test_analyze_pair_runs_each_pair_stage_once(bodies):
-    # a pair with two singular points, on vectors no other test has used
+    # a pair with two singular points over its one pair of monodromies, on
+    # vectors no other test has used
     gv1, gv2 = search_generating_vectors(fresh("A4"), 1, (2,))[:2]
     expected = one_pass(bodies, gv1, gv2)
-    assert expected["_rank_z2"] == 1 and expected["rotation_exponent"] == 2
+    assert expected["_rank_z2"] == 1 and expected["_basket"] == 1
     assert expected["_dual_pairing"] == 1
     analysis = analyze_pair(gv1, gv2)
     assert bodies == expected
