@@ -4,15 +4,21 @@ Tables are computed by Dixon's method: the class-algebra structure constants
 are simultaneously diagonalised over a prime field F_p with p = 1 (mod e),
 e the group exponent and p > 2|G|, and the mod-p character values are lifted
 to exact eigenvalue multisets of e-th roots of unity by a discrete Fourier
-inversion over F_p.  No floating point is involved anywhere.
+inversion over F_p, read from a table of the powers of zeta_e mod p.  No
+floating point is involved anywhere.  A class matrix is built only when
+the split reaches it, which stops once every common eigenspace has
+dimension 1, and its products are composed on image tuples, since only
+their classes are read.  The eigenvalues on each eigenspace are the roots
+of one characteristic polynomial, taken from a Hessenberg form mod p.
 
 Character values stay eigenvalue multisets.  Galois orbits are found by
 reading the multisets at power classes (``_twist``), and every rational
 quantity built from the values (orbit sums, Frobenius-Schur indicators) is
-a sum of Galois averages in Fractions: a rational sum of roots of unity
-equals its Galois average, and zeta_e^a averages to mu(n)/phi(n) with
-n = e/gcd(a, e).  Elements of Q(zeta_e) (``Cyclotomic``) are built only on
-demand, for equality, hashing and class functions that are not rational.
+a sum of Galois averages, added up in integers scaled by phi(e): a rational
+sum of roots of unity equals its Galois average, and zeta_e^a averages to
+mu(n)/phi(n) with n = e/gcd(a, e), so phi(e) mu(n)/phi(n) is an integer.
+Elements of Q(zeta_e) (``Cyclotomic``) are built only on demand, for
+equality, hashing and class functions that are not rational.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
+from operator import itemgetter, mul
 
 from .cyclo import Cyclotomic, _root_power
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
@@ -73,17 +80,17 @@ class CyclotomicValue:
     def degree(self) -> int:
         return sum(m for _, m in self.multiplicities)
 
+    def galois_sum(self) -> int:
+        """phi(order) times the mean of the value's Galois conjugates, an
+        integer: sum of m_a phi(order) mu(n_a)/phi(n_a) with
+        n_a = order/gcd(a, order).  A sum of values that is rational equals
+        the sum of their averages."""
+        weights = _galois_weights(self.order)[1]
+        return sum(m * weights[a] for a, m in self.multiplicities)
+
     def galois_average(self) -> Fraction:
-        """The mean of the value's Galois conjugates, a rational number:
-        sum of m_a mu(n_a)/phi(n_a) with n_a = order/gcd(a, order).  A sum
-        of values that is rational equals the sum of their averages."""
-        e = self.order
-        # math.gcd, not the module's gcd: that name picks the units of an
-        # orbit, and a planted fault may replace it
-        return sum(
-            (m * _mobius_over_phi(e // math.gcd(a, e)) for a, m in self.multiplicities),
-            Fraction(0),
-        )
+        """The mean of the value's Galois conjugates, a rational number."""
+        return Fraction(self.galois_sum(), _galois_weights(self.order)[0])
 
     def sort_key(self):
         return self.multiplicities
@@ -115,9 +122,8 @@ class CyclotomicValue:
         return f"CyclotomicValue(e={self.order}, {{{body}}})"
 
 
-@lru_cache(maxsize=None)
-def _mobius_over_phi(n: int) -> Fraction:
-    """mu(n)/phi(n), the mean of the primitive n-th roots of unity."""
+def _mobius_phi(n: int) -> tuple[int, int]:
+    """mu(n) and phi(n)."""
     mu, phi, rest, q = 1, 1, n, 2
     while q * q <= rest:
         if rest % q == 0:
@@ -130,7 +136,22 @@ def _mobius_over_phi(n: int) -> Fraction:
         q += 1
     if rest > 1:
         mu, phi = -mu, phi * (rest - 1)
-    return Fraction(mu, phi)
+    return mu, phi
+
+
+@lru_cache(maxsize=None)
+def _galois_weights(e: int) -> tuple[int, tuple[int, ...]]:
+    """phi(e), and for each a mod e the mean of the Galois conjugates of
+    zeta_e^a scaled by phi(e): phi(e) mu(n)/phi(n) with n = e/gcd(a, e),
+    an integer because phi(n) divides phi(e) for n | e."""
+    phi_e = _mobius_phi(e)[1]
+    weights = []
+    for a in range(e):
+        # math.gcd, not the module's gcd: that name picks the units of an
+        # orbit, and a planted fault may replace it
+        mu, phi = _mobius_phi(e // math.gcd(a, e))
+        weights.append(phi_e // phi * mu)
+    return phi_e, tuple(weights)
 
 
 def _rational_valued(cf) -> bool:
@@ -251,65 +272,58 @@ def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _det(mat: list[list[int]], p: int) -> int:
-    m = [list(r) for r in mat]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] % p:
-                pivot = i
-                break
+def _charpoly(mat: list[list[int]], p: int) -> list[int]:
+    """det(x I - mat) mod p, coefficients lowest degree first.
+
+    The matrix is first brought to upper Hessenberg form H by similarity
+    (row operations below the subdiagonal, each undone on the columns), and
+    the polynomials of H's leading blocks then follow by the recurrence
+    P_m = (x - H[m-1][m-1]) P_(m-1)
+          - sum over i < m of H[i-1][m-1] (H[i][i-1] ... H[m-1][m-2]) P_(i-1)."""
+    h = [list(row) for row in mat]
+    n = len(h)
+    for c in range(n - 2):
+        pivot = next((i for i in range(c + 1, n) if h[i][c]), None)
         if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[c])]
-    return det % p
-
-
-def _poly_from_points(xs: list[int], ys: list[int], p: int) -> list[int]:
-    """Lagrange interpolation; coefficients lowest degree first."""
-    n = len(xs)
-    coeffs = [0] * n
-    for i in range(n):
-        num = [1]  # prod_{j != i} (x - x_j)
-        denom = 1
-        for j in range(n):
-            if j == i:
-                continue
-            new = [0] * (len(num) + 1)
-            for k, a in enumerate(num):
-                new[k] = (new[k] - xs[j] * a) % p
-                new[k + 1] = (new[k + 1] + a) % p
-            num = new
-            denom = denom * (xs[i] - xs[j]) % p
-        scale = ys[i] * pow(denom, -1, p) % p
-        for k, a in enumerate(num):
-            coeffs[k] = (coeffs[k] + scale * a) % p
-    return coeffs
+            continue
+        if pivot != c + 1:
+            h[c + 1], h[pivot] = h[pivot], h[c + 1]
+            for row in h:
+                row[c + 1], row[pivot] = row[pivot], row[c + 1]
+        inv = pow(h[c + 1][c], -1, p)
+        for r in range(c + 2, n):
+            u = h[r][c] * inv % p
+            if u:
+                h[r] = [(a - u * b) % p for a, b in zip(h[r], h[c + 1])]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + u * row[r]) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        diag = h[m - 1][m - 1]
+        prev = polys[-1]
+        poly = [0] + prev
+        for d, a in enumerate(prev):
+            poly[d] = (poly[d] - diag * a) % p
+        chain = 1
+        for i in range(m - 1, 0, -1):
+            chain = chain * h[i][i - 1] % p
+            if not chain:
+                break
+            f = h[i - 1][m - 1] * chain % p
+            for d, a in enumerate(polys[i - 1]):
+                poly[d] = (poly[d] - f * a) % p
+        polys.append(poly)
+    return polys[-1]
 
 
 def _eigenvalues(mat: list[list[int]], p: int) -> list[int]:
-    """All eigenvalues in F_p of a square matrix, ascending."""
-    m = len(mat)
-    xs = list(range(m + 1))
-    ys = []
-    for c in xs:
-        shifted = [[(c * (i == j) - mat[i][j]) % p for j in range(m)] for i in range(m)]
-        ys.append(_det(shifted, p))
-    poly = _poly_from_points(xs, ys, p)
+    """The distinct eigenvalues in F_p of a square matrix, ascending: the
+    roots of its characteristic polynomial."""
+    poly = _charpoly(mat, p)[::-1]
     roots = []
     for lam in range(p):
         acc = 0
-        for a in reversed(poly):
+        for a in poly:
             acc = (acc * lam + a) % p
         if acc == 0:
             roots.append(lam)
@@ -317,7 +331,7 @@ def _eigenvalues(mat: list[list[int]], p: int) -> list[int]:
 
 
 def _matvec(mat: list[list[int]], vec, p: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]
+    return [sum(map(mul, row, vec)) % p for row in mat]
 
 
 def _coords_in_basis(basis: list, targets: list, p: int) -> list[list[int]]:
@@ -337,9 +351,10 @@ def _coords_in_basis(basis: list, targets: list, p: int) -> list[list[int]]:
 # -- Dixon's method ------------------------------------------------------------
 
 def _dixon_prime(order: int, exponent: int) -> int:
+    """The least prime p > 2|G| with p = 1 (mod e)."""
     p = 2 * order + 1
     while True:
-        if p % exponent == 1 and _is_prime(p):
+        if (p - 1) % exponent == 0 and _is_prime(p):
             return p
         p += 1
 
@@ -370,44 +385,51 @@ def _primitive_root(p: int) -> int:
     raise ArithmeticError("no primitive root found")  # pragma: no cover
 
 
-def _class_constants(group: Group) -> list[list[list[int]]]:
-    """mats[i][j][l] = #{x in class i : x^-1 z in class j}, z the
-    representative of class l."""
+def _class_matrix(group: Group, i: int, class_of_images: dict) -> list[list[int]]:
+    """mat[j][l] = #{x in class i : x^-1 z in class j}, z the representative
+    of class l.
+
+    The inverses x^-1 make up the class inverse to class i, and only the
+    class of each product is read, so the products are composed on image
+    tuples and looked up in ``class_of_images`` (image tuple -> class)."""
     k = len(group.classes)
-    class_of = group._class_of
-    inverses = [[x.inverse() for x in cls] for cls in group.classes]
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
+    inverses = group.classes[power_map(group, -1)[i]]
+    mat = [[0] * k for _ in range(k)]
     for l, z in enumerate(group.class_reps):
-        for row, cls_inverses in zip(mats, inverses):
-            for x_inv in cls_inverses:
-                row[class_of[x_inv * z]][l] += 1
-    return mats
+        # y -> the images of y * z; a group with two classes has degree >= 2,
+        # so itemgetter returns a tuple
+        compose = itemgetter(*(t - 1 for t in z.images))
+        for y in inverses:
+            mat[class_of_images[compose(y.images)]][l] += 1
+    return mat
 
 
 def _central_characters(group: Group, p: int) -> list[list[int]]:
     """Common eigenvectors of the class-algebra matrices, normalised so the
-    identity-class coordinate is 1; these are the central characters mod p."""
+    identity-class coordinate is 1; these are the central characters mod p.
+
+    The class matrices split the common eigenspaces in class order, and
+    each is built only when a space of dimension > 1 is left to split."""
     k = len(group.classes)
-    mats = _class_constants(group)
+    class_of_images = {g.images: c for g, c in group._class_of.items()}
     spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for A in mats[1:]:
+    for i in range(1, k):
         if all(len(s) == 1 for s in spaces):
             break
-        Amod = [[v % p for v in row] for row in A]
+        A = _class_matrix(group, i, class_of_images)
         refined: list[list[list[int]]] = []
         for basis in spaces:
             if len(basis) == 1:
                 refined.append(basis)
                 continue
-            images = [_matvec(Amod, v, p) for v in basis]
+            images = [_matvec(A, v, p) for v in basis]
             coords = _coords_in_basis(basis, images, p)
             m = len(basis)
             # restriction matrix: column t = coords of A * basis[t]
             R = [[coords[t][s] for t in range(m)] for s in range(m)]
-            lams = _eigenvalues(R, p)
             covered = 0
-            for lam in lams:
-                shifted = [[(R[i][j] - (lam if i == j else 0)) % p for j in range(m)] for i in range(m)]
+            for lam in _eigenvalues(R, p):
+                shifted = [[(R[r][c] - (lam if r == c else 0)) % p for c in range(m)] for r in range(m)]
                 kern_basis = _kernel(shifted, p)
                 if not kern_basis:
                     continue
@@ -465,25 +487,37 @@ def character_table(group: Group) -> CharacterTable:
         raise InternalInconsistency("Dixon: the degrees violate the sum of squares")
 
     z = pow(_primitive_root(p), (p - 1) // e, p)
+    zeta = [1] * e
+    for j in range(1, e):
+        zeta[j] = zeta[j - 1] * z % p
     power_classes = group._power_classes
+    # for an element order n: 1/n mod p, and row alpha of the inverse
+    # Fourier matrix, zeta_n^(-alpha t) for t < n, read from the power table
+    fourier = {}
+    for row in power_classes:
+        n = len(row)
+        if n not in fourier:
+            step = e // n
+            fourier[n] = (
+                pow(n, -1, p),
+                [[zeta[-alpha * t * step % e] for t in range(n)] for alpha in range(n)],
+            )
 
     characters = []
     for d, chibar in rows:
         values = []
-        for c in range(k):
-            n = len(power_classes[c])
-            zn = pow(z, e // n, p)
-            n_inv = pow(n, -1, p)
+        for row in power_classes:
+            n = len(row)
+            n_inv, inverse_fourier = fourier[n]
+            step = e // n
+            at_powers = [chibar[c] for c in row]
             mult: dict[int, int] = {}
-            for alpha in range(n):
-                total = 0
-                for t in range(n):
-                    total += chibar[power_classes[c][t]] * pow(zn, (-alpha * t) % n, p)
-                m_alpha = total % p * n_inv % p
+            for alpha, roots in enumerate(inverse_fourier):
+                m_alpha = sum(map(mul, at_powers, roots)) % p * n_inv % p
                 if m_alpha > d:
                     raise InternalInconsistency("Dixon: an eigenvalue multiplicity failed to lift")
                 if m_alpha:
-                    mult[alpha * (e // n) % e] = m_alpha
+                    mult[alpha * step] = m_alpha
             if sum(mult.values()) != d:
                 raise InternalInconsistency(
                     "Dixon: the eigenvalue multiplicities do not sum to the degree"
@@ -598,16 +632,19 @@ def frobenius_schur(table: CharacterTable, index: int) -> int:
     """(1/|G|) sum of chi(g^2); -1, 0 or 1.
 
     The sum is rational, so it is summed as (1/|G|) sum over classes c of
-    |c| times the Galois average of chi at the class of rep_c^2."""
+    |c| times the Galois average of chi at the class of rep_c^2, in integers
+    scaled by phi(e) (``galois_sum``)."""
     group = table.group
     squares = power_map(group, 2)
     values = table.irreducibles[index].values
-    q = sum(
-        size * values[squares[c]].galois_average() for c, size in enumerate(group.class_sizes)
-    ) / group.order
-    if q not in (-1, 0, 1):
+    total = sum(
+        size * values[squares[c]].galois_sum() for c, size in enumerate(group.class_sizes)
+    )
+    scale = _galois_weights(group.exponent)[0] * group.order
+    if total not in (-scale, 0, scale):
+        q = Fraction(total, scale)
         raise InternalInconsistency(f"Frobenius-Schur indicator must be -1, 0 or 1, not {q}")
-    return int(q)
+    return total // scale
 
 
 @lru_cache(maxsize=None)
@@ -621,14 +658,15 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     not certify their index.
 
     The orbit members are Galois conjugates with equal Galois averages, so
-    psi(c) = |orbit| * m * (the average of chi(c)), in integers.  Two
-    certificates check it: every value is an integer, and
-    sum |c| psi(c)^2 = |G| m^2 |orbit|, which fails for a sum over part of
-    an orbit.
+    psi(c) = |orbit| * m * (the average of chi(c)), summed in integers
+    scaled by phi(e) (``galois_sum``).  Two certificates check it: every
+    value is an integer, and sum |c| psi(c)^2 = |G| m^2 |orbit|, which
+    fails for a sum over part of an orbit.
     """
     group = table.group
     e = group.exponent
     k = len(group.classes)
+    phi_e = _galois_weights(e)[0]
     units = [u for u in range(1, e + 1) if gcd(u, e) == 1]
     twists = _twist(table.irreducibles, *(power_map(group, u) for u in units))
 
@@ -644,13 +682,13 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
         degree = table.degrees[i]
         unverified = fs == 0 and degree > 1
         scale = len(orbit_t) * schur
-        sums = [scale * v.galois_average() for v in table.irreducibles[i].values]
-        norm = sum(size * q * q for size, q in zip(group.class_sizes, sums))
-        if any(q.denominator != 1 for q in sums) or norm != group.order * schur * scale:
+        sums = [scale * v.galois_sum() for v in table.irreducibles[i].values]
+        values = [s // phi_e for s in sums]
+        norm = sum(size * q * q for size, q in zip(group.class_sizes, values))
+        if any(s % phi_e for s in sums) or norm != group.order * schur * scale:
             raise InternalInconsistency(
                 "a Galois orbit sum must be integral, of norm |G| m^2 |orbit|"
             )
-        values = [q.numerator for q in sums]
         if degree % schur:
             raise InternalInconsistency("the Schur index must divide the degree")
         out.append(

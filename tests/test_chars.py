@@ -313,6 +313,17 @@ def test_trivial_rational_character_comes_first():
         assert rational_characters(character_table(catalog_group(name)))[0].orbit == (0,)
 
 
+def test_trivial_group_table_is_one_linear_character():
+    # 1 divides p - 1 for every prime p, so the Dixon prime is found at once
+    assert chars._dixon_prime(1, 1) == 3
+    G = group_from_generators([parse_permutation("()", 2)])
+    table = character_table(G)
+    assert G.order == 1 and table.degrees == (1,) and table.dual == (0,)
+    assert [v.multiplicities for v in table.irreducibles[0].values] == [((0, 1),)]
+    (rc,) = rational_characters(table)
+    assert (rc.psi.values, rc.orbit, rc.schur_index, rc.multiplicity_n) == ((1,), (0,), 1, 1)
+
+
 def test_tables_hash_by_identity(monkeypatch):
     # a table built outside the cache, so rational_characters computes anew
     table = chars.character_table.__wrapped__(catalog_group("A4"))
@@ -354,9 +365,21 @@ REPO = Path(__file__).resolve().parents[1]
 build_table = character_table.__wrapped__  # bypass the cache, so plants take effect
 
 
-def _identity_class_constants(group):
+def _identity_class_matrix(group, i, class_of_images):
     k = len(group.classes)
-    return [[[int(i == j) for j in range(k)] for i in range(k)] for _ in range(k)]
+    return [[int(r == c) for c in range(k)] for r in range(k)]
+
+
+def _plant_corrupted_charpoly(monkeypatch):
+    # one more in the constant coefficient: the roots found are not the
+    # eigenvalues, so their eigenspaces do not cover the space
+    real = chars._charpoly
+
+    def corrupted(R, p):
+        poly = real(R, p)
+        return [(poly[0] + 1) % p] + poly[1:]
+
+    monkeypatch.setattr(chars, "_charpoly", corrupted)
 
 
 def _plant_scaled_central_characters(monkeypatch):
@@ -384,7 +407,8 @@ def _plant(name, value):
 
 DIXON_PLANTS = [
     ("C4", _plant("_eigenvalues", lambda R, p: []), "failed to diagonalise"),
-    ("S3", _plant("_class_constants", _identity_class_constants), "not separated"),
+    ("C4", _plant_corrupted_charpoly, "a class matrix failed to diagonalise"),
+    ("S3", _plant("_class_matrix", _identity_class_matrix), "not separated"),
     ("C2", _plant_vanishing_eigenvector, "vanishes on the identity class"),
     ("A4", _plant_scaled_central_characters, "degree recovery failed"),
     ("Q8", _plant_dropped_central_character, "sum of squares"),

@@ -335,6 +335,40 @@ def test_exit_7_from_the_rank_z2_certificate(monkeypatch, capsys):
     assert err.startswith("InternalInconsistency: rank of Z2 must be even")
 
 
+TRIVIAL_GROUP_SURFACE = """\
+[group]
+generators = (1)(2)
+
+[curve1]
+genus0 = 1
+handles = () ; ()
+monodromies =
+orders =
+
+[curve2]
+genus0 = 1
+handles = () ; ()
+monodromies =
+orders =
+"""
+
+
+def test_analyze_the_trivial_group_terminates(tmp_path):
+    # the Dixon prime for exponent 1 was once searched for without end
+    path = tmp_path / "trivial.surface"
+    path.write_text(TRIVIAL_GROUP_SURFACE, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqsurf.cli", "analyze", str(path)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "group: custom group (order 1, degree 2, 1 classes, exponent 1)" in proc.stdout
+
+
 def test_acceptance_suite_passes_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,14 +1,15 @@
 """Rational characters from Galois averages against the ``Cyclotomic`` path.
 
 ``rational_characters`` and ``frobenius_schur`` sum Galois averages of the
-eigenvalue multisets in Fractions, ``power_map`` reads the group's
-power-class table, and ``chars._class_constants`` takes one inverse per
-element.  The references below are the paths they replace: orbit sums and
-indicators added up in Q(zeta_e), a power map from ``rep ** k`` and class
-constants with one inverse per class representative and element.  They are
-compared on the catalog groups and on thirteen permutation groups built from
-generators.  A last test checks that the CLI builds no ``Cyclotomic`` on the
-report paths.
+eigenvalue multisets in integers scaled by phi(e), ``power_map`` reads the
+group's power-class table, and ``chars._class_matrix`` builds one class
+matrix when Dixon's split reaches it, composing image tuples of the
+elements of the inverse class.  The references below are the paths they
+replace: orbit sums and indicators added up in Q(zeta_e), a power map from
+``rep ** k`` and class constants with one inverse per class representative
+and element.  They are compared on the catalog groups and on thirteen
+permutation groups built from generators.  A last test checks that the CLI
+builds no ``Cyclotomic`` on the report paths.
 """
 
 import os
@@ -186,10 +187,12 @@ def test_galois_average_of_roots_of_unity():
 
 # -- table kernel -----------------------------------------------------------------
 
-@pytest.mark.parametrize("name", CATALOG_NAMES + ("S4", "S5", "C2xD8"))
+@pytest.mark.parametrize("name", NAMES)
 def test_class_constants_match_per_representative_inverses(name):
     G = group(name)
-    assert chars._class_constants(G) == reference_class_constants(G)
+    class_of_images = {g.images: c for g, c in G._class_of.items()}
+    mats = [chars._class_matrix(G, i, class_of_images) for i in range(len(G.classes))]
+    assert mats == reference_class_constants(G)
 
 
 def test_power_class_table_is_built_once(monkeypatch):
