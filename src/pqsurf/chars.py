@@ -8,8 +8,11 @@ inversion over F_p, read from a table of the powers of zeta_e mod p.  No
 floating point is involved anywhere.  A class matrix is built only when
 the split reaches it, which stops once every common eigenspace has
 dimension 1, and its products are composed on image tuples, since only
-their classes are read.  The eigenvalues on each eigenspace are the roots
-of one characteristic polynomial, taken from a Hessenberg form mod p.
+their classes are read.  Each eigenspace is kept as a reduced echelon
+basis, so a vector's coordinates in it are its entries at the pivot
+columns, and a class matrix restricts to the space through its pivot rows
+alone.  The eigenvalues on each eigenspace are the roots of one
+characteristic polynomial, taken from a Hessenberg form mod p.
 
 Character values stay eigenvalue multisets.  Galois orbits are found by
 reading the multisets at power classes (``_twist``), and every rational
@@ -187,17 +190,6 @@ class ClassFunction:
     def value_cyc(self, class_index: int) -> Cyclotomic:
         return _as_cyclotomic(self.values[class_index], self.group.exponent)
 
-    def rational_values(self) -> tuple[Fraction, ...]:
-        if _rational_valued(self):
-            return tuple(Fraction(v) for v in self.values)
-        out = []
-        for i in range(len(self.values)):
-            q = self.value_cyc(i).as_rational()
-            if q is None:
-                raise ValueError("class function is not rational-valued")
-            out.append(q)
-        return tuple(out)
-
     def at(self, g: Permutation):
         return self.values[self.group.class_index(g)]
 
@@ -232,6 +224,8 @@ class RationalCharacter:
 # -- linear algebra over F_p ------------------------------------------------
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced echelon basis of the rows' span (its nonzero rows, each
+    with a leading 1) and the column of each leading 1."""
     rows = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
@@ -255,7 +249,7 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return rows[:r], pivots
 
 
 def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
@@ -330,24 +324,6 @@ def _eigenvalues(mat: list[list[int]], p: int) -> list[int]:
     return roots
 
 
-def _matvec(mat: list[list[int]], vec, p: int) -> list[int]:
-    return [sum(map(mul, row, vec)) % p for row in mat]
-
-
-def _coords_in_basis(basis: list, targets: list, p: int) -> list[list[int]]:
-    """Coordinates of each target vector in the span of ``basis``."""
-    k = len(basis[0])
-    m = len(basis)
-    rows = [[basis[s][i] for s in range(m)] + [t[i] for t in targets] for i in range(k)]
-    red, pivots = _rref(rows, p)
-    if pivots[:m] != list(range(m)):
-        raise InternalInconsistency("Dixon: eigenspace basis vectors are dependent")
-    coords = []
-    for t in range(len(targets)):
-        coords.append([red[r][m + t] for r in range(m)])
-    return coords
-
-
 # -- Dixon's method ------------------------------------------------------------
 
 def _dixon_prime(order: int, exponent: int) -> int:
@@ -409,53 +385,48 @@ def _central_characters(group: Group, p: int) -> list[list[int]]:
     identity-class coordinate is 1; these are the central characters mod p.
 
     The class matrices split the common eigenspaces in class order, and
-    each is built only when a space of dimension > 1 is left to split."""
+    each is built only when a space of dimension > 1 is left to split.
+    Every space is kept as its reduced echelon basis and pivot columns
+    (``_rref``), so the coordinates of a vector in the space are its
+    entries at the pivots: the restriction of A to the space is
+    R[s][t] = A[pivots[s]] . basis[t], with no elimination."""
     k = len(group.classes)
     class_of_images = {g.images: c for g, c in group._class_of.items()}
-    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     for i in range(1, k):
-        if all(len(s) == 1 for s in spaces):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
         A = _class_matrix(group, i, class_of_images)
-        refined: list[list[list[int]]] = []
-        for basis in spaces:
-            if len(basis) == 1:
-                refined.append(basis)
-                continue
-            images = [_matvec(A, v, p) for v in basis]
-            coords = _coords_in_basis(basis, images, p)
+        refined = []
+        for basis, pivots in spaces:
             m = len(basis)
-            # restriction matrix: column t = coords of A * basis[t]
-            R = [[coords[t][s] for t in range(m)] for s in range(m)]
+            if m == 1:
+                refined.append((basis, pivots))
+                continue
+            R = [[sum(map(mul, A[c], v)) % p for v in basis] for c in pivots]
+            columns = list(zip(*basis))
             covered = 0
             for lam in _eigenvalues(R, p):
-                shifted = [[(R[r][c] - (lam if r == c else 0)) % p for c in range(m)] for r in range(m)]
-                kern_basis = _kernel(shifted, p)
-                if not kern_basis:
+                shifted = [[(x - lam * (r == c)) % p for c, x in enumerate(row)]
+                           for r, row in enumerate(R)]
+                coeffs = _kernel(shifted, p)
+                if not coeffs:
                     continue
-                covered += len(kern_basis)
-                ambient = []
-                for coeffs in kern_basis:
-                    v = [0] * k
-                    for t, c in enumerate(coeffs):
-                        if c:
-                            for idx in range(k):
-                                v[idx] = (v[idx] + c * basis[t][idx]) % p
-                    ambient.append(v)
-                refined.append(ambient)
+                # the eigenvectors: each coefficient vector applied to the basis
+                space = _rref([[sum(map(mul, cs, col)) % p for col in columns] for cs in coeffs], p)
+                # count pivots, not vectors: a repeated vector adds no dimension
+                covered += len(space[1])
+                refined.append(space)
             if covered != m:
                 raise InternalInconsistency("Dixon: a class matrix failed to diagonalise")
         spaces = refined
-    if not all(len(s) == 1 for s in spaces):
+    if not all(len(basis) == 1 for basis, _ in spaces):
         raise InternalInconsistency("Dixon: the central characters are not separated")
-    omegas = []
-    for basis in spaces:
-        v = basis[0]
-        if not v[0] % p:
-            raise InternalInconsistency("Dixon: an eigenvector vanishes on the identity class")
-        inv = pow(v[0], -1, p)
-        omegas.append([x * inv % p for x in v])
-    return omegas
+    # a one-row echelon basis has its leading 1 at the identity class unless
+    # the eigenvector vanishes there
+    if any(pivots != [0] for _, pivots in spaces):
+        raise InternalInconsistency("Dixon: an eigenvector vanishes on the identity class")
+    return [basis[0] for basis, _ in spaces]
 
 
 @lru_cache(maxsize=None)

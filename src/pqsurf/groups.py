@@ -28,7 +28,6 @@ class Group:
         self.identity: Permutation = self.elements[0]
         self.degree: int = self.identity.degree
         self.order: int = len(self.elements)
-        self._index = {g: i for i, g in enumerate(self.elements)}
         classes, to_rep = _conjugacy_classes(self.elements, self.generators)
         self.classes: tuple[tuple[Permutation, ...], ...] = classes
         # g -> y with y g y^-1 the representative of g's class
@@ -65,7 +64,7 @@ class Group:
         return f"Group(order={self.order}, degree={self.degree}, classes={len(self.classes)})"
 
     def __contains__(self, g) -> bool:
-        return isinstance(g, Permutation) and g in self._index
+        return isinstance(g, Permutation) and g in self._class_of
 
     def __iter__(self):
         return iter(self.elements)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .chars import (
-    ClassFunction,
     character_table,
     inner_product,
     rational_characters,
@@ -118,17 +117,12 @@ class PairingReport:
 
 def _rank_z2(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     group = require_same_group(gv1, gv2)
-    chi1 = hurwitz_character(gv1)
-    chi2 = hurwitz_character(gv2)
-    product = ClassFunction(
-        group,
-        tuple(a * b for a, b in zip(chi1.rational_values(), chi2.rational_values())),
-    )
-    trivial = ClassFunction(group, tuple([1] * len(group.classes)))
-    total = inner_product(product, trivial)
-    if total.denominator != 1:
+    # <chi1 chi2, 1>: the Hurwitz characters are integer-valued
+    values = zip(group.class_sizes, hurwitz_character(gv1).values, hurwitz_character(gv2).values)
+    total, rest = divmod(sum(size * a * b for size, a, b in values), group.order)
+    if rest:
         raise InternalInconsistency("rank of Z must be an integer")
-    rank = int(total) - 4 * gv1.base_genus * gv2.base_genus
+    rank = total - 4 * gv1.base_genus * gv2.base_genus
     if rank < 0 or rank % 2:
         raise InternalInconsistency(f"rank of Z2 must be even and nonnegative, not {rank}")
     return rank

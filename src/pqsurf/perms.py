@@ -110,6 +110,13 @@ class Permutation:
         return self.images <= other.images
 
 
+def _point(token: str, text: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise NonPermutation(f"point {token.strip()!r} is not an integer in {text!r}") from None
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(1,2)(3,4)" or an image array like "[2,1,4,3]".
 
@@ -120,7 +127,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         return Permutation.identity(degree)
     if s.startswith("["):
         body = s.strip("[]")
-        imgs = [int(tok) for tok in body.split(",") if tok.strip()]
+        imgs = [_point(tok, text) for tok in body.split(",") if tok.strip()]
         if len(imgs) != degree:
             raise NonPermutation(f"image array has length {len(imgs)}, expected {degree}")
         return Permutation(imgs)
@@ -132,7 +139,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     for body in _CYCLE_RE.findall(s):
         if not body.strip():
             continue
-        pts = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+        pts = [_point(tok, text) for tok in re.split(r"[,\s]+", body.strip()) if tok]
         if any(p < 1 or p > degree for p in pts):
             raise NonPermutation(f"point out of range 1..{degree} in {text!r}")
         if len(set(pts)) != len(pts) or seen & set(pts):

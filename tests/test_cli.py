@@ -369,6 +369,28 @@ def test_analyze_the_trivial_group_terminates(tmp_path):
     assert "group: custom group (order 1, degree 2, 1 classes, exponent 1)" in proc.stdout
 
 
+@pytest.mark.parametrize("edit", [
+    ("name = V4", "generators = [2,1,x]"),
+    ("monodromies = (1,2)(3,4) ; (1,2)(3,4)", "monodromies = (1,a) ; (1,2)(3,4)"),
+], ids=["generators", "monodromies"])
+def test_a_point_that_is_not_an_integer_is_exit_3(tmp_path, edit):
+    path = tmp_path / "bad.surface"
+    path.write_text((SURFACES / "v4.surface").read_text(encoding="utf-8").replace(*edit),
+                    encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqsurf.cli", "analyze", str(path)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("NonPermutation: point ")
+    assert "is not an integer" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_acceptance_suite_passes_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,17 +1,20 @@
 """Dixon's method and the rational characters against the paths they replace.
 
 ``chars._central_characters`` builds a class matrix (``_class_matrix``) only
-when the split reaches it, composing its products on image tuples, and
-takes each eigenspace's eigenvalues from one characteristic polynomial
-(``_charpoly``, read off a Hessenberg form mod p).  ``character_table``
-lifts the values with a table of the powers of zeta mod p, and
-``rational_characters`` and ``frobenius_schur`` add up Galois averages in
-integers scaled by phi(e).  The references below are the earlier paths: all
-k class matrices built up front from ``Permutation`` products, eigenvalues
-from m + 1 determinants and Lagrange interpolation, a lift that calls
-``pow`` for every term, and Galois sums in Fractions.  They are compared on
-the 22 groups of ``test_galois_sums``, and the characteristic polynomial on
-seeded random matrices mod p.
+when the split reaches it, composing its products on image tuples, keeps
+each eigenspace as a reduced echelon basis and reads the restriction of a
+class matrix off its pivot rows, and takes each eigenspace's eigenvalues
+from one characteristic polynomial (``_charpoly``, read off a Hessenberg
+form mod p).  ``character_table`` lifts the values with a table of the
+powers of zeta mod p, and ``rational_characters`` and ``frobenius_schur``
+add up Galois averages in integers scaled by phi(e).  The references below
+are the earlier paths: all k class matrices built up front from
+``Permutation`` products, the restriction solved for in the coordinates of
+each basis vector's image, eigenvalues from m + 1 determinants and Lagrange
+interpolation, a lift that calls ``pow`` for every term, and Galois sums in
+Fractions.  They are compared on the 22 groups of ``test_galois_sums`` (the
+central characters also on S6 and C4 x C4 x C2), and the characteristic
+polynomial on seeded random matrices mod p.
 """
 
 import random
@@ -28,7 +31,8 @@ from pqsurf.chars import (
     frobenius_schur,
     rational_characters,
 )
-from pqsurf.groups import power_map
+from pqsurf.groups import group_from_generators, power_map
+from pqsurf.perms import parse_permutation
 from test_galois_sums import NAMES, group
 
 
@@ -105,6 +109,20 @@ def reference_eigenvalues(mat, p):
     return roots
 
 
+def reference_matvec(mat, vec, p):
+    return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]
+
+
+def reference_coords_in_basis(basis, targets, p):
+    """Coordinates of each target vector in the span of ``basis``, by row
+    reducing the k x (m + targets) matrix of basis and target columns."""
+    k, m = len(basis[0]), len(basis)
+    rows = [[basis[s][i] for s in range(m)] + [t[i] for t in targets] for i in range(k)]
+    red, pivots = chars._rref(rows, p)
+    assert pivots[:m] == list(range(m)), "eigenspace basis vectors are dependent"
+    return [[red[r][m + t] for r in range(m)] for t in range(len(targets))]
+
+
 def reference_central_characters(G, p):
     """The central characters, and how many class matrices the split used."""
     k = len(G.classes)
@@ -120,7 +138,7 @@ def reference_central_characters(G, p):
             if len(basis) == 1:
                 refined.append(basis)
                 continue
-            coords = chars._coords_in_basis(basis, [chars._matvec(A, v, p) for v in basis], p)
+            coords = reference_coords_in_basis(basis, [reference_matvec(A, v, p) for v in basis], p)
             m = len(basis)
             R = [[coords[t][s] for t in range(m)] for s in range(m)]
             for lam in reference_eigenvalues(R, p):
@@ -221,9 +239,21 @@ def reference_rational_characters(table):
 
 # -- differential tests -----------------------------------------------------------
 
-@pytest.mark.parametrize("name", NAMES)
+# groups with more classes, for the central characters alone: S6 (k = 11)
+# and C4 x C4 x C2 (k = 32)
+LARGER = {
+    "S6": (6, ("(1,2)", "(1,2,3,4,5,6)")),
+    "C4xC4xC2": (10, ("(1,2,3,4)", "(5,6,7,8)", "(9,10)")),
+}
+
+
+@pytest.mark.parametrize("name", NAMES + tuple(LARGER))
 def test_central_characters_match_all_matrices_and_interpolation(name):
-    G = group(name)
+    if name in LARGER:
+        degree, gens = LARGER[name]
+        G = group_from_generators([parse_permutation(g, degree) for g in gens])
+    else:
+        G = group(name)
     p = chars._dixon_prime(G.order, G.exponent)
     assert chars._central_characters(G, p) == reference_central_characters(G, p)[0]
 

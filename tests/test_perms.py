@@ -41,6 +41,10 @@ def test_parse_rejects_garbage():
         parse_permutation("(1,9)", 4)  # out of range
     with pytest.raises(NonPermutation):
         Permutation((1, 1, 3))
+    with pytest.raises(NonPermutation, match=r"point 'a' is not an integer in '\(1,a\)'"):
+        parse_permutation("(1,a)", 4)
+    with pytest.raises(NonPermutation, match="point 'x' is not an integer"):
+        parse_permutation("[2,1,x]", 3)
 
 
 def test_cycles_start_at_smallest_point():
