@@ -20,8 +20,8 @@ quantity built from the values (orbit sums, Frobenius-Schur indicators) is
 a sum of Galois averages, added up in integers scaled by phi(e): a rational
 sum of roots of unity equals its Galois average, and zeta_e^a averages to
 mu(n)/phi(n) with n = e/gcd(a, e), so phi(e) mu(n)/phi(n) is an integer.
-Elements of Q(zeta_e) (``Cyclotomic``) are built only on demand, for
-equality, hashing and class functions that are not rational.
+Trace coordinates t_k = Tr(x zeta_e^-k), the same weights on the multiset
+shifted by -k (``_traces``), decide equality, hashing and rationality.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
-from .cyclo import Cyclotomic, _root_power
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
 from .groups import Group, power_map
 from .perms import Permutation
@@ -48,10 +47,10 @@ class CyclotomicValue:
     eigenvalues zeta_order^a occur.
 
     Rational quantities are read off the multiset by ``galois_average``.
-    The element of Q(zeta_order) is built on first use by ``as_cyclotomic``,
-    equality or hashing, and then kept.  Two values compare equal when they
-    agree as cyclotomic numbers (i.e. after reduction by the cyclotomic
-    relations).
+    Equality, hashing and ``as_rational`` read the integer trace coordinates
+    t_k = Tr(x zeta_order^-k) (``_traces``), kept after first use: the trace
+    form is nondegenerate, so values of one order are equal exactly when
+    their coordinates are.
     """
 
     order: int
@@ -62,34 +61,25 @@ class CyclotomicValue:
             raise ValueError("negative eigenvalue multiplicity")
 
     @cached_property
-    def _number(self) -> Cyclotomic:
-        coords = [0] * len(_root_power(self.order, 0))
-        for exp, count in self.multiplicities:
-            for i, c in enumerate(_root_power(self.order, exp)):
-                coords[i] += count * c
-        return Cyclotomic(self.order, coords)
+    def _t(self) -> tuple[int, ...]:
+        return _traces(self.order, self.multiplicities)
 
     @classmethod
     def from_dict(cls, order: int, mapping) -> "CyclotomicValue":
         items = tuple(sorted((int(a) % order, int(m)) for a, m in mapping.items() if m))
         return cls(order, items)
 
-    def as_cyclotomic(self) -> Cyclotomic:
-        return self._number
-
     def as_rational(self) -> Fraction | None:
-        return self._number.as_rational()
+        return _rational(self.order, self._t)
 
     def degree(self) -> int:
         return sum(m for _, m in self.multiplicities)
 
     def galois_sum(self) -> int:
-        """phi(order) times the mean of the value's Galois conjugates, an
-        integer: sum of m_a phi(order) mu(n_a)/phi(n_a) with
-        n_a = order/gcd(a, order).  A sum of values that is rational equals
-        the sum of their averages."""
-        weights = _galois_weights(self.order)[1]
-        return sum(m * weights[a] for a, m in self.multiplicities)
+        """phi(order) times the mean of the value's Galois conjugates: the
+        trace t_0, an integer (``_galois_weights``).  A sum of values that
+        is rational equals the sum of their averages."""
+        return _trace(self.order, self.multiplicities, 0)
 
     def galois_average(self) -> Fraction:
         """The mean of the value's Galois conjugates, a rational number."""
@@ -112,13 +102,14 @@ class CyclotomicValue:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicValue):
-            return self._number == other._number
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self._number == other
+            return self.order == other.order and self._t == other._t
+        if isinstance(other, (int, Fraction)):
+            return self.as_rational() == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._number)
+        q = self.as_rational()
+        return hash(self._t) if q is None else hash(q)
 
     def __repr__(self) -> str:
         body = ",".join(f"{a}:{m}" for a, m in self.multiplicities)
@@ -157,17 +148,34 @@ def _galois_weights(e: int) -> tuple[int, tuple[int, ...]]:
     return phi_e, tuple(weights)
 
 
+def _trace(e: int, terms, k: int):
+    """Tr(x zeta_e^-k) for x = sum of c zeta_e^a over the (a, c) in terms:
+    sum of c w[(a - k) mod e], since Tr(zeta_e^j) is the Galois weight w[j]."""
+    weights = _galois_weights(e)[1]
+    return sum(c * weights[(a - k) % e] for a, c in terms)
+
+
+def _traces(e: int, terms) -> tuple:
+    """The trace coordinates (t_0, ..., t_(e-1)) of x, t_k = Tr(x zeta_e^-k)."""
+    return tuple(_trace(e, terms, k) for k in range(e))
+
+
+def _rational(e: int, t) -> Fraction | None:
+    """x from its trace coordinates t if rational (t_k = x w[-k]), else None."""
+    phi_e, weights = _galois_weights(e)
+    if any(t_k * phi_e != t[0] * weights[-k] for k, t_k in enumerate(t)):
+        return None
+    return Fraction(t[0], phi_e)
+
+
 def _rational_valued(cf) -> bool:
     """Whether every value of the class function is an int or a Fraction."""
     return all(isinstance(v, (int, Fraction)) for v in cf.values)
 
 
-def _as_cyclotomic(value, order: int) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    if isinstance(value, CyclotomicValue):
-        return value.as_cyclotomic()
-    return Cyclotomic.from_rational(order, value)
+def _terms(value):
+    """A class-function value as the (a, c) pairs of sum c zeta_e^a."""
+    return value.multiplicities if isinstance(value, CyclotomicValue) else ((0, value),)
 
 
 # -- class functions -----------------------------------------------------------
@@ -176,8 +184,8 @@ def _as_cyclotomic(value, order: int) -> Cyclotomic:
 class ClassFunction:
     """Values indexed by conjugacy class, in the group's canonical class order.
 
-    Values may be ints, Fractions, Cyclotomic numbers, or CyclotomicValue
-    eigenvalue multisets; arithmetic promotes as needed.
+    Values may be ints, Fractions or CyclotomicValue eigenvalue multisets,
+    the latter compared by their trace coordinates.
     """
 
     group: Group
@@ -186,9 +194,6 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != len(self.group.classes):
             raise ValueError("one value per conjugacy class required")
-
-    def value_cyc(self, class_index: int) -> Cyclotomic:
-        return _as_cyclotomic(self.values[class_index], self.group.exponent)
 
     def at(self, g: Permutation):
         return self.values[self.group.class_index(g)]
@@ -548,8 +553,9 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 
     When both arguments are rational-valued (every value an int or a
     Fraction) the values are scaled to integers by the least common
-    denominator of each argument and summed in integers; otherwise the sum
-    runs in the cyclotomic field."""
+    denominator of each argument and summed in integers; otherwise the
+    multisets are convolved class by class, conj(zeta^j) being zeta^-j, and
+    the sum is read off by ``_rational``."""
     if a.group != b.group:
         raise GroupMismatch("class functions live over different groups")
     group = a.group
@@ -561,14 +567,18 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
             for size, x, y in zip(group.class_sizes, a.values, b.values)
         )
         return Fraction(total, group.order * den_a * den_b)
-    total = Cyclotomic.zero(group.exponent)
-    for c in range(len(group.classes)):
-        term = a.value_cyc(c) * b.value_cyc(c).conjugate()
-        total = total + term.scale(group.class_sizes[c])
-    q = total.scale(Fraction(1, group.order)).as_rational()
+    e = group.exponent
+    if any(isinstance(v, CyclotomicValue) and v.order != e for v in a.values + b.values):
+        raise ValueError("mixed cyclotomic orders")
+    total = [0] * e
+    for size, x, y in zip(group.class_sizes, a.values, b.values):
+        for i, m in _terms(x):
+            for j, n in _terms(y):
+                total[(i - j) % e] += size * m * n
+    q = _rational(e, _traces(e, list(enumerate(total))))
     if q is None:
         raise ValueError("inner product is not rational")
-    return q
+    return q / group.order
 
 
 def induced_trivial(group: Group, subgroup) -> ClassFunction:

@@ -1,8 +1,10 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Exact arithmetic in cyclotomic fields Q(zeta_e), the tests' reference.
 
 Elements are stored as rational coordinate vectors on the power basis
 1, zeta, ..., zeta^(phi(e)-1) of Z[x]/(Phi_e), so equality of coordinate
-tuples is equality of field elements.
+tuples is equality of field elements.  pqsurf compares character values by
+their trace coordinates instead; the tests check those comparisons, and
+the sums they replace, against arithmetic in the field.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalInconsistency
+from pqsurf.chars import CyclotomicValue
+from pqsurf.errors import InternalInconsistency
 
 
 @lru_cache(maxsize=None)
@@ -158,3 +161,22 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return f"Cyclotomic(e={self.order}, {list(self.coeffs)})"
+
+
+def as_cyclotomic(value, order: int) -> Cyclotomic:
+    """A class-function value as an element of Q(zeta_order): an int or a
+    Fraction as itself, a ``CyclotomicValue`` as the sum of its eigenvalue
+    multiset."""
+    if not isinstance(value, CyclotomicValue):
+        return Cyclotomic.from_rational(order, value)
+    coords = [0] * len(_root_power(value.order, 0))
+    for exp, count in value.multiplicities:
+        for i, c in enumerate(_root_power(value.order, exp)):
+            coords[i] += count * c
+    return Cyclotomic(value.order, coords)
+
+
+def value_cyc(cf, class_index: int) -> Cyclotomic:
+    """The value of a class function at a class, in Q(zeta_e), e the
+    group's exponent."""
+    return as_cyclotomic(cf.values[class_index], cf.group.exponent)

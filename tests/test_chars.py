@@ -17,7 +17,6 @@ from pqsurf.chars import (
     inner_product,
     rational_characters,
 )
-from pqsurf.cyclo import Cyclotomic
 from pqsurf.errors import GroupMismatch, InternalInconsistency, NotASubgroup
 from pqsurf.groups import (
     CATALOG_NAMES,
@@ -27,6 +26,9 @@ from pqsurf.groups import (
     power_map,
 )
 from pqsurf.perms import parse_permutation
+
+from cyclotomic_reference import Cyclotomic, value_cyc
+from test_trace_values import check_trace_values
 
 ABELIAN = ("C2", "C4", "C6", "V4")
 
@@ -116,7 +118,7 @@ def test_second_orthogonality(name):
         for c2 in range(k):
             total = Cyclotomic.zero(e)
             for cf in ct.irreducibles:
-                total = total + cf.value_cyc(c1) * cf.value_cyc(c2).conjugate()
+                total = total + value_cyc(cf, c1) * value_cyc(cf, c2).conjugate()
             expected = G.order // G.class_sizes[c1] if c1 == c2 else 0
             assert total == expected
 
@@ -138,7 +140,7 @@ def test_inner_product_element_wise_oracle():
     raw = Cyclotomic.zero(G.exponent)
     for g in G.elements:
         c = G.class_index(g)
-        raw = raw + chi.value_cyc(c) * chi.value_cyc(G.class_index(g.inverse()))
+        raw = raw + value_cyc(chi, c) * value_cyc(chi, G.class_index(g.inverse()))
     assert raw.scale(Fraction(1, G.order)).as_rational() == inner_product(chi, chi)
 
 
@@ -259,7 +261,7 @@ def test_eigenvalue_multiplicities_reconstruct_values():
                     total = Cyclotomic.zero(G.exponent)
                     for a, m in mult.items():
                         total = total + Cyclotomic.root(G.exponent, a * t * (G.exponent // n)).scale(m)
-                    assert total == ct.irreducibles[i].value_cyc(G.class_index(rep ** t))
+                    assert total == value_cyc(ct.irreducibles[i], G.class_index(rep ** t))
 
 
 def _induced_by_conjugation(G, sub):
@@ -343,23 +345,14 @@ def test_tables_hash_by_identity(monkeypatch):
     )
 
 
-def test_table_certifies_its_trivial_character(monkeypatch):
-    # an order that sorts the trivial character last; the group is one no
-    # other test builds, so its table is not cached yet
-    monkeypatch.setattr(
-        chars.CyclotomicValue, "sort_key", lambda v: tuple((-a, m) for a, m in v.multiplicities)
-    )
-    G = group_from_generators([parse_permutation("(5,6,7)", 7)])
-    with pytest.raises(InternalInconsistency, match="trivial"):
-        character_table(G)
-
-
 # -- certificates with a planted fault -----------------------------------------
 #
 # Each plant breaks one step of Dixon's method, the Frobenius-Schur sum, the
 # Galois orbit sums or the dual map, and the certificate after it must raise
-# InternalInconsistency.  The tests check only through ``pytest.raises``, so
-# they keep their meaning under ``python -O``, which strips ``assert``.
+# InternalInconsistency; a plant in the trace coordinates must fail the
+# comparison with Q(zeta_e) (``check_trace_values``).  The tests check only
+# through ``pytest.raises``, so they keep their meaning under ``python -O``,
+# which strips ``assert``.
 
 REPO = Path(__file__).resolve().parents[1]
 build_table = character_table.__wrapped__  # bypass the cache, so plants take effect
@@ -509,7 +502,12 @@ def test_planted_truncated_orbit_is_internal_inconsistency(monkeypatch, name):
         rational_characters.__wrapped__(table)
 
 
-TRIVIAL_PLANT_GROUPS = ("S3", "Q8")
+TRIVIAL_PLANT_GROUPS = {
+    "S3": lambda: catalog_group("S3"),
+    "Q8": lambda: catalog_group("Q8"),
+    # a 3-cycle on 7 points
+    "C3deg7": lambda: group_from_generators([parse_permutation("(5,6,7)", 7)]),
+}
 
 
 @planted
@@ -520,7 +518,7 @@ def test_planted_trivial_character_fault_is_internal_inconsistency(monkeypatch, 
         chars.CyclotomicValue, "sort_key", lambda v: tuple((-a, m) for a, m in v.multiplicities)
     )
     with pytest.raises(InternalInconsistency, match="not the trivial one"):
-        build_table(catalog_group(name))
+        build_table(TRIVIAL_PLANT_GROUPS[name]())
 
 
 @planted
@@ -548,10 +546,44 @@ def test_planted_dual_map_fault_is_internal_inconsistency():
         chars._dual_map(table.irreducibles, (1, 1, 1, 2), power_map(c4, -1))
 
 
+def _trace_shift_flipped(e, terms, k):
+    weights = chars._galois_weights(e)[1]
+    return sum(c * weights[(a + k) % e] for a, c in terms)
+
+
+def _trace_unshifted(e, terms, k):
+    weights = chars._galois_weights(e)[1]
+    return sum(c * weights[a] for a, c in terms)
+
+
+# An unshifted trace makes every t_k equal t_0, so no nonzero rational value
+# reads as rational.  A flipped shift gives t(conj x), which decides ==,
+# hashing and rationality just as well, so only the coordinates show it,
+# and only on a table with values that are not real (S3 and Q8 have none).
+TRACE_PLANTS = [
+    ("S3", _trace_unshifted),
+    ("Q8", _trace_unshifted),
+    ("C4", _trace_shift_flipped),
+    ("A4", _trace_shift_flipped),
+]
+
+
+@planted
+@pytest.mark.parametrize(
+    "name, plant", TRACE_PLANTS, ids=[f"{n}-{p.__name__[7:]}" for n, p in TRACE_PLANTS]
+)
+def test_planted_trace_fault_fails_the_field_comparison(monkeypatch, name, plant):
+    values = [v for cf in character_table(catalog_group(name)).irreducibles for v in cf.values]
+    monkeypatch.setattr(chars, "_trace", plant)
+    with pytest.raises(AssertionError, match="disagree with Q\\(zeta_e\\)"):
+        check_trace_values(values)
+
+
 def test_planted_faults_raise_under_python_O():
     env = dict(os.environ)
+    # src for pqsurf, tests for the reference arithmetic the tests import
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+        p for p in (str(REPO / "src"), str(REPO / "tests"), env.get("PYTHONPATH")) if p
     )
 
     def pytest_O(*args):

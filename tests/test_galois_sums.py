@@ -1,4 +1,4 @@
-"""Rational characters from Galois averages against the ``Cyclotomic`` path.
+"""Rational characters from Galois averages against sums in Q(zeta_e).
 
 ``rational_characters`` and ``frobenius_schur`` sum Galois averages of the
 eigenvalue multisets in integers scaled by phi(e), ``power_map`` reads the
@@ -9,9 +9,10 @@ replace: orbit sums and indicators added up in Q(zeta_e), a power map from
 ``rep ** k`` and class constants with one inverse per class representative
 and element.  They are compared on the catalog groups and on thirteen
 permutation groups built from generators.  A last test checks that the CLI
-builds no ``Cyclotomic`` on the report paths.
+builds no trace-coordinate vector (``chars._traces``) on the report paths.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,9 +32,10 @@ from pqsurf.chars import (
     frobenius_schur,
     rational_characters,
 )
-from pqsurf.cyclo import Cyclotomic
 from pqsurf.groups import CATALOG_NAMES, catalog_group, group_from_generators, power_map
 from pqsurf.perms import Permutation, parse_permutation
+
+from cyclotomic_reference import Cyclotomic, as_cyclotomic, value_cyc
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -85,7 +87,7 @@ def reference_frobenius_schur(table, index):
     total = Cyclotomic.zero(G.exponent)
     chi = table.irreducibles[index]
     for c in range(len(G.classes)):
-        total = total + chi.value_cyc(squares[c]).scale(G.class_sizes[c])
+        total = total + value_cyc(chi, squares[c]).scale(G.class_sizes[c])
     q = total.scale(Fraction(1, G.order)).as_rational()
     assert q is not None and q in (-1, 0, 1)
     return int(q)
@@ -113,7 +115,7 @@ def reference_rational_characters(table):
         for c in range(k):
             total = Cyclotomic.zero(e)
             for j in orbit:
-                total = total + table.irreducibles[j].value_cyc(c)
+                total = total + value_cyc(table.irreducibles[j], c)
             q = total.scale(schur).as_rational()
             assert q is not None and q.denominator == 1
             values.append(int(q))
@@ -181,7 +183,7 @@ def test_galois_average_of_roots_of_unity():
     units = [u for u in range(1, e) if gcd(u, e) == 1]
     total = Cyclotomic.zero(e)
     for u in units:
-        total = total + value.as_cyclotomic().galois(u)
+        total = total + as_cyclotomic(value, e).galois(u)
     assert total.scale(Fraction(1, len(units))).as_rational() == value.galois_average()
 
 
@@ -212,21 +214,21 @@ def test_power_class_table_is_built_once(monkeypatch):
     assert G._power_classes is table
 
 
-# -- no Cyclotomic on the report paths ---------------------------------------------
+# -- no trace-coordinate vectors on the report paths -----------------------------
 
 COUNT_SCRIPT = """
 import contextlib, io, sys
-from pqsurf import cyclo
+from pqsurf import chars
 from pqsurf.cli import main
 
 built = [0]
-init = cyclo.Cyclotomic.__init__
+traces = chars._traces
 
-def counting(self, *args):
+def counting(*args):
     built[0] += 1
-    init(self, *args)
+    return traces(*args)
 
-cyclo.Cyclotomic.__init__ = counting
+chars._traces = counting
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
@@ -235,6 +237,8 @@ for argv in {argvs!r}:
 
 
 def test_reports_build_no_cyclotomic():
+    # the field arithmetic is not shipped at all
+    assert importlib.util.find_spec("pqsurf.cyclo") is None
     argvs = [["reproduce-tables", "--format", "json"]] + [
         ["analyze", str(REPO / "surfaces" / name), "--format", fmt]
         for name in sorted(os.listdir(REPO / "surfaces"))

@@ -24,6 +24,8 @@ from pqsurf.errors import SizeLimit
 from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
 from pqsurf.perms import Permutation, parse_permutation
 
+from cyclotomic_reference import value_cyc
+
 # degree and generators of the benchmark's scale-analyze groups
 GENERATED = {
     "S4": (4, ("(1,2)", "(1,2,3,4)")),
@@ -108,7 +110,7 @@ def reference_orbits(table):
     e = G.exponent
     k = len(G.classes)
     key_to_index = {
-        tuple(cf.value_cyc(c) for c in range(k)): i for i, cf in enumerate(table.irreducibles)
+        tuple(value_cyc(cf, c) for c in range(k)): i for i, cf in enumerate(table.irreducibles)
     }
     power_maps = [reference_power_map(G, u) for u in range(1, e + 1) if gcd(u, e) == 1]
     orbits = []
@@ -116,7 +118,7 @@ def reference_orbits(table):
     for i, cf in enumerate(table.irreducibles):
         if i in seen:
             continue
-        orbit = {key_to_index[tuple(cf.value_cyc(pm[c]) for c in range(k))] for pm in power_maps}
+        orbit = {key_to_index[tuple(value_cyc(cf, pm[c]) for c in range(k))] for pm in power_maps}
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return tuple(sorted(orbits))
@@ -125,10 +127,10 @@ def reference_orbits(table):
 def reference_dual(table):
     k = len(table.group.classes)
     key_to_index = {
-        tuple(cf.value_cyc(c) for c in range(k)): i for i, cf in enumerate(table.irreducibles)
+        tuple(value_cyc(cf, c) for c in range(k)): i for i, cf in enumerate(table.irreducibles)
     }
     return tuple(
-        key_to_index[tuple(cf.value_cyc(c).conjugate() for c in range(k))]
+        key_to_index[tuple(value_cyc(cf, c).conjugate() for c in range(k))]
         for cf in table.irreducibles
     )
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import pytest
 
+from pqsurf import chars
 from pqsurf.catalog import ROWS, row_witnesses
 from pqsurf.chars import (
     ClassFunction,
@@ -27,12 +28,13 @@ from pqsurf.chars import (
     rational_characters,
 )
 from pqsurf.covering import GeneratingVector, hurwitz_character, search_generating_vectors, validate
-from pqsurf.cyclo import Cyclotomic
 from pqsurf.errors import NotGenerating
 from pqsurf.groups import CATALOG_NAMES, catalog_group, group_from_generators
 from pqsurf.jacobian import _rank_z2, isotypical_dimensions
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import _chevalley_weil, geometric_genus
+
+from cyclotomic_reference import Cyclotomic, value_cyc
 from test_consistency import _basket_pairs
 
 
@@ -58,7 +60,7 @@ def reference_holomorphic_values(gv):
         total = Cyclotomic.zero(gv.group.exponent)
         for i, n in enumerate(reference_chevalley_weil(gv)):
             if n:
-                total = total + table.irreducibles[i].value_cyc(c).scale(n)
+                total = total + value_cyc(table.irreducibles[i], c).scale(n)
         values.append(total)
     return values
 
@@ -78,7 +80,7 @@ def reference_inner_product(a, b):
     group = a.group
     total = Cyclotomic.zero(group.exponent)
     for c, size in enumerate(group.class_sizes):
-        total = total + (a.value_cyc(c) * b.value_cyc(c).conjugate()).scale(size)
+        total = total + (value_cyc(a, c) * value_cyc(b, c).conjugate()).scale(size)
     q = total.scale(Fraction(1, group.order)).as_rational()
     assert q is not None
     return q
@@ -247,7 +249,7 @@ def test_isotypical_and_rank_z2_build_no_cyclotomic(monkeypatch):
     del gv1._memo[isotypical_dimensions.__wrapped__]
 
     def refuse(*args):
-        raise AssertionError("a Cyclotomic was built")
+        raise AssertionError("a trace-coordinate vector was built")
 
-    monkeypatch.setattr(Cyclotomic, "__init__", refuse)
+    monkeypatch.setattr(chars, "_traces", refuse)
     assert (_rank_z2(gv1, gv2), isotypical_dimensions(gv1)) == expected
