@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -23,7 +22,6 @@ from .jacobian import (
     motive_h2_decomposition,
 )
 from .lattice import GUARANTEED, CRITERION_NOT_SATISFIED
-from .perms import Permutation
 from .surface import RANK_NEW_NOTE, SurfaceReport, chevalley_weil, invariants
 
 
@@ -105,14 +103,6 @@ def analyze_pair(gv1: GeneratingVector, gv2: GeneratingVector, group_label: str 
 
 
 # -- serialization ----------------------------------------------------------
-
-def _encode(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, Permutation):
-        return value.cycle_string()
-    raise TypeError(f"cannot encode {type(value)!r}")
-
 
 def _character_table_dict(table: CharacterTable) -> dict:
     return {
@@ -243,7 +233,7 @@ def to_json_dict(analysis: Analysis) -> dict:
 
 
 def to_json(analysis: Analysis) -> str:
-    return json.dumps(to_json_dict(analysis), indent=2, sort_keys=True, default=_encode) + "\n"
+    return json.dumps(to_json_dict(analysis), indent=2, sort_keys=True) + "\n"
 
 
 def render_text(analysis: Analysis) -> str:

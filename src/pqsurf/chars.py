@@ -366,22 +366,24 @@ def _primitive_root(p: int) -> int:
     raise ArithmeticError("no primitive root found")  # pragma: no cover
 
 
-def _class_matrix(group: Group, i: int, class_of_images: dict) -> list[list[int]]:
+def _class_matrix(group: Group, i: int) -> list[list[int]]:
     """mat[j][l] = #{x in class i : x^-1 z in class j}, z the representative
     of class l.
 
     The inverses x^-1 make up the class inverse to class i, and only the
-    class of each product is read, so the products are composed on image
-    tuples and looked up in ``class_of_images`` (image tuple -> class)."""
+    class of each product is read, so each product is composed as a plain
+    image tuple, with no bijection check, and looked up in
+    ``group._class_of``: a permutation hashes and compares as its images."""
     k = len(group.classes)
     inverses = group.classes[power_map(group, -1)[i]]
+    class_of = group._class_of
     mat = [[0] * k for _ in range(k)]
     for l, z in enumerate(group.class_reps):
         # y -> the images of y * z; a group with two classes has degree >= 2,
         # so itemgetter returns a tuple
-        compose = itemgetter(*(t - 1 for t in z.images))
+        compose = itemgetter(*(t - 1 for t in z))
         for y in inverses:
-            mat[class_of_images[compose(y.images)]][l] += 1
+            mat[class_of[compose(y)]][l] += 1
     return mat
 
 
@@ -396,12 +398,11 @@ def _central_characters(group: Group, p: int) -> list[list[int]]:
     entries at the pivots: the restriction of A to the space is
     R[s][t] = A[pivots[s]] . basis[t], with no elimination."""
     k = len(group.classes)
-    class_of_images = {g.images: c for g, c in group._class_of.items()}
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     for i in range(1, k):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        A = _class_matrix(group, i, class_of_images)
+        A = _class_matrix(group, i)
         refined = []
         for basis, pivots in spaces:
             m = len(basis)

@@ -245,8 +245,8 @@ def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, 
 # -- exhaustive search -------------------------------------------------------
 
 def _canonical(group: Group, vec: tuple[Permutation, ...]) -> tuple:
-    """The image tuples of the lexicographically smallest simultaneous
-    conjugate x vec x^-1 over x in G.
+    """The lexicographically smallest simultaneous conjugate x vec x^-1
+    over x in G, as a tuple of permutations (compared as image tuples).
 
     Its first entry is the smallest element of vec[0]'s class, the class
     representative rep, and the x that move vec[0] there form the coset
@@ -260,8 +260,8 @@ def _canonical(group: Group, vec: tuple[Permutation, ...]) -> tuple:
     y = group._to_rep[vec[0]]
     yi = y.inverse()
     rest = [y * g * yi for g in vec[1:]]
-    return (group.class_reps[idx].images,) + min(
-        tuple((c * g * ci).images for g in rest) for c, ci in group._centralizer(idx)
+    return (group.class_reps[idx],) + min(
+        tuple(c * g * ci for g in rest) for c, ci in group._centralizer(idx)
     )
 
 

@@ -11,11 +11,9 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import NonPermutation, NotInGroup, SizeLimit, UnknownName
-from .perms import Permutation
+from .perms import Permutation, parse_permutation
 
 DEFAULT_ORDER_CAP = 10_000
-
-CATALOG_NAMES = ("C2", "C4", "C6", "V4", "S3", "D4", "Q8", "A4", "C4xC2semiC2")
 
 
 class Group:
@@ -64,6 +62,10 @@ class Group:
         return f"Group(order={self.order}, degree={self.degree}, classes={len(self.classes)})"
 
     def __contains__(self, g) -> bool:
+        """Whether g is a Permutation in the group.  An element equals the
+        plain tuple of its images, but such a tuple is not a member: nothing
+        checked that it is a bijection, and it has no product, inverse or
+        order, so it would fail only later, in the code it was passed to."""
         return isinstance(g, Permutation) and g in self._class_of
 
     def __iter__(self):
@@ -137,7 +139,7 @@ def _conjugacy_classes(elements, generators):
                     orbit.append(z)
                     frontier.append(z)
         classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: (c[0].order(), c[0].images))
+    classes.sort(key=lambda c: (c[0].order(), c[0]))
     return tuple(classes), to_rep
 
 
@@ -195,71 +197,36 @@ def power_map(group: Group, k: int) -> tuple[int, ...]:
 
 # -- catalog ----------------------------------------------------------------
 
-def _regular_generators(elements, mul, gens):
-    """Left-multiplication permutations of abstractly given generators.
+# name -> (degree, generators).  Q8 and C4xC2semiC2 act regularly, by left
+# multiplication on their elements sorted as exponent tuples, so that the
+# identity sits at point 1:
+#   Q8: x^a y^b with x^4 = 1, y^2 = x^2, y x y^-1 = x^-1; generators x, y;
+#   C4xC2semiC2, the central product of a dihedral group of order 8 with C4:
+#   w^a x^b z^c with w central of order 4, x^2 = z^2 = 1, z x = w^2 x z;
+#   generators w, x, z.
+_CATALOG = {
+    "C2": (2, ["(1,2)"]),
+    "C4": (4, ["(1,2,3,4)"]),
+    "C6": (6, ["(1,2,3,4,5,6)"]),
+    "V4": (4, ["(1,2)(3,4)", "(1,3)(2,4)"]),
+    "S3": (3, ["(1,2)", "(1,2,3)"]),
+    "D4": (4, ["(1,2,3,4)", "(1,3)"]),
+    "Q8": (8, ["(1,3,5,7)(2,4,6,8)", "(1,2,5,6)(3,8,7,4)"]),
+    "A4": (4, ["(1,2)(3,4)", "(1,2,3)"]),
+    "C4xC2semiC2": (16, [
+        "(1,5,9,13)(2,6,10,14)(3,7,11,15)(4,8,12,16)",
+        "(1,3)(2,4)(5,7)(6,8)(9,11)(10,12)(13,15)(14,16)",
+        "(1,2)(3,12)(4,11)(5,6)(7,16)(8,15)(9,10)(13,14)",
+    ]),
+}
 
-    ``elements`` must be sorted; positions are 1-based so that the identity
-    (smallest element) sits at point 1.
-    """
-    index = {x: i + 1 for i, x in enumerate(elements)}
-    perms = []
-    for s in gens:
-        images = [0] * len(elements)
-        for x in elements:
-            images[index[x] - 1] = index[mul(s, x)]
-        perms.append(Permutation(images))
-    return perms
-
-
-def _quaternion_generators():
-    # Elements x^a y^b with x^4 = 1, y^2 = x^2, y x y^-1 = x^-1.
-    els = sorted((a, b) for a in range(4) for b in range(2))
-
-    def mul(u, v):
-        a, b = u
-        c, d = v
-        a2 = (a + (c if b == 0 else -c) + (2 if b and d else 0)) % 4
-        return (a2, (b + d) % 2)
-
-    return _regular_generators(els, mul, [(1, 0), (0, 1)])
-
-
-def _pauli_generators():
-    # Central product of a dihedral group of order 8 with C4: elements
-    # w^a x^b z^c with w central of order 4, x^2 = z^2 = 1, z x = w^2 x z.
-    els = sorted((a, b, c) for a in range(4) for b in range(2) for c in range(2))
-
-    def mul(u, v):
-        a1, b1, c1 = u
-        a2, b2, c2 = v
-        return ((a1 + a2 + 2 * c1 * b2) % 4, (b1 + b2) % 2, (c1 + c2) % 2)
-
-    return _regular_generators(els, mul, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-
-
-def _catalog_generators(name: str):
-    if name == "C2":
-        return [Permutation((2, 1))]
-    if name == "C4":
-        return [Permutation((2, 3, 4, 1))]
-    if name == "C6":
-        return [Permutation((2, 3, 4, 5, 6, 1))]
-    if name == "V4":
-        return [Permutation((2, 1, 4, 3)), Permutation((3, 4, 1, 2))]
-    if name == "S3":
-        return [Permutation((2, 1, 3)), Permutation((2, 3, 1))]
-    if name == "D4":
-        return [Permutation((2, 3, 4, 1)), Permutation((3, 2, 1, 4))]
-    if name == "A4":
-        return [Permutation((2, 1, 4, 3)), Permutation((2, 3, 1, 4))]
-    if name == "Q8":
-        return _quaternion_generators()
-    if name == "C4xC2semiC2":
-        return _pauli_generators()
-    raise UnknownName(f"unknown catalog group {name!r}; known: {', '.join(CATALOG_NAMES)}")
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 @lru_cache(maxsize=None)
 def catalog_group(name: str) -> Group:
     """Fixed permutation realization of a named group; stable across runs."""
-    return group_from_generators(_catalog_generators(name))
+    if name not in _CATALOG:
+        raise UnknownName(f"unknown catalog group {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    degree, gens = _CATALOG[name]
+    return group_from_generators([parse_permutation(g, degree) for g in gens])

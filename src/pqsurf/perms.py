@@ -1,4 +1,4 @@
-"""Permutations on {1..n} as immutable image tuples."""
+"""Permutations on {1..n}: a permutation is its image tuple."""
 
 from __future__ import annotations
 
@@ -10,42 +10,49 @@ from .errors import NonPermutation
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-class Permutation:
-    """A bijection of {1..n}, stored as the tuple (p(1), ..., p(n)).
+class Permutation(tuple):
+    """A bijection of {1..n}: the tuple (p(1), ..., p(n)) of its images.
 
+    Equality, hashing and ordering are the image tuple's, so a permutation
+    is a key of any table indexed by image tuples.  Every construction,
+    products and inverses included, checks that the images are a bijection.
     Composition is functional: ``(a * b)(x) = a(b(x))``.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images) -> None:
+    def __new__(cls, images) -> "Permutation":
         imgs = tuple(int(x) for x in images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise NonPermutation(f"not a permutation of 1..{len(imgs)}: {imgs}")
-        object.__setattr__(self, "images", imgs)
+        return super().__new__(cls, imgs)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Permutation is immutable")
+    @property
+    def images(self) -> tuple[int, ...]:
+        """The images as a plain tuple."""
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(1, degree + 1))
 
     def __call__(self, point: int) -> int:
-        return self.images[point - 1]
+        return self[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
+        if not isinstance(other, Permutation):
+            raise TypeError(f"cannot compose a Permutation with {type(other).__name__}")
+        if len(self) != len(other):
             raise NonPermutation("degree mismatch in composition")
-        return Permutation(tuple(self.images[i - 1] for i in other.images))
+        return Permutation([self[i - 1] for i in other])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images, start=1):
+        inv = [0] * len(self)
+        for i, img in enumerate(self, start=1):
             inv[img - 1] = i
         return Permutation(inv)
 
@@ -65,7 +72,7 @@ class Permutation:
         return powers[k % len(powers)]
 
     def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
+        return all(img == i for i, img in enumerate(self, start=1))
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
@@ -96,18 +103,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}]"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
 
 
 def _point(token: str, text: str) -> int:

@@ -366,7 +366,7 @@ def planted(test):
     return test
 
 
-def _identity_class_matrix(group, i, class_of_images):
+def _identity_class_matrix(group, i):
     k = len(group.classes)
     return [[int(r == c) for c in range(k)] for r in range(k)]
 

@@ -343,9 +343,9 @@ def built(monkeypatch):
     classes = []
     real = chars._class_matrix
 
-    def recording(G, i, lookup):
+    def recording(G, i):
         classes.append(i)
-        return real(G, i, lookup)
+        return real(G, i)
 
     monkeypatch.setattr(chars, "_class_matrix", recording)
     return classes

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqsurf.covering import GeneratingVector
 from pqsurf.errors import NotInGroup, SizeLimit, UnknownName
 from pqsurf.groups import (
     CATALOG_NAMES,
@@ -55,6 +56,52 @@ def test_catalog_basics():
         catalog_group("M11")
 
 
+# name -> (order, class sizes in class order, exponent), from the standard
+# character tables of these groups
+CATALOG_INVARIANTS = {
+    "C2": (2, (1, 1), 2),
+    "C4": (4, (1, 1, 1, 1), 4),
+    "C6": (6, (1,) * 6, 6),
+    "V4": (4, (1, 1, 1, 1), 2),
+    "S3": (6, (1, 3, 2), 6),
+    "D4": (8, (1, 2, 2, 1, 2), 4),
+    "Q8": (8, (1, 1, 2, 2, 2), 4),
+    "A4": (12, (1, 3, 4, 4), 6),
+    "C4xC2semiC2": (16, (1, 2, 2, 2, 1, 2, 1, 2, 2, 1), 4),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_invariants(name):
+    G = catalog_group(name)
+    assert (G.order, G.class_sizes, G.exponent) == CATALOG_INVARIANTS[name]
+
+
+def _acts_regularly(G):
+    orbit = {g(1) for g in G.elements}
+    return G.order == G.degree and orbit == set(range(1, G.degree + 1))
+
+
+def test_quaternion_generators_satisfy_the_presentation():
+    G = catalog_group("Q8")
+    one = G.identity
+    x, y = G.generators
+    assert x ** 4 == one and x ** 2 != one
+    assert y * y == x * x
+    assert y * x * y.inverse() == x.inverse()
+    assert _acts_regularly(G)
+
+
+def test_central_product_generators_satisfy_the_presentation():
+    G = catalog_group("C4xC2semiC2")
+    one = G.identity
+    w, x, z = G.generators
+    assert w.order() == 4 and all(w * g == g * w for g in G.elements)
+    assert x * x == one != x and z * z == one != z
+    assert z * x == w ** 2 * x * z
+    assert _acts_regularly(G)
+
+
 def test_catalog_is_deterministic():
     a = catalog_group("D4")
     catalog_group.cache_clear()
@@ -84,6 +131,18 @@ def test_element_order_and_cyclic_subgroup():
 
     with pytest.raises(NotInGroup):
         cyclic_subgroup(G, parse_permutation("(1,2)", 4))
+
+
+def test_a_plain_tuple_is_not_an_element():
+    # an element equals the tuple of its images, but membership asks for a
+    # permutation
+    G = catalog_group("C2")
+    assert (2, 1) == G.elements[1]
+    assert (2, 1) not in G and G.elements[1] in G
+    with pytest.raises(NotInGroup):
+        G.require((2, 1))
+    with pytest.raises(NotInGroup):
+        GeneratingVector(G, 0, (), ((2, 1), G.elements[1]), (2, 2))
 
 
 def test_centralizer_order():

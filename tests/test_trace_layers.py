@@ -5,24 +5,30 @@ times, and binds the arguments of ``search_generating_vectors`` by name to
 record the scan size.  A renamed or deleted function would break
 ``bench/run.py --trace 1`` only when that command runs; these checks catch
 it in the test suite.  ``spans.py`` imports only the standard library, so it
-is loaded by path.
+is loaded by path, and so is ``child.py``, whose JSON form of a search
+result reads each permutation's images.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from pqsurf import covering
 from pqsurf.groups import catalog_group
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load("spans")
 
 
 def test_every_layer_names_a_pqsurf_callable():
@@ -45,3 +51,18 @@ def test_search_span_binds_its_arguments():
     # the scan: |G|^2 handle pairs, the one monodromy forced by the relation
     assert attrs == {"orbits": len(vectors), "scan": G.order ** 2}
     assert vectors == covering.search_generating_vectors(G, 1, (2,))
+
+
+def test_child_writes_search_results_as_json_lists():
+    child = load("child")
+    G = catalog_group("A4")
+    vectors = covering.search_generating_vectors(G, 1, (2,))
+    out = child._search_output(vectors)
+    assert len(out) == len(vectors) > 0
+    for gv, flat in zip(vectors, out):
+        assert len(flat) == 3  # one handle pair and one monodromy
+        for images in flat:
+            assert type(images) is list and all(type(x) is int for x in images)
+        points = range(1, G.degree + 1)
+        assert flat == [[p(i) for i in points] for p in gv.listed_elements()]
+    assert json.loads(json.dumps(out)) == out
