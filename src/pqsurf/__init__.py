@@ -17,7 +17,6 @@ from .chars import (
     CyclotomicValue,
     RationalCharacter,
     character_table,
-    eigenvalue_multiplicities,
     frobenius_schur,
     induced_trivial,
     inner_product,
@@ -35,7 +34,6 @@ from .covering import (
 from .groups import (
     Group,
     catalog_group,
-    centralizer_order,
     cyclic_subgroup,
     group_from_generators,
     power_map,
@@ -88,7 +86,6 @@ __all__ = [
     "CyclotomicValue",
     "RationalCharacter",
     "character_table",
-    "eigenvalue_multiplicities",
     "frobenius_schur",
     "induced_trivial",
     "inner_product",
@@ -102,7 +99,6 @@ __all__ = [
     "validate",
     "Group",
     "catalog_group",
-    "centralizer_order",
     "cyclic_subgroup",
     "group_from_generators",
     "power_map",

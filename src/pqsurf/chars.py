@@ -34,7 +34,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
-from .groups import Group, power_map
+from .groups import Group, _closure, permutation_character, power_map
 from .perms import Permutation
 
 
@@ -87,18 +87,6 @@ class CyclotomicValue:
 
     def sort_key(self):
         return self.multiplicities
-
-    def restricted(self, n: int) -> dict[int, int]:
-        """Relabel the eigenvalue exponents modulo n for an element of order n."""
-        step = self.order // n
-        if self.order % n:
-            raise ValueError("n must divide the ambient order")
-        out: dict[int, int] = {}
-        for exp, count in self.multiplicities:
-            if exp % step:
-                raise ValueError("value is not supported on n-th roots of unity")
-            out[exp // step] = out.get(exp // step, 0) + count
-        return out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicValue):
@@ -583,31 +571,18 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 
 
 def induced_trivial(group: Group, subgroup) -> ClassFunction:
-    """Character of G induced from the trivial character of a subgroup.
+    """Character of G induced from the trivial character of a subgroup H,
+    counted from the class of each element of H (``permutation_character``).
 
-    At g it is |C_G(g)| |g^G & H| / |H|, so only the class of each element of
-    H is needed: #{x : x^-1 g x in H} = |C_G(g)| |g^G & H| with
-    |C_G(g)| = |G| / |g^G|."""
+    The set is a subgroup exactly when the closure it generates is itself,
+    which rejects the empty set and a set without the identity too."""
     sub = frozenset(subgroup)
-    if not sub or any(h not in group for h in sub):
+    if any(h not in group for h in sub):
         raise NotASubgroup("subgroup elements must belong to the group")
-    for a in sub:
-        if a.inverse() not in sub:
-            raise NotASubgroup("set is not closed under inversion")
-        for b in sub:
-            if a * b not in sub:
-                raise NotASubgroup("set is not closed under composition")
-    h = len(sub)
-    hits = [0] * len(group.classes)
-    for x in sub:
-        hits[group.class_index(x)] += 1
-    values = []
-    for c, size in enumerate(group.class_sizes):
-        count, rest = divmod(group.order * hits[c], size)
-        if rest or count % h:
-            raise InternalInconsistency("induced character value must be an integer")
-        values.append(count // h)
-    return ClassFunction(group, tuple(values))
+    if _closure(sub, group.identity, len(sub) + 1) != sub:
+        raise NotASubgroup("set is not closed under the group operations")
+    values = permutation_character(group, [group._class_of[x] for x in sub], len(sub))
+    return ClassFunction(group, values)
 
 
 def frobenius_schur(table: CharacterTable, index: int) -> int:
@@ -685,11 +660,3 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     out.sort(key=lambda rc: rc.orbit[0])
     return tuple(out)
 
-
-def eigenvalue_multiplicities(table: CharacterTable, index: int, g: Permutation) -> dict[int, int]:
-    """Multiplicities of the eigenvalues zeta_n^a of the index-th irreducible
-    at g, n = ord(g); recovered exactly from the stored eigenvalue multisets."""
-    group = table.group
-    c = group.class_index(g)
-    value = table.irreducibles[index].values[c]
-    return value.restricted(g.order())

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .chars import ClassFunction, induced_trivial
+from .chars import ClassFunction
 from .errors import (
     GroupMismatch,
     IdentityElement,
@@ -31,7 +31,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TrivialMonodromy,
 )
-from .groups import Group, cyclic_subgroup
+from .groups import Group, cyclic_subgroup, permutation_character
 from .perms import Permutation
 
 DEFAULT_SEARCH_LIMIT = 10 ** 8
@@ -144,21 +144,15 @@ def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
     nontrivial element lie there, so off the identity class this is the
     number of points of the covering curve it fixes.
 
-    Ind_{<c>}^G 1 at class k is |G| #{t < m : c^t in k} / (|k| m), the
-    classes of the powers c^t read off the group's power-class table; a
-    division that is not exact raises InternalInconsistency."""
+    The elements of <c> are the powers c^t, t < m, whose classes are the
+    row of c's class in the group's power-class table, so each term is the
+    ``permutation_character`` of that row."""
     validate(gv)
     group = gv.group
     counts = [0] * len(group.classes)
     for c, m in zip(gv.monodromies, gv.orders):
-        hits = [0] * len(group.classes)
-        for k in group._power_classes[group._class_of[c]]:
-            hits[k] += 1
-        for k, h in enumerate(hits):
-            value, rest = divmod(group.order * h, group.class_sizes[k] * m)
-            if rest:
-                raise InternalInconsistency("induced character value must be an integer")
-            counts[k] += value
+        induced = permutation_character(group, group._power_classes[group._class_of[c]], m)
+        counts = [a + b for a, b in zip(counts, induced)]
     return tuple(counts)
 
 
@@ -166,10 +160,12 @@ def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
 def hurwitz_character(gv: GeneratingVector) -> ClassFunction:
     """Character of the group action on H^1 of the covering curve:
     2*triv + 2(g0-1)*regular + sum_i (regular - induced from <c_i>), that is
-    2*triv + (2g0 - 2 + r)*regular minus the fixed-point counts."""
+    2*triv + (2g0 - 2 + r)*regular minus the fixed-point counts.  The
+    regular character is the ``permutation_character`` of the trivial
+    subgroup, whose one element lies in the identity class."""
     validate(gv)
     group = gv.group
-    regular = induced_trivial(group, (group.identity,)).values
+    regular = permutation_character(group, (0,), 1)
     weight = 2 * gv.base_genus - 2 + gv.num_branch_points
     values = tuple(
         2 + weight * reg - fixed

@@ -56,7 +56,10 @@ class SurfaceDescription:
     aux: Optional[tuple[GroupSpec, CurveSpec]] = None
 
 
-def _split_perms(raw: str) -> tuple[str, ...]:
+def _split_perms(raw) -> tuple[str, ...]:
+    """The permutations of a JSON list, or of a ';'-separated string."""
+    if isinstance(raw, (list, tuple)):
+        return tuple(str(p) for p in raw)
     return tuple(p.strip() for p in raw.split(";") if p.strip())
 
 
@@ -100,16 +103,8 @@ def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
         return CurveSpec(genus0, None, None, None, _split_ints(data["search"], f"[{section}] search"))
     if "monodromies" not in data or "orders" not in data:
         raise ParseError(f"[{section}] explicit vectors need monodromies and orders")
-    handles_raw = data.get("handles", "")
-    if isinstance(handles_raw, (list, tuple)):
-        handles = tuple(str(h) for h in handles_raw)
-    else:
-        handles = _split_perms(handles_raw)
-    monos_raw = data["monodromies"]
-    if isinstance(monos_raw, (list, tuple)):
-        monos = tuple(str(c) for c in monos_raw)
-    else:
-        monos = _split_perms(monos_raw)
+    handles = _split_perms(data.get("handles", ""))
+    monos = _split_perms(data["monodromies"])
     orders = _split_ints(data["orders"], f"[{section}] orders")
     if len(handles) != 2 * genus0:
         raise ParseError(f"[{section}] needs {2 * genus0} handle entries, got {len(handles)}")
@@ -127,10 +122,7 @@ def _group_from_mapping(data: dict) -> GroupSpec:
     if (name is None) == (gens is None):
         raise ParseError("[group] requires exactly one of name or generators")
     if gens is not None:
-        if isinstance(gens, (list, tuple)):
-            gens = tuple(str(g) for g in gens)
-        else:
-            gens = _split_perms(gens)
+        gens = _split_perms(gens)
         if not gens:
             raise ParseError("[group] generators list is empty")
     return GroupSpec(str(name) if name is not None else None, gens)
@@ -140,7 +132,7 @@ def parse_description(path) -> SurfaceDescription:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -167,12 +159,15 @@ def _from_mappings(payload: dict) -> SurfaceDescription:
     for required in ("group", "curve1", "curve2"):
         if required not in payload:
             raise ParseError(f"missing [{required}] section")
-    group = _group_from_mapping(dict(payload["group"]))
-    curve1 = _curve_from_mapping("curve1", dict(payload["curve1"]))
-    curve2 = _curve_from_mapping("curve2", dict(payload["curve2"]))
+    for section, data in payload.items():
+        if not isinstance(data, dict):
+            raise ParseError(f"[{section}] must be a mapping, not {type(data).__name__}")
+    group = _group_from_mapping(payload["group"])
+    curve1 = _curve_from_mapping("curve1", payload["curve1"])
+    curve2 = _curve_from_mapping("curve2", payload["curve2"])
     fmt = "text"
     if "options" in payload:
-        opts = dict(payload["options"])
+        opts = payload["options"]
         unknown = set(opts) - _OPTION_KEYS
         if unknown:
             raise ParseError(f"[options] has unknown keys: {', '.join(sorted(unknown))}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .errors import NonPermutation, NotInGroup, SizeLimit, UnknownName
+from .errors import InternalInconsistency, NonPermutation, NotInGroup, SizeLimit, UnknownName
 from .perms import Permutation, parse_permutation
 
 DEFAULT_ORDER_CAP = 10_000
@@ -184,9 +184,24 @@ def cyclic_subgroup(group: Group, g: Permutation) -> frozenset[Permutation]:
     return frozenset(g.powers())
 
 
-def centralizer_order(group: Group, g: Permutation) -> int:
-    """|C_G(g)| = |G| / |g^G| (orbit-stabilizer)."""
-    return group.order // group.class_sizes[group.class_index(g)]
+def permutation_character(group: Group, classes, h: int) -> tuple[int, ...]:
+    """Ind_H^G 1 on each class of G, for a subgroup H of order h given by the
+    class index of each of its elements (repeats allowed).
+
+    At an element g of class c it is #{x : x^-1 g x in H} / h
+    = |C_G(g)| |c & H| / h with |C_G(g)| = |G| / |c|, so it needs only the
+    number of elements of H in each class.  A division that is not exact
+    raises InternalInconsistency."""
+    hits = [0] * len(group.classes)
+    for c in classes:
+        hits[c] += 1
+    values = []
+    for count, size in zip(hits, group.class_sizes):
+        value, rest = divmod(group.order * count, size * h)
+        if rest:
+            raise InternalInconsistency("induced character value must be an integer")
+        values.append(value)
+    return tuple(values)
 
 
 def power_map(group: Group, k: int) -> tuple[int, ...]:

@@ -116,13 +116,12 @@ class PairingReport:
 
 
 def _rank_z2(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
-    group = require_same_group(gv1, gv2)
-    # <chi1 chi2, 1>: the Hurwitz characters are integer-valued
-    values = zip(group.class_sizes, hurwitz_character(gv1).values, hurwitz_character(gv2).values)
-    total, rest = divmod(sum(size * a * b for size, a, b in values), group.order)
-    if rest:
+    require_same_group(gv1, gv2)
+    # rank Z = <chi1 chi2, 1> = <chi1, chi2>, since the Hurwitz characters are real
+    rank_z = inner_product(hurwitz_character(gv1), hurwitz_character(gv2))
+    if rank_z.denominator != 1:
         raise InternalInconsistency("rank of Z must be an integer")
-    rank = total - 4 * gv1.base_genus * gv2.base_genus
+    rank = rank_z.numerator - 4 * gv1.base_genus * gv2.base_genus
     if rank < 0 or rank % 2:
         raise InternalInconsistency(f"rank of Z2 must be even and nonnegative, not {rank}")
     return rank

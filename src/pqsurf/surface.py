@@ -25,17 +25,19 @@ H^0(C_i, Omega^1),
 
     p_g = dim (H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2}))^G = sum_chi a1(chi) a2(chi-bar),
 
-an integer sum over the character table.  The Euler characteristic comes
-from the Lefschetz average over the group.
+an integer sum over the character table.  Each a_i(chi) is read off the
+eigenvalue multisets that the table stores at the monodromy classes, as
+powers of zeta_e, and summed in integers scaled by e.  The Euler
+characteristic comes from the Lefschetz average over the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
-from .chars import character_table, eigenvalue_multiplicities
+from .chars import character_table
 from .covering import (
     GeneratingVector,
     fixed_point_counts,
@@ -154,21 +156,19 @@ def chevalley_weil(gv: GeneratingVector) -> dict[int, int]:
 
 @per_vector
 def _chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
-    # the multiplicity times L = lcm(m_i), summed in integers
+    # the multiplicity times e, summed in integers: the table stores chi(c) as
+    # its eigenvalues zeta_e^a, and zeta_e^a = zeta_m^alpha with alpha/m = a/e
     validate(gv)
-    table = character_table(gv.group)
-    g0 = gv.base_genus
-    big = lcm(*gv.orders)
+    group = gv.group
+    table = character_table(group)
+    e = group.exponent
+    classes = [group._class_of[c] for c in gv.monodromies]
     out = []
-    for i, d in enumerate(table.degrees):
-        total = d * (g0 - 1) * big
-        if i == 0:  # the trivial character
-            total += big
-        for c, m in zip(gv.monodromies, gv.orders):
-            mults = eigenvalue_multiplicities(table, i, c)
-            for alpha, count in mults.items():
-                total += count * alpha * (big // m)
-        n, rest = divmod(total, big)
+    for i, (cf, d) in enumerate(zip(table.irreducibles, table.degrees)):
+        total = e * (d * (gv.base_genus - 1) + (i == 0))  # i == 0: the trivial character
+        for k in classes:
+            total += sum(a * count for a, count in cf.values[k].multiplicities)
+        n, rest = divmod(total, e)
         if rest:
             raise InternalInconsistency("Chevalley-Weil multiplicity must be an integer")
         if n < 0:

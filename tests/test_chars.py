@@ -11,7 +11,6 @@ from pqsurf import chars
 from pqsurf.chars import (
     ClassFunction,
     character_table,
-    eigenvalue_multiplicities,
     frobenius_schur,
     induced_trivial,
     inner_product,
@@ -28,6 +27,7 @@ from pqsurf.groups import (
 from pqsurf.perms import parse_permutation
 
 from cyclotomic_reference import Cyclotomic, value_cyc
+from planted import PLANTED, all_test_modules, planted
 from test_trace_values import check_trace_values
 
 ABELIAN = ("C2", "C4", "C6", "V4")
@@ -230,13 +230,14 @@ def test_frobenius_schur_of_rational_valued_is_nonzero():
 
 
 def test_eigenvalue_multiplicities_examples():
+    # a value is stored as the multiset of its eigenvalues zeta_e^a, e = exp(G)
     q8 = catalog_group("Q8")
     ct = character_table(q8)
     minus_one = next(g for g in q8.elements if g.order() == 2)
     # trivial character: single eigenvalue 1
-    assert eigenvalue_multiplicities(ct, 0, minus_one) == {0: 1}
-    # degree-2 character at the central involution: both eigenvalues -1
-    assert eigenvalue_multiplicities(ct, ct.degrees.index(2), minus_one) == {1: 2}
+    assert ct.irreducibles[0].at(minus_one).multiplicities == ((0, 1),)
+    # degree-2 character at the central involution: both eigenvalues -1 = zeta_4^2
+    assert ct.irreducibles[ct.degrees.index(2)].at(minus_one).multiplicities == ((2, 2),)
 
     v4 = catalog_group("V4")
     ctv = character_table(v4)
@@ -244,23 +245,26 @@ def test_eigenvalue_multiplicities_examples():
     chi = next(
         i for i, cf in enumerate(ctv.irreducibles) if cf.at(t10) == -1
     )
-    assert eigenvalue_multiplicities(ctv, chi, t10) == {1: 1}
+    assert ctv.irreducibles[chi].at(t10).multiplicities == ((1, 1),)
 
 
 def test_eigenvalue_multiplicities_reconstruct_values():
     for name in ("S3", "Q8", "A4", "C4xC2semiC2"):
         G = catalog_group(name)
         ct = character_table(G)
+        e = G.exponent
         for i in range(len(ct.irreducibles)):
             for rep in G.class_reps:
                 n = rep.order()
-                mult = eigenvalue_multiplicities(ct, i, rep)
-                assert sum(mult.values()) == ct.degrees[i]
-                # chi(rep^t) = sum of zeta^(a t) over the eigenvalue multiset
+                value = ct.irreducibles[i].at(rep)
+                assert value.order == e and value.degree() == ct.degrees[i]
+                # the eigenvalues of rep are n-th roots of unity
+                assert all(a % (e // n) == 0 for a, _ in value.multiplicities)
+                # chi(rep^t) = sum of zeta_e^(a t) over the eigenvalue multiset
                 for t in range(n):
-                    total = Cyclotomic.zero(G.exponent)
-                    for a, m in mult.items():
-                        total = total + Cyclotomic.root(G.exponent, a * t * (G.exponent // n)).scale(m)
+                    total = Cyclotomic.zero(e)
+                    for a, m in value.multiplicities:
+                        total = total + Cyclotomic.root(e, a * t).scale(m)
                     assert total == value_cyc(ct.irreducibles[i], G.class_index(rep ** t))
 
 
@@ -356,14 +360,6 @@ def test_tables_hash_by_identity(monkeypatch):
 
 REPO = Path(__file__).resolve().parents[1]
 build_table = character_table.__wrapped__  # bypass the cache, so plants take effect
-# the names of the planted-fault tests, which ``test_planted_faults_raise_under_python_O``
-# reruns under ``python -O``
-PLANTED: set[str] = set()
-
-
-def planted(test):
-    PLANTED.add(test.__name__)
-    return test
 
 
 def _identity_class_matrix(group, i):
@@ -580,6 +576,15 @@ def test_planted_trace_fault_fails_the_field_comparison(monkeypatch, name, plant
 
 
 def test_planted_faults_raise_under_python_O():
+    """Every test registered with ``@planted``, in any test module, passes
+    under ``python -O``.  A test named for a plant must be registered."""
+    named = {
+        f"tests/{Path(module.__file__).name}::{name}"
+        for module in all_test_modules()
+        for name in vars(module)
+        if name.startswith("test_") and "planted" in name and "python_O" not in name
+    }
+    assert named <= PLANTED, named - PLANTED
     env = dict(os.environ)
     # src for pqsurf, tests for the reference arithmetic the tests import
     env["PYTHONPATH"] = os.pathsep.join(
@@ -589,15 +594,14 @@ def test_planted_faults_raise_under_python_O():
     def pytest_O(*args):
         return subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             str(REPO / "tests" / "test_chars.py"), "-k", "planted and not python_O", *args],
+             *sorted(PLANTED), *args],
             cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
         )
 
     collected = pytest_O("--collect-only")
     assert collected.returncode == 0, collected.stdout + collected.stderr
     ids = [line for line in collected.stdout.splitlines() if "::" in line]
-    # a plant renamed out of the selection is missing here
-    assert {i.split("::")[1].split("[")[0] for i in ids} == PLANTED
+    assert {i.split("[")[0] for i in ids} == PLANTED
     proc = pytest_O()
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert f"{len(ids)} passed" in proc.stdout

@@ -24,6 +24,8 @@ from pqsurf.errors import InternalInconsistency
 from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
 from pqsurf.perms import parse_permutation
 
+from planted import planted
+
 REPO = Path(__file__).resolve().parents[1]
 
 # the scale-set groups, from the benchmark's generators: degree, generators
@@ -163,6 +165,7 @@ def doubled_size(group, c):
     return tuple(sizes)
 
 
+@planted
 def test_planted_rotated_power_row_breaks_the_partition(monkeypatch):
     group, gv1, gv2 = a4_pair()
     assert [str(s) for s in surface.quotient_singularities(gv1, gv2)] == ["1/2(1,1)"] * 2
@@ -172,6 +175,7 @@ def test_planted_rotated_power_row_breaks_the_partition(monkeypatch):
         surface.quotient_singularities(gv1, gv2)
 
 
+@planted
 def test_planted_doubled_class_size_breaks_both_counts(monkeypatch):
     group, gv = s3_vector()
     monkeypatch.setattr(group, "class_sizes", doubled_size(group, gv.monodromies[0]))

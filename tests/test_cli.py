@@ -25,6 +25,8 @@ from pqsurf.errors import InternalInconsistency
 from pqsurf.groups import catalog_group
 from pqsurf.jacobian import isotypical_dimensions
 
+from planted import planted
+
 REPO = Path(__file__).resolve().parents[1]
 SURFACES = REPO / "surfaces"
 
@@ -195,6 +197,38 @@ def test_exit_2_malformed_integer_fields(tmp_path, capsys, name):
     assert err == f"ParseError: {message}\n"
 
 
+# a section -> a value that is not a JSON object
+NOT_OBJECTS = [
+    ("curve1", [1, 2]),
+    ("curve1", "x"),
+    ("options", "json"),
+    ("aux", "S3"),
+    ("group", [["name", "S3"]]),
+]
+
+
+@pytest.mark.parametrize(
+    "section, value", NOT_OBJECTS, ids=[f"{s}-{type(v).__name__}" for s, v in NOT_OBJECTS]
+)
+def test_exit_2_a_section_that_is_not_an_object(tmp_path, capsys, section, value):
+    payload = json.loads((SURFACES / "v4.json").read_text(encoding="utf-8"))
+    payload[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"ParseError: [{section}] must be a mapping, not {type(value).__name__}\n"
+
+
+def test_exit_2_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.surface"
+    path.write_bytes((SURFACES / "v4.surface").read_bytes() + b"# caf\xe9 \xff\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"ParseError: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -304,6 +338,7 @@ def test_search_cli(capsys):
     assert "UnknownName" in err
 
 
+@planted
 def test_exit_7_internal_inconsistency(monkeypatch, capsys):
     # fixed-point counts that break the integrality of the Lefschetz average
     monkeypatch.setattr(surface, "fixed_point_counts", lambda gv: (0, 1, 0, 0))
@@ -313,6 +348,7 @@ def test_exit_7_internal_inconsistency(monkeypatch, capsys):
     assert err.startswith("InternalInconsistency: Lefschetz average")
 
 
+@planted
 def test_exit_7_from_the_rank_z2_certificate(monkeypatch, capsys):
     # a4.surface searches A4; search anew so that no earlier pairing is
     # kept, and keep the isotypical dimensions before the patch below, so
@@ -405,6 +441,7 @@ def test_acceptance_suite_passes_under_python_O():
     assert " passed" in proc.stdout
 
 
+@planted
 def test_explicit_vector_of_a_search_curve_is_exit_7(monkeypatch, capsys):
     desc = parse_description(SURFACES / "a4.surface")
     assert desc.curve1.is_search

@@ -135,14 +135,14 @@ def test_s3_character_table_literal():
 
 
 def test_a4_degree3_eigenvalues_at_a_3cycle():
-    from pqsurf.chars import eigenvalue_multiplicities
-
     G = catalog_group("A4")
     ct = character_table(G)
     std = ct.degrees.index(3)
     three_cycle = next(g for g in G.elements if g.order() == 3)
-    # trace 0 on a 3-cycle: eigenvalues are the three cube roots of unity
-    assert eigenvalue_multiplicities(ct, std, three_cycle) == {0: 1, 1: 1, 2: 1}
+    # trace 0 on a 3-cycle: eigenvalues are the three cube roots of unity,
+    # stored as powers of zeta_6 (A4 has exponent 6)
+    value = ct.irreducibles[std].at(three_cycle)
+    assert (value.order, value.multiplicities) == (6, ((0, 1), (2, 1), (4, 1)))
 
 
 @st.composite

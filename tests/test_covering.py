@@ -29,6 +29,7 @@ from pqsurf.errors import (
 from pqsurf.groups import Group, catalog_group, group_from_generators
 from pqsurf.perms import parse_permutation
 
+from planted import planted
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -152,6 +153,19 @@ def test_trivial_inner_product_is_twice_base_genus():
         triv = ClassFunction(G, (1,) * len(G.classes))
         for gv in search_generating_vectors(G, g0, orders):
             assert inner_product(triv, hurwitz_character(gv)) == 2 * g0
+
+
+@planted
+def test_planted_hurwitz_degree_fault_is_internal_inconsistency(monkeypatch):
+    # a permutation character that forgets to divide by |H| counts each fixed
+    # point m times, so the degree of the Hurwitz character is not 2g
+    gv = dataclasses.replace(s3_branch3())
+    real = covering.permutation_character
+    monkeypatch.setattr(
+        covering, "permutation_character", lambda group, classes, h: real(group, classes, 1)
+    )
+    with pytest.raises(InternalInconsistency, match="degree must be 2g"):
+        hurwitz_character(gv)
 
 
 def test_fixed_point_data_v4():

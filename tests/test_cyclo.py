@@ -8,6 +8,7 @@ from pqsurf.errors import InternalInconsistency
 
 import cyclotomic_reference as cyclo
 from cyclotomic_reference import Cyclotomic, _root_power, cyclotomic_polynomial
+from planted import planted
 
 
 def test_cyclotomic_polynomials():
@@ -75,6 +76,7 @@ def test_root_coordinates_are_integers():
     assert _root_power(4, 2) == (-1, 0) and _root_power(6, 3) == (-1, 0)
 
 
+@planted
 def test_planted_polynomial_fault_is_internal_inconsistency(monkeypatch):
     # Phi_1 = Phi_2 = x + 1 leaves x^4 - 1 a remainder on the second division
     uncached = cyclo.cyclotomic_polynomial.__wrapped__

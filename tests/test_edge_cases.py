@@ -2,7 +2,7 @@
 
 import pytest
 
-from pqsurf.chars import character_table, eigenvalue_multiplicities
+from pqsurf.chars import character_table
 from pqsurf.covering import GeneratingVector, fixed_point_data, search_generating_vectors
 from pqsurf.errors import GroupMismatch, NotInGroup
 from pqsurf.groups import catalog_group
@@ -17,7 +17,7 @@ def test_not_in_group_errors():
     ct = character_table(G)
     stranger = parse_permutation("(1,2)", 4)
     with pytest.raises(NotInGroup):
-        eigenvalue_multiplicities(ct, 0, stranger)
+        ct.irreducibles[0].at(stranger)
     gv1, _ = v4_example_pair()
     with pytest.raises(NotInGroup):
         fixed_point_data(gv1, stranger)

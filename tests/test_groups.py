@@ -9,12 +9,19 @@ from pqsurf.errors import NotInGroup, SizeLimit, UnknownName
 from pqsurf.groups import (
     CATALOG_NAMES,
     catalog_group,
-    centralizer_order,
     cyclic_subgroup,
     group_from_generators,
+    permutation_character,
     power_map,
 )
 from pqsurf.perms import Permutation, parse_permutation
+
+
+def centralizer_order(G, g):
+    """|G| / |g^G| as ``permutation_character`` computes it: g's class
+    counted once, over h = 1, gives |G| / |g^G| at that class."""
+    k = G.class_index(g)
+    return permutation_character(G, (k,), 1)[k]
 
 
 def test_identity_generator_gives_trivial_group():

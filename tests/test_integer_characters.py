@@ -2,12 +2,14 @@
 they replace.
 
 ``surface.geometric_genus`` sums a1[i] * a2[dual[i]] over the Chevalley-Weil
-multiplicities, ``surface._chevalley_weil`` sums in integers scaled by the
-lcm of the branching orders, and ``chars.inner_product`` sums rational-valued
-class functions in integers.  The references below are the earlier paths:
-p_g as the average over the classes of the product of the two holomorphic
-characters in Q(zeta_e), Chevalley-Weil in Fractions, and the inner product
-in Q(zeta_e).  Both must agree on the basket-formula pairs, the catalog rows,
+multiplicities, ``surface._chevalley_weil`` sums the stored exponents of
+zeta_e in integers scaled by e, and ``chars.inner_product`` sums
+rational-valued class functions in integers.  The references below are the
+earlier paths: p_g as the average over the classes of the product of the
+two holomorphic characters in Q(zeta_e), Chevalley-Weil in Fractions and in
+integers scaled by the lcm of the branching orders, both on the exponents
+relabelled modulo the order of each monodromy, and the inner product in
+Q(zeta_e).  They must agree on the basket-formula pairs, the catalog rows,
 sampled vectors over the benchmark's permutation groups and random class
 functions.
 """
@@ -15,6 +17,7 @@ functions.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 
@@ -23,7 +26,6 @@ from pqsurf.catalog import ROWS, row_witnesses
 from pqsurf.chars import (
     ClassFunction,
     character_table,
-    eigenvalue_multiplicities,
     inner_product,
     rational_characters,
 )
@@ -40,16 +42,45 @@ from test_consistency import _basket_pairs
 
 # -- the replaced paths ---------------------------------------------------------
 
+def eigenvalue_exponents(table, i, c):
+    """The eigenvalues zeta_m^alpha, m = ord(c), of the i-th irreducible at c,
+    as a dict alpha -> multiplicity: the stored exponents a of zeta_e
+    relabelled modulo m, alpha = a / (e/m)."""
+    m = c.order()
+    step = table.group.exponent // m
+    out = {}
+    for a, count in table.irreducibles[i].at(c).multiplicities:
+        assert a % step == 0  # an eigenvalue of c is an m-th root of unity
+        out[a // step] = out.get(a // step, 0) + count
+    return out
+
+
 def reference_chevalley_weil(gv):
     table = character_table(gv.group)
     out = []
     for i, d in enumerate(table.degrees):
         total = Fraction(d * (gv.base_genus - 1)) + (i == 0)
         for c, m in zip(gv.monodromies, gv.orders):
-            for alpha, count in eigenvalue_multiplicities(table, i, c).items():
+            for alpha, count in eigenvalue_exponents(table, i, c).items():
                 total += Fraction(count * alpha, m)
         assert total.denominator == 1 and total >= 0
         out.append(int(total))
+    return tuple(out)
+
+
+def lcm_chevalley_weil(gv):
+    """The multiplicities summed in integers scaled by L = lcm(m_i)."""
+    table = character_table(gv.group)
+    big = lcm(*gv.orders)
+    out = []
+    for i, d in enumerate(table.degrees):
+        total = (d * (gv.base_genus - 1) + (i == 0)) * big
+        for c, m in zip(gv.monodromies, gv.orders):
+            for alpha, count in eigenvalue_exponents(table, i, c).items():
+                total += count * alpha * (big // m)
+        n, rest = divmod(total, big)
+        assert rest == 0 and n >= 0
+        out.append(n)
     return tuple(out)
 
 
@@ -88,7 +119,7 @@ def reference_inner_product(a, b):
 
 def assert_pair_matches(gv1, gv2):
     for gv in (gv1, gv2):
-        assert _chevalley_weil(gv) == reference_chevalley_weil(gv)
+        assert _chevalley_weil(gv) == reference_chevalley_weil(gv) == lcm_chevalley_weil(gv)
     p_g = geometric_genus(gv1, gv2)
     assert p_g == reference_geometric_genus(gv1, gv2)
     return p_g
@@ -129,7 +160,8 @@ def test_catalog_rows_match_the_cyclotomic_sum(name):
     assert_inner_products_match(gv2)
 
 
-# the scaling by L = lcm(m_i) only shows on curves with mixed branching orders
+# the scaling by L = lcm(m_i) and the relabelling modulo m_i only show on
+# curves with mixed branching orders
 MIXED = [("S3", 0, (2, 2, 3)), ("D4", 0, (2, 2, 4)), ("A4", 0, (2, 3, 3)), ("C6", 0, (2, 3, 6)),
          ("C4xC2semiC2", 0, (2, 2, 2, 4))]
 

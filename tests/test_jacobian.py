@@ -1,7 +1,9 @@
 import pytest
 
+from pqsurf import jacobian
+from pqsurf.chars import ClassFunction
 from pqsurf.covering import genus, search_generating_vectors
-from pqsurf.errors import BaseGenusUnsupported
+from pqsurf.errors import BaseGenusUnsupported, InternalInconsistency
 from pqsurf.groups import catalog_group
 from pqsurf.jacobian import (
     decomposition_label,
@@ -10,6 +12,7 @@ from pqsurf.jacobian import (
     motive_h2_decomposition,
 )
 from pqsurf.perms import parse_permutation
+from planted import planted
 from test_covering import s3_branch3, v4_example_pair
 
 
@@ -132,6 +135,26 @@ def test_rank_z2_is_even_and_nonnegative():
     for gv2 in vectors[:5]:
         dec = motive_h2_decomposition(vectors[0], gv2)
         assert dec.rank_Z2 >= 0 and dec.rank_Z2 % 2 == 0
+
+
+@planted
+def test_planted_rank_z_fault_is_internal_inconsistency(monkeypatch):
+    # one more at the identity class of the first Hurwitz character adds
+    # chi2(1) / |G| = 2 g2 / 12 = 8/12 to rank Z, which is then not an integer
+    group = catalog_group("A4")
+    gv1, gv2 = search_generating_vectors(group, 1, (2,))[:2]
+    assert genus(gv2) == 4
+    real = jacobian.hurwitz_character
+
+    def shifted(gv):
+        values = real(gv).values
+        if gv is gv1:
+            values = (values[0] + 1,) + values[1:]
+        return ClassFunction(group, values)
+
+    monkeypatch.setattr(jacobian, "hurwitz_character", shifted)
+    with pytest.raises(InternalInconsistency, match="rank of Z must be an integer"):
+        jacobian._rank_z2(gv1, gv2)
 
 
 def test_k3_pairing_v4():

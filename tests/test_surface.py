@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsurf.chars import character_table
+from pqsurf.chars import ClassFunction, CyclotomicValue, character_table
 from pqsurf.covering import GeneratingVector, hurwitz_character, genus, search_generating_vectors
 from pqsurf import surface
 from pqsurf.errors import InternalInconsistency, NotCoprime, OutOfRange
@@ -21,6 +21,7 @@ from pqsurf.surface import (
     quotient_singularities,
 )
 from cyclotomic_reference import Cyclotomic, value_cyc
+from planted import planted
 from test_covering import s3_branch3, v4_example_pair
 
 
@@ -205,17 +206,46 @@ def test_chevalley_weil_result_is_a_fresh_dict():
     assert chevalley_weil(gv1) is not chevalley_weil(gv1)
 
 
+def planted_table(monkeypatch, group, classes, value):
+    """Let ``surface`` read a character table of ``group`` whose every
+    irreducible, of degree d, takes the stored multiset value(d) at each
+    class in ``classes``."""
+    table = character_table(group)
+    irreducibles = tuple(
+        ClassFunction(group, tuple(value(d) if k in classes else v for k, v in enumerate(cf.values)))
+        for cf, d in zip(table.irreducibles, table.degrees)
+    )
+    faulty = dataclasses.replace(table, irreducibles=irreducibles)
+    monkeypatch.setattr(surface, "character_table", lambda group: faulty)
+
+
+@planted
 def test_planted_chevalley_weil_faults_are_internal_inconsistency(monkeypatch):
     # fresh vectors, so no multiplicities are kept on them yet
     s3 = catalog_group("S3")
     elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
     rational = dataclasses.replace(search_generating_vectors(s3, 0, (2, 2, 3))[0])
-    # a single eigenvalue zeta_3 at the branch point of order 3 adds 1/3: not an integer
-    monkeypatch.setattr(surface, "eigenvalue_multiplicities", lambda table, i, c: {1: 1})
+    three_cycles = {s3.class_index(elliptic.monodromies[0])}
+    # a single eigenvalue zeta_3 = zeta_6^2 at the branch point of order 3 adds 1/3: not an integer
+    planted_table(monkeypatch, s3, three_cycles, lambda d: CyclotomicValue(6, ((2, 1),)))
     with pytest.raises(InternalInconsistency, match="must be an integer"):
         surface.chevalley_weil(elliptic)
     # no eigenvalues at all leaves d (g0 - 1) = -d for a nontrivial character
-    monkeypatch.setattr(surface, "eigenvalue_multiplicities", lambda table, i, c: {})
+    branch_classes = {s3.class_index(c) for c in rational.monodromies}
+    planted_table(monkeypatch, s3, branch_classes, lambda d: CyclotomicValue(6, ()))
     with pytest.raises(InternalInconsistency, match="nonnegative"):
         surface.chevalley_weil(rational)
     assert surface._chevalley_weil.__wrapped__ not in elliptic._memo
+
+
+@planted
+def test_planted_chevalley_weil_genus_fault_is_internal_inconsistency(monkeypatch):
+    # every eigenvalue 1 at the branch point: the trivial character once and
+    # nothing else, dimension 1, where the S3 cover of signature (1; 3) has genus 3
+    s3 = catalog_group("S3")
+    elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
+    assert genus(elliptic) == 3
+    three_cycles = {s3.class_index(elliptic.monodromies[0])}
+    planted_table(monkeypatch, s3, three_cycles, lambda d: CyclotomicValue(6, ((0, d),)))
+    with pytest.raises(InternalInconsistency, match="must sum to the genus"):
+        surface.chevalley_weil(elliptic)
