@@ -1,7 +1,8 @@
 """Byte-for-byte reports.
 
 The files under ``tests/golden/`` are the CLI's output for the surfaces in
-``surfaces/`` and for ``reproduce-tables``, in text and JSON.  Refactors must
+``surfaces/``, for the inputs in ``tests/golden/inputs/`` and for
+``reproduce-tables``, in text and JSON.  Refactors must
 leave every byte of them unchanged; a deliberate change to a report updates
 the file in the same commit.
 """
@@ -18,9 +19,15 @@ from pqsurf.descfile import parse_description
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 
+# the inputs in tests/golden/inputs/ pin renderer branches that no shipped
+# surface reaches: q = 0, a group given by generators, a multiple pairing
+INPUTS = [
+    REPO / "surfaces" / name for name in ("v4.surface", "a4.surface", "q8.surface", "v4.json")
+] + [GOLDEN / "inputs" / "c4-rational.surface"]
+
 CASES = [
-    (f"{name}.{fmt}", ["analyze", str(REPO / "surfaces" / name), "--format", fmt])
-    for name in ("v4.surface", "a4.surface", "q8.surface", "v4.json")
+    (f"{path.name}.{fmt}", ["analyze", str(path), "--format", fmt])
+    for path in INPUTS
     for fmt in ("text", "json")
 ] + [
     ("reproduce-tables.text", ["reproduce-tables"]),
@@ -45,11 +52,10 @@ def _leaf_types(node):
     return {type(node)}
 
 
-@pytest.mark.parametrize("name", ("v4.surface", "a4.surface", "q8.surface", "v4.json"))
-def test_json_report_holds_only_json_types(name):
+@pytest.mark.parametrize("path", INPUTS, ids=[path.name for path in INPUTS])
+def test_json_report_holds_only_json_types(path):
     # json.dumps prints a permutation, a tuple, as a list and raises on a
     # Fraction; the report must hold neither
-    path = REPO / "surfaces" / name
     analysis = _analysis_from_description(parse_description(path))
     payload = to_json_dict(replace(analysis, input_echo=path.read_text(encoding="utf-8")))
     assert _leaf_types(payload) <= {str, int, bool, type(None)}
