@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .analysis import Analysis, analyze_pair, render_text, to_json
+from .analysis import analyze_pair, render_text, to_json
 from .catalog import (
     ROWS,
     TableRow,
@@ -25,7 +24,6 @@ from .catalog import (
     row_witnesses,
     select_pair,
 )
-from .chars import character_table, rational_characters
 from .covering import search_generating_vectors, validate
 from .descfile import (
     SurfaceDescription,
@@ -42,7 +40,6 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .groups import catalog_group
-from .jacobian import isotypical_dimensions
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,7 +58,7 @@ def _curve_vectors(curve, group):
     return (gv,)
 
 
-def _analysis_from_description(desc: SurfaceDescription) -> Analysis:
+def _analysis_from_description(desc: SurfaceDescription) -> dict:
     group = resolve_group(desc.group)
     vectors1 = _curve_vectors(desc.curve1, group)
     vectors2 = _curve_vectors(desc.curve2, group)
@@ -69,56 +66,43 @@ def _analysis_from_description(desc: SurfaceDescription) -> Analysis:
         raise NoWitness("search directive produced no generating vector")
     prefer = desc.curve1.genus0 == 1 and desc.curve2.genus0 == 1
     gv1, gv2 = select_pair(vectors1, vectors2, prefer_pg2=prefer)
-    analysis = analyze_pair(gv1, gv2, group_label=desc.group.label())
+    aux = None
     if desc.aux is not None:
         aux_group_spec, aux_curve = desc.aux
-        aux_group = resolve_group(aux_group_spec)
-        aux_vectors = _curve_vectors(aux_curve, aux_group)
+        aux_vectors = _curve_vectors(aux_curve, resolve_group(aux_group_spec))
         if not aux_vectors:
             raise NoWitness("aux search produced no generating vector")
-        warnings = list(analysis.warnings)
-        aux_rats = rational_characters(character_table(aux_group))
-        if any(rc.schur_index_unverified for rc in aux_rats):
-            warnings.append("schur_index_unverified")
-        analysis = replace(
-            analysis,
-            warnings=tuple(dict.fromkeys(warnings)),
-            aux=(aux_group_spec.label(), isotypical_dimensions(aux_vectors[0])),
-        )
-    return analysis
+        aux = (aux_group_spec.label(), aux_vectors[0])
+    return analyze_pair(gv1, gv2, group_label=desc.group.label(), aux=aux)
 
 
 def cmd_analyze(args) -> int:
     desc = parse_description(args.path)
-    analysis = _analysis_from_description(desc)
-    analysis = replace(analysis, input_echo=Path(args.path).read_text(encoding="utf-8"))
+    doc = _analysis_from_description(desc)
+    doc["input"] = Path(args.path).read_text(encoding="utf-8")
     fmt = args.format or desc.output_format
-    if fmt == "json":
-        sys.stdout.write(to_json(analysis))
-    else:
-        sys.stdout.write(render_text(analysis))
+    sys.stdout.write(to_json(doc) if fmt == "json" else render_text(doc))
     return EXIT_OK
 
 
 # -- table reproduction -------------------------------------------------------
 
-def _nontrivial_dn(factors) -> tuple[tuple[int, int], ...]:
+def _nontrivial_dn(curve: dict) -> tuple[tuple[int, int], ...]:
     return tuple(
         sorted(
-            (f.reduced_dim, f.multiplicity)
-            for f in factors
-            if f.rational_char_index != 0 and f.reduced_dim > 0
+            (f["d"], f["n"])
+            for f in curve["isotypical_factors"]
+            if f["rational_char"] != 0 and f["d"] > 0
         )
     )
 
 
 def _check_row(row: TableRow) -> dict:
     gv1, gv2 = row_witnesses(row.name)
-    analysis = analyze_pair(gv1, gv2, group_label=row.group_name)
-    surf = analysis.surface
-    computed_sing = tuple(sorted((s.n, s.q) for s in surf.singularities))
-    jac1 = _nontrivial_dn(analysis.curves[0].factors)
-    jac2 = _nontrivial_dn(analysis.curves[1].factors)
+    doc = analyze_pair(gv1, gv2, group_label=row.group_name)
+    surf, curves, pairing = doc["surface"], doc["curves"], doc["pairing"]
+    computed_sing = tuple(sorted((s["n"], s["q"]) for s in surf["singularities"]))
+    jac1, jac2 = (_nontrivial_dn(c) for c in curves)
 
     mismatches = []
 
@@ -127,51 +111,51 @@ def _check_row(row: TableRow) -> dict:
             mismatches.append(f"{label}: computed {computed}, expected {expected}")
         return computed
 
-    expect("K2", surf.k2, row.k2)
+    expect("K2", surf["K2"], row.k2)
     expect("singularities", computed_sing, row.singularities)
-    expect("eta", surf.eta, row.eta)
-    expect("family_dim", surf.family_dim, row.family_dim)
-    expect("genera", (analysis.curves[0].genus, analysis.curves[1].genus), row.genera)
+    expect("eta", surf["eta"], row.eta)
+    expect("family_dim", surf["family_dim"], row.family_dim)
+    expect("genera", tuple(c["genus"] for c in curves), row.genera)
     expect("jacobian(curve1)", jac1, row.jac1)
     expect("jacobian(curve2)", jac2, row.jac2)
-    expect("pairing status", analysis.pairing.status, "unique")
+    expect("pairing status", pairing["status"], "unique")
 
-    paired_ok = False
+    match = pairing["matches"][0] if pairing["matches"] else None
     paired_dn = None
-    if analysis.pairing.matches:
-        match = analysis.pairing.matches[0]
-        paired_dn = (match.d1, match.n1)
-        expect("paired (d,n) on curve1", (match.d1, match.n1), row.paired)
-        expect("paired (d,n) on curve2", (match.d2, match.n2), row.paired)
-        group = catalog_group(row.group_name)
-        rats = rational_characters(character_table(group))
-        matched = rats[match.rational_index]
+    if match is not None:
+        c1, c2 = match["curve1"], match["curve2"]
+        paired_dn = (c1["d"], c1["n"])
+        expect("paired (d,n) on curve1", paired_dn, row.paired)
+        expect("paired (d,n) on curve2", (c2["d"], c2["n"]), row.paired)
+        index = match["rational_char"]
         if row.group_name == "V4":
             # positions 2/3/4 are equivalent under relabelling the group;
             # the pinned facts are: nontrivial linear character
-            paired_ok = matched.constituent_degree == 1 and match.rational_index != 0
+            orbit = doc["group"]["rational_characters"][index]["orbit"]
+            paired_ok = doc["group"]["character_table"]["degrees"][orbit[0]] == 1 and index != 0
         else:
+            group = catalog_group(row.group_name)
             ref_complex = resolve_reference_character(row.group_name, row.paired_ref)
-            paired_ok = rational_index_of_complex(group, ref_complex) == match.rational_index
+            paired_ok = rational_index_of_complex(group, ref_complex) == index
         if not paired_ok:
             mismatches.append(
-                f"paired character: index {match.rational_index} does not satisfy the "
+                f"paired character: index {index} does not satisfy the "
                 f"criterion recorded for reference position {row.paired_ref}"
             )
-        if row.paired == (2, 1) and not match.quaternionic:
+        if row.paired == (2, 1) and not match["quaternionic"]:
             mismatches.append("paired character: expected the quaternionic flag")
 
     return {
         "row": row.name,
         "group": row.group_name,
-        "K2": surf.k2,
-        "eta": surf.eta,
-        "family_dim": surf.family_dim,
+        "K2": surf["K2"],
+        "eta": surf["eta"],
+        "family_dim": surf["family_dim"],
         "singularities": [f"1/{n}({1},{q})" for n, q in computed_sing],
         "jacobian1": [list(p) for p in jac1],
         "jacobian2": [list(p) for p in jac2],
         "paired_dn": list(paired_dn) if paired_dn else None,
-        "quaternionic": bool(analysis.pairing.matches and analysis.pairing.matches[0].quaternionic),
+        "quaternionic": bool(match and match["quaternionic"]),
         "mismatches": mismatches,
         "ok": not mismatches,
     }

@@ -56,11 +56,16 @@ class SurfaceDescription:
     aux: Optional[tuple[GroupSpec, CurveSpec]] = None
 
 
-def _split_perms(raw) -> tuple[str, ...]:
-    """The permutations of a JSON list, or of a ';'-separated string."""
-    if isinstance(raw, (list, tuple)):
-        return tuple(str(p) for p in raw)
-    return tuple(p.strip() for p in raw.split(";") if p.strip())
+def _split_perms(raw, what: str) -> tuple[str, ...]:
+    """The permutations of a JSON list of strings, or of a ';'-separated
+    string; ParseError names ``what`` for any other value."""
+    if isinstance(raw, str):
+        return tuple(p.strip() for p in raw.split(";") if p.strip())
+    if isinstance(raw, list) and all(isinstance(p, str) for p in raw):
+        return tuple(raw)
+    raise ParseError(
+        f"{what} must be a list of permutation strings or a ';'-separated string, not {raw!r}"
+    )
 
 
 def _to_int(raw, what: str) -> int:
@@ -103,8 +108,8 @@ def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
         return CurveSpec(genus0, None, None, None, _split_ints(data["search"], f"[{section}] search"))
     if "monodromies" not in data or "orders" not in data:
         raise ParseError(f"[{section}] explicit vectors need monodromies and orders")
-    handles = _split_perms(data.get("handles", ""))
-    monos = _split_perms(data["monodromies"])
+    handles = _split_perms(data.get("handles", ""), f"[{section}] handles")
+    monos = _split_perms(data["monodromies"], f"[{section}] monodromies")
     orders = _split_ints(data["orders"], f"[{section}] orders")
     if len(handles) != 2 * genus0:
         raise ParseError(f"[{section}] needs {2 * genus0} handle entries, got {len(handles)}")
@@ -113,18 +118,18 @@ def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
     return CurveSpec(genus0, handles, monos, orders, None)
 
 
-def _group_from_mapping(data: dict) -> GroupSpec:
+def _group_from_mapping(section: str, data: dict) -> GroupSpec:
     unknown = set(data) - _GROUP_KEYS
     if unknown:
-        raise ParseError(f"[group] has unknown keys: {', '.join(sorted(unknown))}")
+        raise ParseError(f"[{section}] has unknown keys: {', '.join(sorted(unknown))}")
     name = data.get("name")
     gens = data.get("generators")
     if (name is None) == (gens is None):
-        raise ParseError("[group] requires exactly one of name or generators")
+        raise ParseError(f"[{section}] requires exactly one of name or generators")
     if gens is not None:
-        gens = _split_perms(gens)
+        gens = _split_perms(gens, f"[{section}] generators")
         if not gens:
-            raise ParseError("[group] generators list is empty")
+            raise ParseError(f"[{section}] generators list is empty")
     return GroupSpec(str(name) if name is not None else None, gens)
 
 
@@ -162,7 +167,7 @@ def _from_mappings(payload: dict) -> SurfaceDescription:
     for section, data in payload.items():
         if not isinstance(data, dict):
             raise ParseError(f"[{section}] must be a mapping, not {type(data).__name__}")
-    group = _group_from_mapping(payload["group"])
+    group = _group_from_mapping("group", payload["group"])
     curve1 = _curve_from_mapping("curve1", payload["curve1"])
     curve2 = _curve_from_mapping("curve2", payload["curve2"])
     fmt = "text"
@@ -178,7 +183,7 @@ def _from_mappings(payload: dict) -> SurfaceDescription:
     if "aux" in payload:
         aux_data = dict(payload["aux"])
         aux_group_keys = {k: aux_data.pop(k) for k in ("name", "generators") if k in aux_data}
-        aux = (_group_from_mapping(aux_group_keys), _curve_from_mapping("aux", aux_data))
+        aux = (_group_from_mapping("aux", aux_group_keys), _curve_from_mapping("aux", aux_data))
     return SurfaceDescription(group, curve1, curve2, fmt, aux)
 
 

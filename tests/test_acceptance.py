@@ -260,18 +260,17 @@ def test_criterion_7_covering_hodge_consistency():
 
 
 def test_criterion_8_rank_discrepancy_guard():
-    from pqsurf.analysis import analyze_pair, to_json_dict
+    from pqsurf.analysis import analyze_pair
 
     ok = True
     for row in ROWS:
         gv1, gv2 = row_witnesses(row.name)
-        analysis = analyze_pair(gv1, gv2, group_label=row.group_name)
-        rep = analysis.surface
-        ok = ok and rep.rank_new == 12 - rep.k2
-        ok = ok and "rank_new_convention" in analysis.warnings
-        payload = to_json_dict(analysis)
-        ok = ok and "rank_new_convention" in payload["notes"]
-        n = rep.signature_new[1]
+        doc = analyze_pair(gv1, gv2, group_label=row.group_name)
+        rep = doc["surface"]
+        ok = ok and rep["rank_new"] == 12 - rep["K2"]
+        ok = ok and "rank_new_convention" in doc["warnings"]
+        ok = ok and "rank_new_convention" in doc["notes"]
+        n = rep["signature_new"][1]
         ok = ok and 0 <= n <= 8
-        ok = ok and payload["lattice"]["k3_embedding"] == GUARANTEED
+        ok = ok and doc["lattice"]["k3_embedding"] == GUARANTEED
     _report("8 (rank convention guard)", ok)

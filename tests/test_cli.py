@@ -37,6 +37,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def analyze_in_subprocess(path):
+    """``pqsurf analyze path`` in a fresh interpreter, so that an uncaught
+    exception shows as exit 1 and a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "pqsurf.cli", "analyze", str(path)],
+        cwd=REPO, env=subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_analyze_v4_example(capsys):
     code, out, err = run(capsys, "analyze", str(SURFACES / "v4.surface"))
     assert code == 0, err
@@ -229,6 +246,53 @@ def test_exit_2_a_file_that_is_not_utf8(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# a JSON permutation field -> a value that is neither a string nor a list of
+# strings
+NOT_PERMUTATION_LISTS = [
+    ("curve1", "monodromies", 5),
+    ("curve1", "monodromies", None),
+    ("curve1", "monodromies", True),
+    ("curve1", "monodromies", {}),
+    ("curve1", "monodromies", ["(1,2)(3,4)", 2]),
+    ("curve2", "handles", 5),
+    ("curve2", "handles", [[2, 1, 4, 3], "()"]),
+    ("group", "generators", 7),
+    ("group", "generators", ["(1,2)(3,4)", None]),
+]
+
+
+@pytest.mark.parametrize(
+    "section, field, value", NOT_PERMUTATION_LISTS,
+    ids=[f"{s}-{f}-{type(v).__name__}" for s, f, v in NOT_PERMUTATION_LISTS],
+)
+def test_exit_2_a_permutation_field_that_is_not_a_list_of_strings(tmp_path, section, field, value):
+    payload = json.loads((SURFACES / "v4.json").read_text(encoding="utf-8"))
+    if section == "group":
+        payload["group"] = {field: value}
+    else:
+        payload[section][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    proc = analyze_in_subprocess(path)
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+    assert proc.stderr == (
+        f"ParseError: [{section}] {field} must be a list of permutation strings "
+        f"or a ';'-separated string, not {value!r}\n"
+    )
+    assert "Traceback" not in proc.stderr
+
+
+def test_exit_2_an_aux_section_without_a_group_names_aux(tmp_path, capsys):
+    path = tmp_path / "aux.surface"
+    path.write_text(
+        (SURFACES / "q8.surface").read_text(encoding="utf-8").replace("name = C4xC2semiC2\n", ""),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "ParseError: [aux] requires exactly one of name or generators\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -393,14 +457,7 @@ def test_analyze_the_trivial_group_terminates(tmp_path):
     # the Dixon prime for exponent 1 was once searched for without end
     path = tmp_path / "trivial.surface"
     path.write_text(TRIVIAL_GROUP_SURFACE, encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "pqsurf.cli", "analyze", str(path)],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = analyze_in_subprocess(path)
     assert proc.returncode == 0, proc.stderr
     assert "group: custom group (order 1, degree 2, 1 classes, exponent 1)" in proc.stdout
 
@@ -413,14 +470,7 @@ def test_a_point_that_is_not_an_integer_is_exit_3(tmp_path, edit):
     path = tmp_path / "bad.surface"
     path.write_text((SURFACES / "v4.surface").read_text(encoding="utf-8").replace(*edit),
                     encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "pqsurf.cli", "analyze", str(path)],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = analyze_in_subprocess(path)
     assert proc.returncode == EXIT_VALIDATION == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("NonPermutation: point ")
@@ -428,10 +478,7 @@ def test_a_point_that_is_not_an_integer_is_exit_3(tmp_path, edit):
 
 
 def test_acceptance_suite_passes_under_python_O():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(REPO / "tests" / "test_acceptance.py"), str(REPO / "tests" / "test_golden.py")],
@@ -466,10 +513,7 @@ def test_explicit_vector_of_a_search_curve_raises_under_python_O():
         "except InternalInconsistency as exc:\n"
         "    print('raised', exc)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=120,

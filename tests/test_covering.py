@@ -437,10 +437,10 @@ def test_analyze_pair_runs_each_pair_stage_once(bodies):
     expected = one_pass(bodies, gv1, gv2)
     assert expected["_rank_z2"] == 1 and expected["_basket"] == 1
     assert expected["_dual_pairing"] == 1
-    analysis = analyze_pair(gv1, gv2)
+    doc = analyze_pair(gv1, gv2)
     assert bodies == expected
-    assert analysis.motive.rank_Z2 == analysis.pairing.rank_z2
-    assert analysis.surface.eta == analysis.motive.eta == 2
+    assert doc["motive"]["rank_Z2"] == doc["pairing"]["rank_z2"]
+    assert doc["surface"]["eta"] == doc["motive"]["eta"] == 2
 
 
 def test_cli_analyze_runs_each_pair_stage_once(bodies, capsys):

@@ -7,12 +7,12 @@ leave every byte of them unchanged; a deliberate change to a report updates
 the file in the same commit.
 """
 
-from dataclasses import replace
+import json
 from pathlib import Path
 
 import pytest
 
-from pqsurf.analysis import to_json_dict
+from pqsurf.analysis import render_text, to_json
 from pqsurf.cli import _analysis_from_description, main
 from pqsurf.descfile import parse_description
 
@@ -52,10 +52,24 @@ def _leaf_types(node):
     return {type(node)}
 
 
+def report(path):
+    """``analyze_pair``'s document for a description file, with its input
+    echoed as ``cmd_analyze`` does."""
+    doc = _analysis_from_description(parse_description(path))
+    doc["input"] = path.read_text(encoding="utf-8")
+    return doc
+
+
 @pytest.mark.parametrize("path", INPUTS, ids=[path.name for path in INPUTS])
 def test_json_report_holds_only_json_types(path):
     # json.dumps prints a permutation, a tuple, as a list and raises on a
     # Fraction; the report must hold neither
-    analysis = _analysis_from_description(parse_description(path))
-    payload = to_json_dict(replace(analysis, input_echo=path.read_text(encoding="utf-8")))
-    assert _leaf_types(payload) <= {str, int, bool, type(None)}
+    assert _leaf_types(report(path)) <= {str, int, bool, type(None)}
+
+
+@pytest.mark.parametrize("path", INPUTS, ids=[path.name for path in INPUTS])
+def test_text_report_is_a_rendering_of_the_json_document(path):
+    doc = report(path)
+    text = render_text(doc)
+    assert render_text(json.loads(to_json(doc))) == text
+    assert text.encode("utf-8") == (GOLDEN / f"{path.name}.text").read_bytes()
