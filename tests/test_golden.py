@@ -2,9 +2,9 @@
 
 The files under ``tests/golden/`` are the CLI's output for the surfaces in
 ``surfaces/``, for the inputs in ``tests/golden/inputs/`` and for
-``reproduce-tables``, in text and JSON.  Refactors must
-leave every byte of them unchanged; a deliberate change to a report updates
-the file in the same commit.
+``reproduce-tables``, in text and JSON.  Refactors must leave every byte of
+them unchanged; a deliberate change to a report updates the file in the
+same commit.
 """
 
 import json
