@@ -27,14 +27,14 @@ shifted by -k (``_traces``), decide equality, hashing and rationality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
-from .groups import Group, _closure, permutation_character, power_map
+from .groups import Group, _closure, permutation_character, power_map, stored
 from .perms import Permutation
 
 
@@ -189,14 +189,15 @@ class ClassFunction:
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Compared and hashed by identity: ``character_table`` builds one per
-    group, so a cache keyed on a table never hashes its values."""
+    """Compared and hashed by identity, one per group object: ``character_table``
+    keeps it on the group, and ``rational_characters`` keeps its value on it."""
 
     group: Group
     irreducibles: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
     # dual[i] is the index of the complex conjugate of irreducible i
     dual: tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -423,7 +424,7 @@ def _central_characters(group: Group, p: int) -> list[list[int]]:
     return [basis[0] for basis, _ in spaces]
 
 
-@lru_cache(maxsize=None)
+@stored
 def character_table(group: Group) -> CharacterTable:
     """Complete exact character table, canonically ordered.
 
@@ -604,7 +605,7 @@ def frobenius_schur(table: CharacterTable, index: int) -> int:
     return total // scale
 
 
-@lru_cache(maxsize=None)
+@stored
 def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     """Galois orbits of the complex irreducibles, one rational character each.
 

@@ -7,15 +7,15 @@ monodromies, and the long relation prod [a_j, b_j] * prod c_i = 1 holds.
 
 The per-curve stages here and in ``surface`` and ``jacobian`` (validation,
 genus, fixed-point counts, the Hurwitz and Chevalley-Weil characters, the
-isotypical dimensions) are decorated with ``per_vector``: each runs once per
-vector and keeps its value on the vector.  So are the pair stages (the
+isotypical dimensions) are decorated with ``groups.stored``: each runs once
+per vector and keeps its value on the vector.  So are the pair stages (the
 singularities, the geometric genus and the K3 pairing): each runs once per
 ordered pair and keeps its value on the first vector, keyed by the partner.
+A completed search is kept the same way on its group.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
@@ -31,11 +31,10 @@ from .errors import (
     SearchSpaceTooLarge,
     TrivialMonodromy,
 )
-from .groups import Group, cyclic_subgroup, permutation_character
+from .groups import Group, cyclic_subgroup, permutation_character, stored
 from .perms import Permutation
 
 DEFAULT_SEARCH_LIMIT = 10 ** 8
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -75,32 +74,11 @@ class GeneratingVector:
         return (self.base_genus, self.orders)
 
 
-def per_vector(fn):
-    """Run the stage ``fn(gv, *partners)`` once per generating vector and
-    partner vectors, and keep its value in ``gv._memo``, so it lives as long
-    as the vector.  A one-vector stage is keyed by ``fn``; a pair stage
-    ``fn(gv1, gv2)`` is kept on the first vector, keyed by ``(fn, gv2)``, so
-    (gv1, gv2) and (gv2, gv1) are separate entries.  A call that raises
-    stores nothing.  Every caller shares the stored value, so it must be
-    immutable."""
-
-    @functools.wraps(fn)
-    def once(gv: GeneratingVector, *partners: GeneratingVector):
-        memo = gv._memo
-        key = (fn, *partners) if partners else fn
-        value = memo.get(key, _UNSET)
-        if value is _UNSET:
-            value = memo[key] = fn(gv, *partners)
-        return value
-
-    return once
-
-
 def _commutator(a: Permutation, b: Permutation) -> Permutation:
     return a * b * a.inverse() * b.inverse()
 
 
-@per_vector
+@stored
 def validate(gv: GeneratingVector) -> None:
     """Check the three defining invariants; raises the named violation."""
     group = gv.group
@@ -121,7 +99,7 @@ def validate(gv: GeneratingVector) -> None:
         raise NotGenerating("listed elements generate a proper subgroup")
 
 
-@per_vector
+@stored
 def genus(gv: GeneratingVector) -> int:
     """Genus of the covering curve by Riemann-Hurwitz."""
     validate(gv)
@@ -137,7 +115,7 @@ def genus(gv: GeneratingVector) -> int:
     return g
 
 
-@per_vector
+@stored
 def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
     """sum_j Ind_{<c_j>}^G 1 on each class: the number of points over the
     branch points fixed by the class's elements.  All fixed points of a
@@ -156,7 +134,7 @@ def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@per_vector
+@stored
 def hurwitz_character(gv: GeneratingVector) -> ClassFunction:
     """Character of the group action on H^1 of the covering curve:
     2*triv + 2(g0-1)*regular + sum_i (regular - induced from <c_i>), that is
@@ -285,43 +263,43 @@ def search_generating_vectors(
     key must be |G|/|Z(G)| times the number of orbits, or
     InternalInconsistency is raised.
 
-    The result of a completed search is kept on the group object for the
-    life of the process: a repeated call with the same base genus and orders
-    passes the space check again and then returns the same vectors, with
-    their per-vector stages.  An equal group built separately searches
-    again, and a search that raises keeps nothing."""
+    The argument and space checks run on every call; the scan itself
+    (``_search``) is kept on the group object, so it lives as long as the
+    group: a repeated call with the same base genus and orders returns the
+    same vectors, with their per-vector stages.  An equal group built
+    separately searches again, and a search that raises keeps nothing."""
     if base_genus < 0:
         raise ValueError("base genus must be nonnegative")
     orders = tuple(int(m) for m in orders)
-    r = len(orders)
     for m in orders:
         if m < 2:
             raise OrderMismatch("branching orders must be at least 2")
 
-    by_order: dict[int, list[Permutation]] = {}
-    for m in set(orders):
-        by_order[m] = [g for g in group.elements if g.order() == m]
-    if any(not by_order[m] for m in set(orders)):
+    by_order = {m: sum(1 for g in group.elements if g.order() == m) for m in set(orders)}
+    if not all(by_order.values()):
         return ()
     space = group.order ** (2 * base_genus)
     for m in orders[:-1]:
-        space *= len(by_order[m])
+        space *= by_order[m]
     if space > max_space:
         raise SearchSpaceTooLarge(
             f"|G|^(2g0) * prod_(i<r) #{{g : ord g = m_i}} = {space} tuples exceeds {max_space}"
         )
+    return _search(group, base_genus, orders)
 
-    searched = group._searches.get((base_genus, orders))
-    if searched is not None:
-        return searched
 
+@stored
+def _search(group: Group, base_genus: int, orders: tuple) -> tuple[GeneratingVector, ...]:
+    """The scan of ``search_generating_vectors``, for orders whose elements
+    exist and a space that passed its bound."""
+    r = len(orders)
     # canonical key -> whether its tuples generate G
     verdicts: dict[tuple, bool] = {}
     # generating key -> the first tuple met with it
     found: dict[tuple, tuple[Permutation, ...]] = {}
     accepted = 0
     handle_pool = [group.elements] * (2 * base_genus)
-    free_monos = [by_order[m] for m in orders[:-1]] if r else []
+    free_monos = [[g for g in group.elements if g.order() == m] for m in orders[:-1]]
 
     for handle_vals in itertools.product(*handle_pool):
         word = group.identity
@@ -372,9 +350,7 @@ def search_generating_vectors(
         gv = GeneratingVector(group, base_genus, handles, monos, orders)
         validate(gv)
         vectors.append(gv)
-    vectors = tuple(vectors)
-    group._searches[(base_genus, orders)] = vectors
-    return vectors
+    return tuple(vectors)
 
 
 def require_same_group(gv1: GeneratingVector, gv2: GeneratingVector) -> Group:

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from .covering import GeneratingVector
-from .errors import InternalInconsistency, ParseError
-from .groups import Group, catalog_group, group_from_generators
+from .errors import InternalInconsistency, ParseError, SizeLimit
+from .groups import DEFAULT_ORDER_CAP, Group, catalog_group, group_from_generators
 from .perms import parse_permutation
 
 _GROUP_KEYS = {"name", "generators"}
@@ -126,11 +126,13 @@ def _group_from_mapping(section: str, data: dict) -> GroupSpec:
     gens = data.get("generators")
     if (name is None) == (gens is None):
         raise ParseError(f"[{section}] requires exactly one of name or generators")
+    if name is not None and not isinstance(name, str):
+        raise ParseError(f"[{section}] name must be a string, not {name!r}")
     if gens is not None:
         gens = _split_perms(gens, f"[{section}] generators")
         if not gens:
             raise ParseError(f"[{section}] generators list is empty")
-    return GroupSpec(str(name) if name is not None else None, gens)
+    return GroupSpec(name, gens)
 
 
 def parse_description(path) -> SurfaceDescription:
@@ -194,6 +196,8 @@ def resolve_group(spec: GroupSpec) -> Group:
         (_max_point(g) for g in spec.generators),
         default=1,
     )
+    if degree > DEFAULT_ORDER_CAP:
+        raise SizeLimit(f"point {degree} in the generators exceeds the limit {DEFAULT_ORDER_CAP}")
     perms = [parse_permutation(g, degree) for g in spec.generators]
     return group_from_generators(perms)
 

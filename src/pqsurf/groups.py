@@ -7,13 +7,35 @@ derived table and report is stable across runs.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import lcm
 
 from .errors import InternalInconsistency, NonPermutation, NotInGroup, SizeLimit, UnknownName
 from .perms import Permutation, parse_permutation
 
 DEFAULT_ORDER_CAP = 10_000
+_UNSET = object()
+
+
+def stored(fn):
+    """Run ``fn(obj, *args)`` once per object and arguments, and keep its
+    value in ``obj._memo``, so it lives as long as the object.  A call
+    without arguments is keyed by ``fn``, one with arguments by
+    ``(fn, *args)``: a pair stage ``fn(gv1, gv2)`` is kept on the first
+    vector, so (gv1, gv2) and (gv2, gv1) are separate entries.  A call that
+    raises stores nothing.  Every caller shares the stored value, so it
+    must be immutable."""
+
+    @wraps(fn)
+    def once(obj, *args):
+        memo = obj._memo
+        key = (fn, *args) if args else fn
+        value = memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = memo[key] = fn(obj, *args)
+        return value
+
+    return once
 
 
 class Group:
@@ -30,9 +52,8 @@ class Group:
         self.classes: tuple[tuple[Permutation, ...], ...] = classes
         # g -> y with y g y^-1 the representative of g's class
         self._to_rep: dict[Permutation, Permutation] = to_rep
-        self._centralizers: dict[int, tuple[tuple[Permutation, Permutation], ...]] = {}
-        # (base genus, orders) -> the vectors of a completed search
-        self._searches: dict[tuple, tuple] = {}
+        # what ``stored`` functions derive from the group
+        self._memo: dict = {}
         self.class_reps: tuple[Permutation, ...] = tuple(c[0] for c in self.classes)
         self.class_sizes: tuple[int, ...] = tuple(len(c) for c in self.classes)
         self._class_of = {}
@@ -91,23 +112,20 @@ class Group:
         built on first use."""
         return tuple(tuple(self._class_of[x] for x in rep.powers()) for rep in self.class_reps)
 
+    @stored
     def _centralizer(self, idx: int) -> tuple[tuple[Permutation, Permutation], ...]:
         """The pairs (c, c^-1) for one c per coset c Z(G) of the centre in
         the centralizer of class ``idx``'s representative, each c the
-        smallest of its coset; built on first use.  Central elements
-        conjugate trivially, so these c give every conjugate by the whole
-        centralizer."""
-        pairs = self._centralizers.get(idx)
-        if pairs is None:
-            rep = self.class_reps[idx]
-            covered = set()
-            pairs = []
-            for c in self.elements:
-                if c not in covered and c * rep == rep * c:
-                    covered.update(c * z for z in self.centre)
-                    pairs.append((c, c.inverse()))
-            pairs = self._centralizers[idx] = tuple(pairs)
-        return pairs
+        smallest of its coset.  Central elements conjugate trivially, so
+        these c give every conjugate by the whole centralizer."""
+        rep = self.class_reps[idx]
+        covered = set()
+        pairs = []
+        for c in self.elements:
+            if c not in covered and c * rep == rep * c:
+                covered.update(c * z for z in self.centre)
+                pairs.append((c, c.inverse()))
+        return tuple(pairs)
 
 
 def _conjugacy_classes(elements, generators):

@@ -19,8 +19,9 @@ from .chars import (
     inner_product,
     rational_characters,
 )
-from .covering import GeneratingVector, hurwitz_character, genus, per_vector, require_same_group
+from .covering import GeneratingVector, hurwitz_character, genus, require_same_group
 from .errors import BaseGenusUnsupported, InternalInconsistency
+from .groups import stored
 from .surface import eta_of, quotient_singularities
 
 
@@ -32,7 +33,7 @@ class IsotypicalFactor:
     schur_index: int
 
 
-@per_vector
+@stored
 def isotypical_dimensions(gv: GeneratingVector) -> tuple[IsotypicalFactor, ...]:
     """One factor per rational irreducible: d = (1/2) <psi, chi_V>."""
     table = character_table(gv.group)
@@ -127,7 +128,7 @@ def _rank_z2(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     return rank
 
 
-@per_vector
+@stored
 def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
     """Locate the rational characters W with nonzero reduced dimension on the
     first curve whose dual W^v has nonzero reduced dimension on the second.

@@ -42,12 +42,11 @@ from .covering import (
     GeneratingVector,
     fixed_point_counts,
     genus,
-    per_vector,
     require_same_group,
     validate,
 )
 from .errors import InternalInconsistency, NotCoprime, OutOfRange
-from .groups import Group
+from .groups import Group, stored
 
 
 def hirzebruch_jung(n: int, q: int) -> tuple[int, ...]:
@@ -117,7 +116,7 @@ def _basket(group: Group, c, m1: int, d, m2: int) -> dict[tuple[int, int], int]:
     return basket
 
 
-@per_vector
+@stored
 def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[QuotientSingularity, ...]:
     """Singularity types of (C1 x C2)/G: one per G-orbit of point pairs with
     nontrivial common stabilizer, normalised so the generator acting by
@@ -154,7 +153,7 @@ def chevalley_weil(gv: GeneratingVector) -> dict[int, int]:
     return dict(enumerate(_chevalley_weil(gv)))
 
 
-@per_vector
+@stored
 def _chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
     # the multiplicity times e, summed in integers: the table stores chi(c) as
     # its eigenvalues zeta_e^a, and zeta_e^a = zeta_m^alpha with alpha/m = a/e
@@ -184,7 +183,7 @@ def _dual_pairing(a1: tuple[int, ...], a2: tuple[int, ...], dual: tuple[int, ...
     return sum(n * a2[j] for n, j in zip(a1, dual))
 
 
-@per_vector
+@stored
 def geometric_genus(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     """p_g of the quotient surface: dim of the G-invariants of
     H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2}), that is

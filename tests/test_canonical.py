@@ -176,8 +176,8 @@ def test_orbit_count_certificate(monkeypatch, capsys):
     with pytest.raises(InternalInconsistency, match="orbits"):
         search_generating_vectors(fresh_group(catalog_group("S3")), 1, (3,))
     # the command searches the catalog group itself; drop what earlier
-    # searches kept on it for the length of this test
-    monkeypatch.setattr(catalog_group("S3"), "_searches", {})
+    # tests kept on it for the length of this test
+    monkeypatch.setattr(catalog_group("S3"), "_memo", {})
     assert main(["search", "S3", "1", "3"]) == EXIT_INTERNAL == 7
     err = capsys.readouterr().err
     assert err.startswith("InternalInconsistency:")

@@ -123,11 +123,13 @@ def test_second_orthogonality(name):
             assert total == expected
 
 
-def test_table_ordering_is_deterministic():
+def test_table_ordering_is_deterministic(monkeypatch):
     G = catalog_group("D4")
     before = character_table(G)
-    character_table.cache_clear()
+    # drop the table kept on the group, so that it is built again
+    monkeypatch.setattr(G, "_memo", {})
     after = character_table(G)
+    assert after is not before
     assert before.degrees == after.degrees
     assert [cf.values for cf in before.irreducibles] == [cf.values for cf in after.irreducibles]
 
@@ -331,7 +333,7 @@ def test_trivial_group_table_is_one_linear_character():
 
 
 def test_tables_hash_by_identity(monkeypatch):
-    # a table built outside the cache, so rational_characters computes anew
+    # a table not kept on its group, so rational_characters computes anew
     table = chars.character_table.__wrapped__(catalog_group("A4"))
 
     def refuse(value):
@@ -342,11 +344,12 @@ def test_tables_hash_by_identity(monkeypatch):
     assert rational_characters(table) is first
     assert len(first) == 3  # the two non-real linear characters form one orbit
     monkeypatch.undo()
-    # equal groups built separately share one table
+    # one group object returns one table; an equal group built separately
+    # builds its own
     gens = catalog_group("S3").generators
-    assert character_table(group_from_generators(gens)) is character_table(
-        group_from_generators(gens)
-    )
+    group, equal = group_from_generators(gens), group_from_generators(gens)
+    assert character_table(group) is character_table(group)
+    assert group == equal and character_table(equal) is not character_table(group)
 
 
 # -- certificates with a planted fault -----------------------------------------
@@ -359,7 +362,7 @@ def test_tables_hash_by_identity(monkeypatch):
 # which strips ``assert``.
 
 REPO = Path(__file__).resolve().parents[1]
-build_table = character_table.__wrapped__  # bypass the cache, so plants take effect
+build_table = character_table.__wrapped__  # not kept on the group, so plants take effect
 
 
 def _identity_class_matrix(group, i):

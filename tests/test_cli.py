@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pqsurf import cli, jacobian, surface
+from pqsurf import catalog, cli, jacobian, surface
 from pqsurf.catalog import ROWS, TableRow
 from pqsurf.cli import (
     EXIT_INTERNAL,
@@ -20,8 +21,8 @@ from pqsurf.cli import (
 )
 from pqsurf.chars import ClassFunction
 from pqsurf.covering import search_generating_vectors
-from pqsurf.descfile import build_explicit_vector, parse_description, resolve_group
-from pqsurf.errors import InternalInconsistency
+from pqsurf.descfile import GroupSpec, build_explicit_vector, parse_description, resolve_group
+from pqsurf.errors import InternalInconsistency, SizeLimit
 from pqsurf.groups import catalog_group
 from pqsurf.jacobian import isotypical_dimensions
 
@@ -293,6 +294,40 @@ def test_exit_2_an_aux_section_without_a_group_names_aux(tmp_path, capsys):
     assert err == "ParseError: [aux] requires exactly one of name or generators\n"
 
 
+@pytest.mark.parametrize("section", ["group", "aux"])
+@pytest.mark.parametrize("name", [True, 4, ["V4"]], ids=lambda v: type(v).__name__)
+def test_exit_2_a_group_name_that_is_not_a_string(tmp_path, section, name):
+    payload = json.loads((SURFACES / "v4.json").read_text(encoding="utf-8"))
+    if section == "group":
+        payload["group"] = {"name": name}
+    else:
+        payload["aux"] = {"name": name, "genus0": 0, "search": [2, 2, 2]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    proc = analyze_in_subprocess(path)
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+    assert proc.stderr == f"ParseError: [{section}] name must be a string, not {name!r}\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_exit_3_a_generator_point_above_the_order_cap(tmp_path, capsys):
+    path = tmp_path / "wide.surface"
+    path.write_text(
+        "[group]\ngenerators = (1,10001)\n"
+        "[curve1]\ngenus0 = 1\nsearch = 2\n[curve2]\ngenus0 = 1\nsearch = 2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "SizeLimit: point 10001 in the generators exceeds the limit 10000\n"
+
+
+def test_the_largest_generator_point_is_the_order_cap():
+    assert resolve_group(GroupSpec(None, ("(1,10000)",))).degree == 10000
+    with pytest.raises(SizeLimit, match="point 10001"):
+        resolve_group(GroupSpec(None, ("(1,2)", "(3,10001)")))
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -383,6 +418,16 @@ def test_reproduce_tables_exit_5(monkeypatch, capsys):
     assert "eta" in out
 
 
+def test_reproduce_tables_exit_5_on_a_genera_mismatch(monkeypatch, capsys):
+    # the witnesses of row V4 have genera (3, 3)
+    perturbed = dataclasses.replace(ROWS[0], genera=(3, 4))
+    monkeypatch.setattr(catalog, "ROWS", (perturbed,))
+    monkeypatch.setattr(cli, "ROWS", (perturbed,))
+    code, out, err = run(capsys, "reproduce-tables")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    assert "    genera: computed (3, 3), expected (3, 4)\n" in out
+
+
 def test_search_cli(capsys):
     code, out, _ = run(capsys, "search", "V4", "1", "2,2")
     assert code == 0
@@ -418,7 +463,7 @@ def test_exit_7_from_the_rank_z2_certificate(monkeypatch, capsys):
     # kept, and keep the isotypical dimensions before the patch below, so
     # that only the rank of Z2 sees it
     group = catalog_group("A4")
-    monkeypatch.setattr(group, "_searches", {})
+    monkeypatch.setattr(group, "_memo", {})
     for gv in search_generating_vectors(group, 1, (2,)):
         isotypical_dimensions(gv)
     # adding the trivial character to both Hurwitz characters adds

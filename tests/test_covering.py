@@ -380,13 +380,15 @@ def test_search_that_raises_keeps_nothing(monkeypatch):
         patch.setattr(covering, "_canonical", lambda G, vec: tuple(g.images for g in vec))
         with pytest.raises(InternalInconsistency):
             search_generating_vectors(G, 1, (3,))
-    assert G._searches == {}
+    kept = (covering._search.__wrapped__, 1, (3,))
+    assert kept not in G._memo
     assert search_generating_vectors(G, 1, (3,)) == search_generating_vectors(fresh("S3"), 1, (3,))
+    assert kept in G._memo
 
 
 def test_analyze_searches_a_shared_directive_once(scans, monkeypatch, capsys):
     # both curves of a4.surface carry the directive "genus0 = 1, search = 2"
-    monkeypatch.setattr(catalog_group("A4"), "_searches", {})
+    monkeypatch.setattr(catalog_group("A4"), "_memo", {})
     assert main(["analyze", str(REPO / "surfaces" / "a4.surface")]) == 0
     capsys.readouterr()
     analyze_scans = scans[0]

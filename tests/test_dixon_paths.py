@@ -355,7 +355,7 @@ def built(monkeypatch):
 # identity class's matrix is the identity and is never built
 @pytest.mark.parametrize("name, expected", [("S5", [1]), ("S4", [1]), ("C4xC4", [1, 2, 3, 4, 5, 6])])
 def test_class_matrices_built_on_demand(built, name, expected):
-    character_table.__wrapped__(group(name))  # bypass the cache
+    character_table.__wrapped__(group(name))  # not kept on the group
     assert built == expected
 
 
