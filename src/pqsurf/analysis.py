@@ -3,9 +3,11 @@
 ``analyze_pair`` runs the pipeline stages and returns the report as one
 JSON document: a dict whose leaves are str, int, bool or None.  ``to_json``
 dumps that document and ``render_text`` formats it, so the text report is a
-rendering of the JSON document.  Reports are deterministic: identical
-inputs produce identical bytes (the only run-dependent field is the tool
-version)."""
+rendering of the JSON document.  The document (``"schema": 2``) keeps each
+value under one key, listed in the README's "Report keys" table, and the
+text report reads each value from that key.  Reports are deterministic:
+identical inputs produce identical bytes (the only run-dependent field is
+the tool version)."""
 
 from __future__ import annotations
 
@@ -84,14 +86,13 @@ def analyze_pair(
         warnings.append("generic_k_assumes_no_isogenies")
 
     doc = {
+        "schema": 2,
         "version": __version__,
         "input": None,
         "group": {
             "label": group_label or f"order-{group.order} group",
             "order": group.order,
             "degree": group.degree,
-            "exponent": group.exponent,
-            "num_classes": len(group.classes),
             "class_sizes": list(group.class_sizes),
             "class_representatives": [r.cycle_string() for r in group.class_reps],
             "character_table": {
@@ -122,8 +123,6 @@ def analyze_pair(
             "e": surf.e,
             "K2": surf.k2,
             "b2": surf.b2,
-            "rank_new": surf.rank_new,
-            "signature_new": signature,
             "eta": surf.eta,
             "family_dim": surf.family_dim,
             "singularities": [
@@ -140,7 +139,6 @@ def analyze_pair(
             "matches": [
                 {
                     "rational_char": m.rational_index,
-                    "dual_char": m.rational_index,
                     "curve1": {"d": m.d1, "n": m.n1, "m": m.m1},
                     "curve2": {"d": m.d2, "n": m.n2, "m": m.m2},
                     "quaternionic": m.quaternionic,
@@ -188,7 +186,7 @@ def render_text(doc: dict) -> str:
     lines = [
         f"pqsurf {doc['version']}",
         f"group: {group['label']} (order {group['order']}, degree {group['degree']}, "
-        f"{group['num_classes']} classes, exponent {group['exponent']})",
+        f"{len(group['class_sizes'])} classes, exponent {group['character_table']['exponent']})",
     ]
     push = lines.append
     for i, c in enumerate(doc["curves"], start=1):
@@ -208,19 +206,20 @@ def render_text(doc: dict) -> str:
     )
     push(f"  singularities: {', '.join(s['type'] for s in surf['singularities']) or 'none'}")
     push(f"  family dimension: {surf['family_dim']}")
-    if surf["rank_new"] is not None:
+    lattice = doc["lattice"]
+    if lattice["rank_new"] is not None:
         push(
-            f"  H2_new: rank {surf['rank_new']} = 12 - K^2, "
-            f"transcendental signature bounded by {_seq(surf['signature_new'])}"
+            f"  H2_new: rank {lattice['rank_new']} = 12 - K^2, transcendental signature "
+            f"bounded by {_seq(lattice['transcendental_signature_bound'])}"
         )
     m = doc["motive"]
     if m is not None:
         push(
             f"motive h2: U rank {m['rank_U']}, Z1 rank {m['rank_Z1']}, "
-            f"Z2 rank {m['rank_Z2']}, exceptional rank {m['eta']}"
+            f"Z2 rank {pairing['rank_z2']}, exceptional rank {surf['eta']}"
         )
         if m["z2_label"]:
-            push(f"  Z2 = {m['z2_label']} (+ Q(-1)^{m['generic_k']} for generic members)")
+            push(f"  Z2 = {m['z2_label']} (+ Q(-1)^{pairing['generic_k']} for generic members)")
     push(f"pairing: {pairing['status']}")
     for match in pairing["matches"]:
         c1, c2 = match["curve1"], match["curve2"]
@@ -231,7 +230,6 @@ def render_text(doc: dict) -> str:
             f"[{c1['d']},{c1['n']},{c1['m']}], curve2 = "
             f"[{c2['d']},{c2['n']},{c2['m']}]{flag}{partner}"
         )
-    lattice = doc["lattice"]
     if lattice["k3_embedding"] is not None:
         push(
             f"lattice: signature bound {_seq(lattice['transcendental_signature_bound'])}, "

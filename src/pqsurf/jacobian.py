@@ -22,7 +22,6 @@ from .chars import (
 from .covering import GeneratingVector, hurwitz_character, genus, require_same_group
 from .errors import BaseGenusUnsupported, InternalInconsistency
 from .groups import stored
-from .surface import eta_of, quotient_singularities
 
 
 @dataclass(frozen=True)
@@ -204,46 +203,25 @@ def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
 
 @dataclass(frozen=True)
 class MotiveDecomposition:
-    """Ranks of the pieces of the second cohomology motive:
-    h^2 = U + Z1 + Z2 + (exceptional classes)."""
+    """Ranks of the Albanese pieces of the second cohomology motive
+    h^2 = U + Z1 + Z2 + (exceptional classes), and the shape of Z2.  The
+    rank of Z2 is ``k3_pairing(...).rank_z2`` and the exceptional rank is
+    the surface's eta; each value has one home."""
 
     rank_U: int
     rank_Z1: int
-    rank_Z2: int
-    eta: int
     z2_label: Optional[str]
-    partner_label: Optional[str]
-    generic_k: int
-    generic: bool = True
-
-    @property
-    def b2(self) -> int:
-        return self.rank_U + self.rank_Z1 + self.rank_Z2 + self.eta
 
 
 def motive_h2_decomposition(gv1: GeneratingVector, gv2: GeneratingVector) -> MotiveDecomposition:
-    """Decompose h^2 of the resolved quotient: the Albanese part U + Z1, the
-    isotypical cross terms Z2, and one Lefschetz class per exceptional curve."""
+    """Decompose h^2 of the resolved quotient: the Albanese part U + Z1 and
+    the isotypical cross terms Z2, one h1(L1) x h1(L2) per pairing match."""
     require_same_group(gv1, gv2)
     if gv1.base_genus != 1 or gv2.base_genus != 1:
         raise BaseGenusUnsupported("motive decomposition requires elliptic bases")
-    eta = eta_of(quotient_singularities(gv1, gv2))
-    pairing = k3_pairing(gv1, gv2)
-    if pairing.status == "unique":
-        z2_label = "h1(L1) x h1(L2)"
-        partner = pairing.matches[0].partner_label
-    elif pairing.status == "none":
-        z2_label = None
-        partner = None
-    else:
-        z2_label = " + ".join("h1(L1) x h1(L2)" for _ in pairing.matches)
-        partner = None
+    matches = k3_pairing(gv1, gv2).matches
     return MotiveDecomposition(
         rank_U=2,
         rank_Z1=4 * gv1.base_genus * gv2.base_genus,
-        rank_Z2=pairing.rank_z2,
-        eta=eta,
-        z2_label=z2_label,
-        partner_label=partner,
-        generic_k=pairing.generic_k,
+        z2_label=" + ".join("h1(L1) x h1(L2)" for _ in matches) or None,
     )

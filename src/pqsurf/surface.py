@@ -34,6 +34,7 @@ characteristic comes from the Lefschetz average over the group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -239,6 +240,24 @@ class SurfaceReport:
     warnings: tuple[str, ...]
 
 
+def _basket_formulas(order: int, g1: int, g2: int, singularities) -> tuple[Fraction, Fraction]:
+    """(K^2, e) of the minimal resolution by the basket formulas of
+    Bauer-Catanese-Grunewald-Pignatelli, from |G|, the genera and the
+    singularities alone:
+
+        K^2 = 8(g1-1)(g2-1)/|G| + sum k_x,  k_x = 2 - (2 + q + q')/n - sum_i (b_i - 2),
+        e   = 4(g1-1)(g2-1)/|G| + sum e_x,  e_x = l_x + 1 - 1/n,
+
+    with q q' = 1 mod n and b_1..b_l the Hirzebruch-Jung chain of 1/n(1,q)."""
+    base = Fraction((g1 - 1) * (g2 - 1), order)
+    k2, e = 8 * base, 4 * base
+    for s in singularities:
+        chain = s.hj_chain
+        k2 += 2 - Fraction(2 + s.q + pow(s.q, -1, s.n), s.n) - sum(b - 2 for b in chain)
+        e += len(chain) + 1 - Fraction(1, s.n)
+    return k2, e
+
+
 def _family_dimension(gv: GeneratingVector) -> int:
     g0, r = gv.base_genus, gv.num_branch_points
     if g0 >= 2:
@@ -249,8 +268,12 @@ def _family_dimension(gv: GeneratingVector) -> int:
 
 
 def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
-    """Full numerical invariant set of the resolved quotient surface."""
-    require_same_group(gv1, gv2)
+    """Full numerical invariant set of the resolved quotient surface.
+
+    Certificate: K^2 = 12 chi - e, with chi from the Chevalley-Weil p_g and
+    e from the Lefschetz average, must equal the basket formulas' K^2 and e,
+    or InternalInconsistency is raised."""
+    group = require_same_group(gv1, gv2)
     q = gv1.base_genus + gv2.base_genus
     p_g = geometric_genus(gv1, gv2)
     chi = 1 - q + p_g
@@ -258,6 +281,12 @@ def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
     eta = eta_of(sing)
     e_quot, e_res = euler_characteristic(gv1, gv2)
     k2 = 12 * chi - e_res
+    basket = _basket_formulas(group.order, genus(gv1), genus(gv2), sing)
+    if basket != (k2, e_res):
+        raise InternalInconsistency(
+            f"the basket formulas give (K^2, e) = ({basket[0]}, {basket[1]}), "
+            f"not ({k2}, {e_res})"
+        )
     b2 = e_res - 2 + 4 * q
     warnings = ["rank_new_convention"]
     if q == 2:

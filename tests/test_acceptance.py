@@ -255,7 +255,8 @@ def test_criterion_7_covering_hodge_consistency():
         rep = invariants(gv1, gv2)
         ok = ok and rep.e + rep.k2 == 12 * rep.chi
         dec = motive_h2_decomposition(gv1, gv2)
-        ok = ok and dec.rank_U + dec.rank_Z1 + dec.rank_Z2 + dec.eta == rep.b2
+        rank_z2 = k3_pairing(gv1, gv2).rank_z2
+        ok = ok and dec.rank_U + dec.rank_Z1 + rank_z2 + rep.eta == rep.b2
     _report("7 (covering/Hodge suite)", ok, f"{len(vectors)} vectors")
 
 
@@ -266,11 +267,11 @@ def test_criterion_8_rank_discrepancy_guard():
     for row in ROWS:
         gv1, gv2 = row_witnesses(row.name)
         doc = analyze_pair(gv1, gv2, group_label=row.group_name)
-        rep = doc["surface"]
-        ok = ok and rep["rank_new"] == 12 - rep["K2"]
+        lattice = doc["lattice"]
+        ok = ok and lattice["rank_new"] == 12 - doc["surface"]["K2"]
         ok = ok and "rank_new_convention" in doc["warnings"]
         ok = ok and "rank_new_convention" in doc["notes"]
-        n = rep["signature_new"][1]
+        n = lattice["transcendental_signature_bound"][1]
         ok = ok and 0 <= n <= 8
-        ok = ok and doc["lattice"]["k3_embedding"] == GUARANTEED
+        ok = ok and lattice["k3_embedding"] == GUARANTEED
     _report("8 (rank convention guard)", ok)

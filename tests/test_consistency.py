@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pqsurf.chars import character_table
 from pqsurf.covering import fixed_point_counts, fixed_point_data, genus, search_generating_vectors
 from pqsurf.groups import catalog_group, group_from_generators
-from pqsurf.jacobian import isotypical_dimensions, motive_h2_decomposition
+from pqsurf.jacobian import isotypical_dimensions, k3_pairing, motive_h2_decomposition
 from pqsurf.lattice import IntegralLattice, determinant, signature
 from pqsurf.perms import Permutation
 from pqsurf.surface import euler_characteristic, hirzebruch_jung, invariants, quotient_singularities
@@ -29,7 +29,7 @@ def test_c4_pair_with_order_4_singularities():
     assert (rep.p_g, rep.q, rep.k2, rep.e) == (4, 2, 16, 20)
     assert "NotPgQ2" in rep.warnings
     dec = motive_h2_decomposition(gv1, gv2)
-    assert dec.b2 == rep.b2 == 26
+    assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2 == 26
 
 
 def test_c6_pair_with_order_6_singularities():
@@ -41,7 +41,8 @@ def test_c6_pair_with_order_6_singularities():
     rep = invariants(gv1, gv2)
     assert rep.eta == 2 * 1 + 2 * 5
     assert rep.e + rep.k2 == 12 * rep.chi
-    assert motive_h2_decomposition(gv1, gv2).b2 == rep.b2
+    dec = motive_h2_decomposition(gv1, gv2)
+    assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
 
 
 def test_identities_hold_across_cross_pairs():
@@ -54,7 +55,7 @@ def test_identities_hold_across_cross_pairs():
         assert rep.e + rep.k2 == 12 * rep.chi
         assert rep.b2 == rep.e - 2 + 4 * rep.q
         dec = motive_h2_decomposition(gv1, gv2)
-        assert dec.rank_U + dec.rank_Z1 + dec.rank_Z2 + dec.eta == rep.b2
+        assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
         for gv in (gv1, gv2):
             assert sum(
                 f.reduced_dim * f.multiplicity for f in isotypical_dimensions(gv)

@@ -441,8 +441,11 @@ def test_analyze_pair_runs_each_pair_stage_once(bodies):
     assert expected["_dual_pairing"] == 1
     doc = analyze_pair(gv1, gv2)
     assert bodies == expected
-    assert doc["motive"]["rank_Z2"] == doc["pairing"]["rank_z2"]
-    assert doc["surface"]["eta"] == doc["motive"]["eta"] == 2
+    # h^2 = U + Z1 + Z2 + exceptional, each rank read from its one home
+    surf, motive = doc["surface"], doc["motive"]
+    assert motive["rank_U"] + motive["rank_Z1"] + doc["pairing"]["rank_z2"] + surf["eta"] == surf["b2"]
+    assert doc["pairing"]["rank_z2"] == jacobian.k3_pairing(gv1, gv2).rank_z2
+    assert surf["eta"] == 2
 
 
 def test_cli_analyze_runs_each_pair_stage_once(bodies, capsys):

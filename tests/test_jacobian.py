@@ -12,6 +12,7 @@ from pqsurf.jacobian import (
     motive_h2_decomposition,
 )
 from pqsurf.perms import parse_permutation
+from pqsurf.surface import invariants
 from planted import planted
 from test_covering import s3_branch3, v4_example_pair
 
@@ -108,33 +109,35 @@ def test_each_rational_character_is_its_own_dual():
 def test_motive_decomposition_v4():
     gv1, gv2 = v4_example_pair()
     dec = motive_h2_decomposition(gv1, gv2)
-    assert (dec.rank_U, dec.rank_Z1, dec.rank_Z2, dec.eta) == (2, 4, 4, 0)
-    assert dec.b2 == 10
-    assert dec.generic_k == 0
-    assert dec.generic
+    pairing, rep = k3_pairing(gv1, gv2), invariants(gv1, gv2)
+    assert (dec.rank_U, dec.rank_Z1, pairing.rank_z2, rep.eta) == (2, 4, 4, 0)
+    assert dec.rank_U + dec.rank_Z1 + pairing.rank_z2 + rep.eta == rep.b2 == 10
+    assert pairing.generic_k == 0
+    assert "generic_k assumes Hom(L1, L2) = 0 (no isogenies between the factors)" in pairing.notes
     assert dec.z2_label == "h1(L1) x h1(L2)"
-    assert dec.partner_label == "Km(L1 x L2)"
+    assert pairing.status == "unique"
+    assert pairing.matches[0].partner_label == "Km(L1 x L2)"
 
 
 def test_motive_decomposition_s3_and_a4():
     gv = s3_branch3()
-    dec = motive_h2_decomposition(gv, gv)
-    assert dec.rank_Z2 == 4
-    assert dec.eta == 3
+    assert motive_h2_decomposition(gv, gv).z2_label == "h1(L1) x h1(L2)"
+    assert k3_pairing(gv, gv).rank_z2 == 4
+    assert invariants(gv, gv).eta == 3
 
     G = catalog_group("A4")
     vectors = search_generating_vectors(G, 1, (2,))
-    dec = motive_h2_decomposition(vectors[0], vectors[1])
-    assert dec.rank_Z2 == 4
-    assert dec.eta == 2
+    assert motive_h2_decomposition(vectors[0], vectors[1]).z2_label == "h1(L1) x h1(L2)"
+    assert k3_pairing(vectors[0], vectors[1]).rank_z2 == 4
+    assert invariants(vectors[0], vectors[1]).eta == 2
 
 
 def test_rank_z2_is_even_and_nonnegative():
     G = catalog_group("D4")
     vectors = search_generating_vectors(G, 1, (2, 2))
     for gv2 in vectors[:5]:
-        dec = motive_h2_decomposition(vectors[0], gv2)
-        assert dec.rank_Z2 >= 0 and dec.rank_Z2 % 2 == 0
+        rank_z2 = k3_pairing(vectors[0], gv2).rank_z2
+        assert rank_z2 >= 0 and rank_z2 % 2 == 0
 
 
 @planted

@@ -249,3 +249,56 @@ def test_planted_chevalley_weil_genus_fault_is_internal_inconsistency(monkeypatc
     planted_table(monkeypatch, s3, three_cycles, lambda d: CyclotomicValue(6, ((0, d),)))
     with pytest.raises(InternalInconsistency, match="must sum to the genus"):
         surface.chevalley_weil(elliptic)
+
+
+def c4_rational_vector():
+    """A fresh C4 cover of the line branched in orders (2, 4, 4), so that no
+    pair stage is kept on it yet.  Its pair with itself has six points
+    1/2(1,1) and four 1/4(1,1), p_g = 0 and K^2 = -4, and the dual map of
+    C4 is not the identity."""
+    return dataclasses.replace(search_generating_vectors(catalog_group("C4"), 0, (2, 4, 4))[0])
+
+
+def test_c4_rational_pair_meets_the_basket_formulas():
+    gv = c4_rational_vector()
+    rep = invariants(gv, gv)
+    assert [(s.n, s.q) for s in rep.singularities] == [(2, 1)] * 6 + [(4, 1)] * 4
+    assert (rep.p_g, rep.q, rep.k2, rep.e) == (0, 0, -4, 16)
+    assert surface._basket_formulas(4, genus(gv), genus(gv), rep.singularities) == (-4, 16)
+
+
+@planted
+def test_planted_dual_map_fault_is_internal_inconsistency(monkeypatch):
+    # a dual map that forgets complex conjugation moves p_g, and K^2 with it,
+    # while Noether still holds: p_g reads 1 on this pair
+    gv = c4_rational_vector()
+    table = character_table(gv.group)
+    identity = tuple(range(len(table.dual)))
+    assert table.dual != identity
+    faulty = dataclasses.replace(table, dual=identity)
+    monkeypatch.setattr(surface, "character_table", lambda group: faulty)
+    with pytest.raises(InternalInconsistency, match="basket formulas give"):
+        invariants(gv, gv)
+
+
+@planted
+def test_planted_rotation_fault_is_internal_inconsistency(monkeypatch):
+    # _basket reporting 1/n(1,n-q) for 1/n(1,q): the four points 1/4(1,1)
+    # turn into 1/4(1,3), whose longer chains raise eta and e
+    basket = surface._basket
+    monkeypatch.setattr(
+        surface, "_basket", lambda *args: {(n, n - q): c for (n, q), c in basket(*args).items()}
+    )
+    gv = c4_rational_vector()
+    with pytest.raises(InternalInconsistency, match="basket formulas give"):
+        invariants(gv, gv)
+
+
+@planted
+def test_planted_dropped_singularity_is_internal_inconsistency(monkeypatch):
+    # a singularity pass that misses one point 1/2(1,1)
+    singularities = surface.quotient_singularities
+    monkeypatch.setattr(surface, "quotient_singularities", lambda gv1, gv2: singularities(gv1, gv2)[1:])
+    gv = c4_rational_vector()
+    with pytest.raises(InternalInconsistency, match="basket formulas give"):
+        invariants(gv, gv)
