@@ -61,7 +61,6 @@ from .lattice import (
     k3_embeddable,
     k3_lattice,
     lambda_d,
-    make_lattice,
     nikulin_embeds,
     rank1,
     rescale,
@@ -122,7 +121,6 @@ __all__ = [
     "k3_embeddable",
     "k3_lattice",
     "lambda_d",
-    "make_lattice",
     "nikulin_embeds",
     "rank1",
     "rescale",

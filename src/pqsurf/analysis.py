@@ -49,7 +49,7 @@ def _curve(gv: GeneratingVector) -> dict:
         "handles": [[a.cycle_string(), b.cycle_string()] for a, b in gv.handles],
         "monodromies": [c.cycle_string() for c in gv.monodromies],
         "hurwitz_character": [int(v) for v in hurwitz_character(gv).values],
-        "chevalley_weil": list(chevalley_weil(gv).values()),
+        "chevalley_weil": list(chevalley_weil(gv)),
         "isotypical_factors": _factors(isotypical_dimensions(gv)),
         "label": decomposition_label(gv) if gv.base_genus == 1 else None,
     }
@@ -61,7 +61,7 @@ def analyze_pair(
     group_label: str = "",
     aux: Optional[tuple[str, GeneratingVector]] = None,
 ) -> dict:
-    """Run the whole pipeline on a validated pair of generating vectors and
+    """Run the whole pipeline on a pair of generating vectors and
     return the report document.  ``aux`` is a ``(label, vector)`` over
     another group whose isotypical decomposition the report adds.  The
     document's ``"input"`` is None, for the caller to set to the

@@ -72,16 +72,15 @@ def row_by_name(name: str) -> TableRow:
     raise UnknownName(f"no catalog row named {name!r}; known: {', '.join(r.name for r in ROWS)}")
 
 
-def select_pair(vectors1, vectors2, prefer_pg2: bool):
-    """First pair in search order, preferring p_g = 2 when requested."""
+def select_pair(vectors1, vectors2):
+    """First pair in search order; when both curves have an elliptic base,
+    the first pair with p_g = 2 if there is one."""
     first_valid = None
     for gv1 in vectors1:
         for gv2 in vectors2:
             if first_valid is None:
                 first_valid = (gv1, gv2)
-            if not prefer_pg2:
-                return gv1, gv2
-            if geometric_genus(gv1, gv2) == 2:
+            if gv1.base_genus != 1 or gv2.base_genus != 1 or geometric_genus(gv1, gv2) == 2:
                 return gv1, gv2
     if first_valid is not None:
         return first_valid
@@ -96,7 +95,7 @@ def row_witnesses(name: str) -> tuple[GeneratingVector, GeneratingVector]:
     vectors2 = search_generating_vectors(group, 1, row.branch2)
     if not vectors1 or not vectors2:
         raise NoWitness(f"no generating vectors for row {row.name}")
-    return select_pair(vectors1, vectors2, prefer_pg2=True)
+    return select_pair(vectors1, vectors2)
 
 
 # -- reference character numbering -------------------------------------------

@@ -429,7 +429,9 @@ def character_table(group: Group) -> CharacterTable:
     """Complete exact character table, canonically ordered.
 
     Rows are sorted by degree, then lexicographically by the eigenvalue
-    multisets of their values under the canonical class order.
+    multisets of their values under the canonical class order.  The lifted
+    table must satisfy column orthogonality
+    (``_check_column_orthogonality``) before its dual map is read.
     """
     k = len(group.classes)
     e = group.exponent
@@ -495,9 +497,30 @@ def character_table(group: Group) -> CharacterTable:
     # the trivial character, eigenvalue 1 on every class, sorts first
     if any(v.multiplicities != ((0, 1),) for v in characters[0].values):
         raise InternalInconsistency("the first character of the table is not the trivial one")
+    _check_column_orthogonality(group, characters)
     degrees = tuple(cf.values[0].degree() for cf in characters)
     dual = _dual_map(characters, degrees, inverse_class)
     return CharacterTable(group, tuple(characters), degrees, dual)
+
+
+def _check_column_orthogonality(group: Group, characters) -> None:
+    """Certificate: sum_chi |chi(c)|^2 = |G|/|c| on every class c, or
+    InternalInconsistency is raised.  The sum is rational, so it is compared
+    through its trace, in integers scaled by phi(e): with
+    chi(c) = sum_b m_b zeta_e^b, Tr(|chi(c)|^2) = sum_b m_b Tr(chi(c) zeta_e^-b),
+    a sum of trace coordinates (``_trace``), must equal phi(e) |G|/|c|."""
+    e = group.exponent
+    phi_e = _galois_weights(e)[0]
+    for c, size in enumerate(group.class_sizes):
+        total = sum(
+            m_b * _trace(e, cf.values[c].multiplicities, b)
+            for cf in characters
+            for b, m_b in cf.values[c].multiplicities
+        )
+        if total != phi_e * group.order // size:
+            raise InternalInconsistency(
+                f"the character table fails column orthogonality at class {c}"
+            )
 
 
 def _twist(characters, *power_maps) -> tuple[tuple[int, ...], ...]:

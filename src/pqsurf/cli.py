@@ -24,7 +24,7 @@ from .catalog import (
     row_witnesses,
     select_pair,
 )
-from .covering import search_generating_vectors, validate
+from .covering import search_generating_vectors
 from .descfile import (
     SurfaceDescription,
     build_explicit_vector,
@@ -49,13 +49,19 @@ EXIT_MISMATCH = 5
 EXIT_SEARCH_SPACE = 6
 EXIT_INTERNAL = 7
 
+# error class -> exit code; any other PqsurfError exits EXIT_VALIDATION
+EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    SearchSpaceTooLarge: EXIT_SEARCH_SPACE,
+    NoWitness: EXIT_NO_WITNESS,
+    InternalInconsistency: EXIT_INTERNAL,
+}
+
 
 def _curve_vectors(curve, group):
     if curve.is_search:
         return search_generating_vectors(group, curve.genus0, curve.search)
-    gv = build_explicit_vector(curve, group)
-    validate(gv)
-    return (gv,)
+    return (build_explicit_vector(curve, group),)
 
 
 def _analysis_from_description(desc: SurfaceDescription) -> dict:
@@ -64,8 +70,7 @@ def _analysis_from_description(desc: SurfaceDescription) -> dict:
     vectors2 = _curve_vectors(desc.curve2, group)
     if not vectors1 or not vectors2:
         raise NoWitness("search directive produced no generating vector")
-    prefer = desc.curve1.genus0 == 1 and desc.curve2.genus0 == 1
-    gv1, gv2 = select_pair(vectors1, vectors2, prefer_pg2=prefer)
+    gv1, gv2 = select_pair(vectors1, vectors2)
     aux = None
     if desc.aux is not None:
         aux_group_spec, aux_curve = desc.aux
@@ -243,21 +248,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"ParseError: {exc}\n")
-        return EXIT_PARSE
-    except SearchSpaceTooLarge as exc:
-        sys.stderr.write(f"SearchSpaceTooLarge: {exc}\n")
-        return EXIT_SEARCH_SPACE
-    except NoWitness as exc:
-        sys.stderr.write(f"NoWitness: {exc}\n")
-        return EXIT_NO_WITNESS
-    except InternalInconsistency as exc:
-        sys.stderr.write(f"InternalInconsistency: {exc}\n")
-        return EXIT_INTERNAL
     except PqsurfError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return EXIT_VALIDATION
+        return EXIT_CODES.get(type(exc), EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

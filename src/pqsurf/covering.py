@@ -5,13 +5,15 @@ branched G-cover of a genus-g0 curve with r branch points: the handles map
 to the a/b generators of the base surface group, the c_i are the local
 monodromies, and the long relation prod [a_j, b_j] * prod c_i = 1 holds.
 
-The per-curve stages here and in ``surface`` and ``jacobian`` (validation,
-genus, fixed-point counts, the Hurwitz and Chevalley-Weil characters, the
-isotypical dimensions) are decorated with ``groups.stored``: each runs once
-per vector and keeps its value on the vector.  So are the pair stages (the
-singularities, the geometric genus and the K3 pairing): each runs once per
-ordered pair and keeps its value on the first vector, keyed by the partner.
-A completed search is kept the same way on its group.
+A ``GeneratingVector`` is checked by ``validate`` when it is built, so
+every stage can take one as valid.  The per-curve stages here and in
+``surface`` and ``jacobian`` (genus, fixed-point counts, the Hurwitz and
+Chevalley-Weil characters, the isotypical dimensions) are decorated with
+``groups.stored``: each runs once per vector and keeps its value on the
+vector.  So are the pair stages (the singularities, the geometric genus and
+the K3 pairing): each runs once per ordered pair and keeps its value on the
+first vector, keyed by the partner.  A completed search is kept the same
+way on its group.
 """
 
 from __future__ import annotations
@@ -40,24 +42,17 @@ DEFAULT_SEARCH_LIMIT = 10 ** 8
 @dataclass(frozen=True)
 class GeneratingVector:
     group: Group
-    base_genus: int
     handles: tuple[tuple[Permutation, Permutation], ...]
     monodromies: tuple[Permutation, ...]
     orders: tuple[int, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.base_genus < 0:
-            raise ValueError("base genus must be nonnegative")
-        if len(self.handles) != self.base_genus:
-            raise ValueError("need one handle pair per unit of base genus")
-        if len(self.monodromies) != len(self.orders):
-            raise OrderMismatch("one declared order per monodromy required")
-        for a, b in self.handles:
-            self.group.require(a)
-            self.group.require(b)
-        for c in self.monodromies:
-            self.group.require(c)
+        validate(self)
+
+    @property
+    def base_genus(self) -> int:
+        return len(self.handles)
 
     @property
     def num_branch_points(self) -> int:
@@ -70,18 +65,21 @@ class GeneratingVector:
         flat.extend(self.monodromies)
         return tuple(flat)
 
-    def signature(self) -> tuple[int, tuple[int, ...]]:
-        return (self.base_genus, self.orders)
-
 
 def _commutator(a: Permutation, b: Permutation) -> Permutation:
     return a * b * a.inverse() * b.inverse()
 
 
-@stored
 def validate(gv: GeneratingVector) -> None:
-    """Check the three defining invariants; raises the named violation."""
+    """Check the invariants of a generating vector, in this order, and
+    raise the first one violated: one declared order per monodromy, every
+    listed element in the group, no identity monodromy, the declared orders,
+    the long relation, generation.  Runs when the vector is built."""
     group = gv.group
+    if len(gv.monodromies) != len(gv.orders):
+        raise OrderMismatch("one declared order per monodromy required")
+    for g in gv.listed_elements():
+        group.require(g)
     for c in gv.monodromies:
         if c.is_identity():
             raise TrivialMonodromy("a local monodromy is the identity")
@@ -102,7 +100,6 @@ def validate(gv: GeneratingVector) -> None:
 @stored
 def genus(gv: GeneratingVector) -> int:
     """Genus of the covering curve by Riemann-Hurwitz."""
-    validate(gv)
     n = gv.group.order
     rhs = n * (2 * gv.base_genus - 2) + sum(
         (n // m) * (m - 1) for m in gv.orders
@@ -125,7 +122,6 @@ def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
     The elements of <c> are the powers c^t, t < m, whose classes are the
     row of c's class in the group's power-class table, so each term is the
     ``permutation_character`` of that row."""
-    validate(gv)
     group = gv.group
     counts = [0] * len(group.classes)
     for c, m in zip(gv.monodromies, gv.orders):
@@ -141,7 +137,6 @@ def hurwitz_character(gv: GeneratingVector) -> ClassFunction:
     2*triv + (2g0 - 2 + r)*regular minus the fixed-point counts.  The
     regular character is the ``permutation_character`` of the trivial
     subgroup, whose one element lies in the identity class."""
-    validate(gv)
     group = gv.group
     regular = permutation_character(group, (0,), 1)
     weight = 2 * gv.base_genus - 2 + gv.num_branch_points
@@ -202,7 +197,6 @@ def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, 
     group.require(g)
     if g.is_identity():
         raise IdentityElement("fixed points are only reported for nontrivial elements")
-    validate(gv)
     out = []
     for j, (c, m) in enumerate(zip(gv.monodromies, gv.orders), start=1):
         sub = cyclic_subgroup(group, c)
@@ -347,9 +341,7 @@ def _search(group: Group, base_genus: int, orders: tuple) -> tuple[GeneratingVec
             (flat[2 * i], flat[2 * i + 1]) for i in range(base_genus)
         )
         monos = flat[2 * base_genus:]
-        gv = GeneratingVector(group, base_genus, handles, monos, orders)
-        validate(gv)
-        vectors.append(gv)
+        vectors.append(GeneratingVector(group, handles, monos, orders))
     return tuple(vectors)
 
 

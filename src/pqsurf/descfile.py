@@ -219,4 +219,4 @@ def build_explicit_vector(curve: CurveSpec, group: Group) -> GeneratingVector:
     handles = tuple(
         (handle_perms[2 * i], handle_perms[2 * i + 1]) for i in range(curve.genus0)
     )
-    return GeneratingVector(group, curve.genus0, handles, tuple(monos), curve.orders)
+    return GeneratingVector(group, handles, tuple(monos), curve.orders)

@@ -124,26 +124,6 @@ def lambda_d(d: int) -> IntegralLattice:
     return direct_sum(e8_minus(), e8_minus(), u, u, rank1(d))
 
 
-def make_lattice(spec: str) -> IntegralLattice:
-    """Named constructors addressable by string, e.g. "U", "E8_minus",
-    "K3_Lambda", "Lambda_d(3)", "rank1(2)", "sum(U,U,E8_minus)"."""
-    s = spec.strip()
-    if s == "U":
-        return hyperbolic_plane()
-    if s == "E8_minus":
-        return e8_minus()
-    if s == "K3_Lambda":
-        return k3_lattice()
-    if s.startswith("Lambda_d(") and s.endswith(")"):
-        return lambda_d(int(s[9:-1]))
-    if s.startswith("rank1(") and s.endswith(")"):
-        return rank1(int(s[6:-1]))
-    if s.startswith("sum(") and s.endswith(")"):
-        parts = [p for p in s[4:-1].split(",") if p.strip()]
-        return direct_sum(*(make_lattice(p) for p in parts))
-    raise InvalidParameter(f"unknown lattice spec {spec!r}")
-
-
 # -- exact linear algebra -----------------------------------------------------
 
 def determinant(lattice: IntegralLattice) -> int:

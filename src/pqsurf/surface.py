@@ -44,7 +44,6 @@ from .covering import (
     fixed_point_counts,
     genus,
     require_same_group,
-    validate,
 )
 from .errors import InternalInconsistency, NotCoprime, OutOfRange
 from .groups import Group, stored
@@ -129,8 +128,6 @@ def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tupl
     counted from the power classes of c_i and d_j; no element of G is
     visited."""
     group = require_same_group(gv1, gv2)
-    validate(gv1)
-    validate(gv2)
     out = []
     for c, m1 in zip(gv1.monodromies, gv1.orders):
         for d, m2 in zip(gv2.monodromies, gv2.orders):
@@ -143,22 +140,18 @@ def eta_of(singularities) -> int:
     return sum(len(s.hj_chain) for s in singularities)
 
 
-def chevalley_weil(gv: GeneratingVector) -> dict[int, int]:
-    """Multiplicity of each complex irreducible in H^0(C, Omega^1).
+@stored
+def chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
+    """Multiplicity of each complex irreducible in H^0(C, Omega^1), in the
+    order of the character table.
 
     With the stabilizer generator of a branch fiber rotating the tangent
     line by zeta_m, the multiplicity of the character chi of degree d is
     d*(g0 - 1) + [chi trivial] + sum over branch points i and eigenvalue
     exponents a of N_{i,a} * a/m_i.
     """
-    return dict(enumerate(_chevalley_weil(gv)))
-
-
-@stored
-def _chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
     # the multiplicity times e, summed in integers: the table stores chi(c) as
     # its eigenvalues zeta_e^a, and zeta_e^a = zeta_m^alpha with alpha/m = a/e
-    validate(gv)
     group = gv.group
     table = character_table(group)
     e = group.exponent
@@ -192,7 +185,7 @@ def geometric_genus(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     a1, a2 of the two curves, since <chi psi, 1> = [psi = chi-bar]."""
     group = require_same_group(gv1, gv2)
     dual = character_table(group).dual
-    return _dual_pairing(_chevalley_weil(gv1), _chevalley_weil(gv2), dual)
+    return _dual_pairing(chevalley_weil(gv1), chevalley_weil(gv2), dual)
 
 
 def euler_characteristic(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[int, int]:

@@ -111,11 +111,11 @@ def test_criterion_3_worked_example():
     G = catalog_group("V4")
     p = lambda s: parse_permutation(s, 4)
     gv1 = GeneratingVector(
-        G, 1, ((p("(1,3)(2,4)"), p("()")),),
+        G, ((p("(1,3)(2,4)"), p("()")),),
         (p("(1,2)(3,4)"), p("(1,2)(3,4)")), (2, 2),
     )
     gv2 = GeneratingVector(
-        G, 1, ((p("(1,2)(3,4)"), p("()")),),
+        G, ((p("(1,2)(3,4)"), p("()")),),
         (p("(1,3)(2,4)"), p("(1,3)(2,4)")), (2, 2),
     )
     ok = hurwitz_character(gv1).values == (6, -2, 2, 2)
@@ -242,7 +242,7 @@ def test_criterion_7_covering_hodge_consistency():
         mults = chevalley_weil(gv)
         for c in range(len(G.classes)):
             total = Cyclotomic.zero(G.exponent)
-            for i, n in mults.items():
+            for i, n in enumerate(mults):
                 if n:
                     v = value_cyc(ct.irreducibles[i], c)
                     total = total + (v + v.conjugate()).scale(n)

@@ -424,6 +424,34 @@ def test_planted_dixon_fault_is_internal_inconsistency(monkeypatch, name, plant,
         build_table(catalog_group(name))
 
 
+def _plant_changed_value(monkeypatch):
+    """The first nonlinear irreducible built reads its degree d (eigenvalue
+    1, d times) at the first class where it has two distinct eigenvalues:
+    its degree and its multisets' sizes stay, |chi(c)| grows."""
+    real = chars.ClassFunction
+    changed = []
+
+    def changed_value(group, values):
+        d = values[0].degree()
+        k = next((k for k, v in enumerate(values) if len(v.multiplicities) > 1), None)
+        if d > 1 and k is not None and not changed:
+            changed.append(k)
+            values = values[:k] + (chars.CyclotomicValue(group.exponent, ((0, d),)),) + values[k + 1:]
+        return real(group, values)
+
+    monkeypatch.setattr(chars, "ClassFunction", changed_value)
+
+
+@planted
+@pytest.mark.parametrize("name", ("S3", "Q8", "A4"))
+def test_planted_table_value_fails_column_orthogonality(monkeypatch, name):
+    # no other certificate of the table sees the change: the degrees, the
+    # multiset sizes and the dual map all still hold
+    _plant_changed_value(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="column orthogonality"):
+        build_table(catalog_group(name))
+
+
 def _kernel_plant(monkeypatch, edit):
     """``_kernel`` with ``edit`` applied to every basis it returns for a
     space of dimension >= 2."""

@@ -42,11 +42,11 @@ def v4_example_pair():
     """The explicit K^2 = 8 pair of V4-covers of elliptic curves."""
     G = catalog_group("V4")
     gv1 = GeneratingVector(
-        G, 1, ((p4("(1,3)(2,4)"), p4("()")),),
+        G, ((p4("(1,3)(2,4)"), p4("()")),),
         (p4("(1,2)(3,4)"), p4("(1,2)(3,4)")), (2, 2),
     )
     gv2 = GeneratingVector(
-        G, 1, ((p4("(1,2)(3,4)"), p4("()")),),
+        G, ((p4("(1,2)(3,4)"), p4("()")),),
         (p4("(1,3)(2,4)"), p4("(1,3)(2,4)")), (2, 2),
     )
     return gv1, gv2
@@ -61,10 +61,8 @@ def s3_branch3():
         for b in G.elements:
             word = a * b * a.inverse() * b.inverse() * rot
             if word.is_identity():
-                gv = GeneratingVector(G, 1, ((a, b),), (rot,), (3,))
                 try:
-                    validate(gv)
-                    return gv
+                    return GeneratingVector(G, ((a, b),), (rot,), (3,))
                 except Exception:
                     continue
     raise AssertionError("no S3 witness found")
@@ -78,35 +76,52 @@ def test_validate_accepts_the_v4_datum():
 
 def test_validate_rejects_trivial_monodromy():
     G = catalog_group("V4")
-    gv = GeneratingVector(
-        G, 1, ((p4("(1,3)(2,4)"), p4("()")),), (p4("()"), p4("()")), (2, 2)
-    )
     with pytest.raises(TrivialMonodromy):
-        validate(gv)
+        GeneratingVector(G, ((p4("(1,3)(2,4)"), p4("()")),), (p4("()"), p4("()")), (2, 2))
 
 
 def test_validate_rejects_non_generating():
     G = catalog_group("V4")
     t = p4("(1,3)(2,4)")
-    gv = GeneratingVector(G, 1, ((t, p4("()")),), (t, t), (2, 2))
     with pytest.raises(NotGenerating):
-        validate(gv)
+        GeneratingVector(G, ((t, p4("()")),), (t, t), (2, 2))
 
 
 def test_validate_rejects_wrong_order_and_relation():
     G = catalog_group("V4")
-    gv = GeneratingVector(
-        G, 1, ((p4("(1,3)(2,4)"), p4("()")),),
-        (p4("(1,2)(3,4)"), p4("(1,2)(3,4)")), (4, 4),
-    )
     with pytest.raises(OrderMismatch):
-        validate(gv)
-    gv2 = GeneratingVector(
-        G, 1, ((p4("(1,3)(2,4)"), p4("()")),),
-        (p4("(1,2)(3,4)"), p4("(1,4)(2,3)")), (2, 2),
-    )
+        GeneratingVector(
+            G, ((p4("(1,3)(2,4)"), p4("()")),),
+            (p4("(1,2)(3,4)"), p4("(1,2)(3,4)")), (4, 4),
+        )
     with pytest.raises(RelationFails):
-        validate(gv2)
+        GeneratingVector(
+            G, ((p4("(1,3)(2,4)"), p4("()")),),
+            (p4("(1,2)(3,4)"), p4("(1,4)(2,3)")), (2, 2),
+        )
+
+
+def test_validate_raises_the_first_violated_invariant():
+    G = catalog_group("V4")
+    handles = ((p4("(1,3)(2,4)"), p4("()")),)
+    # an identity monodromy and a broken relation
+    with pytest.raises(TrivialMonodromy):
+        GeneratingVector(G, handles, (p4("()"), p4("(1,2)(3,4)")), (2, 2))
+    # a wrong declared order and a broken relation
+    with pytest.raises(OrderMismatch):
+        GeneratingVector(G, handles, (p4("(1,2)(3,4)"), p4("(1,4)(2,3)")), (4, 2))
+    # a missing order and an element outside the group
+    with pytest.raises(OrderMismatch):
+        GeneratingVector(G, handles, (p4("(1,2)"),), ())
+
+
+def test_replace_checks_the_new_vector():
+    gv1, _ = v4_example_pair()
+    # the second monodromy (1,4)(2,3) leaves the product (1,3)(2,4), not 1
+    with pytest.raises(RelationFails):
+        dataclasses.replace(gv1, monodromies=(p4("(1,2)(3,4)"), p4("(1,4)(2,3)")))
+    with pytest.raises(OrderMismatch):
+        dataclasses.replace(gv1, orders=(2,))
 
 
 def test_genus_examples():
@@ -115,9 +130,7 @@ def test_genus_examples():
 
     # unbranched cover of an elliptic curve has genus 1
     G = catalog_group("V4")
-    etale = GeneratingVector(
-        G, 1, ((p4("(1,2)(3,4)"), p4("(1,3)(2,4)")),), (), ()
-    )
+    etale = GeneratingVector(G, ((p4("(1,2)(3,4)"), p4("(1,3)(2,4)")),), (), ())
     assert genus(etale) == 1
 
     assert genus(s3_branch3()) == 3
@@ -129,9 +142,7 @@ def test_hurwitz_character_examples():
     assert hurwitz_character(gv2).values == (6, 2, -2, 2)
 
     G = catalog_group("V4")
-    etale = GeneratingVector(
-        G, 1, ((p4("(1,2)(3,4)"), p4("(1,3)(2,4)")),), (), ()
-    )
+    etale = GeneratingVector(G, ((p4("(1,2)(3,4)"), p4("(1,3)(2,4)")),), (), ())
     assert hurwitz_character(etale).values == (2, 2, 2, 2)  # twice the trivial character
 
     # S3 with one order-3 branch point: 0 on the 3-cycles, 2 on transpositions
@@ -254,15 +265,14 @@ def test_per_vector_stages_run_once_and_share_their_value():
 
 def test_invalid_vector_raises_from_validate_on_every_call():
     G = catalog_group("V4")
-    gv = GeneratingVector(
-        G, 1, ((p4("(1,3)(2,4)"), p4("()")),),
-        (p4("(1,2)(3,4)"), p4("(1,4)(2,3)")), (2, 2),
-    )
+    handles = ((p4("(1,3)(2,4)"), p4("()")),)
+    monos = (p4("(1,2)(3,4)"), p4("(1,4)(2,3)"))
     for _ in range(3):
         with pytest.raises(RelationFails):
-            validate(gv)
-        with pytest.raises(RelationFails):
-            hurwitz_character(gv)
+            GeneratingVector(G, handles, monos, (2, 2))
+    # validation keeps nothing on a vector
+    gv, _ = v4_example_pair()
+    validate(gv)
     assert gv._memo == {}
 
 

@@ -38,7 +38,7 @@ def test_pairing_none_status():
     gv1, _ = v4_example_pair()
     G = gv1.group
     etale = GeneratingVector(
-        G, 1,
+        G,
         ((parse_permutation("(1,2)(3,4)", 4), parse_permutation("(1,3)(2,4)", 4)),),
         (), (),
     )

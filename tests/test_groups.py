@@ -149,7 +149,7 @@ def test_a_plain_tuple_is_not_an_element():
     with pytest.raises(NotInGroup):
         G.require((2, 1))
     with pytest.raises(NotInGroup):
-        GeneratingVector(G, 0, (), ((2, 1), G.elements[1]), (2, 2))
+        GeneratingVector(G, (), ((2, 1), G.elements[1]), (2, 2))
 
 
 def test_centralizer_order():

@@ -2,7 +2,7 @@
 they replace.
 
 ``surface.geometric_genus`` sums a1[i] * a2[dual[i]] over the Chevalley-Weil
-multiplicities, ``surface._chevalley_weil`` sums the stored exponents of
+multiplicities, ``surface.chevalley_weil`` sums the stored exponents of
 zeta_e in integers scaled by e, and ``chars.inner_product`` sums
 rational-valued class functions in integers.  The references below are the
 earlier paths: p_g as the average over the classes of the product of the
@@ -29,12 +29,12 @@ from pqsurf.chars import (
     inner_product,
     rational_characters,
 )
-from pqsurf.covering import GeneratingVector, hurwitz_character, search_generating_vectors, validate
+from pqsurf.covering import GeneratingVector, hurwitz_character, search_generating_vectors
 from pqsurf.errors import NotGenerating
 from pqsurf.groups import CATALOG_NAMES, catalog_group, group_from_generators
 from pqsurf.jacobian import _rank_z2, isotypical_dimensions
 from pqsurf.perms import parse_permutation
-from pqsurf.surface import _chevalley_weil, geometric_genus
+from pqsurf.surface import chevalley_weil, geometric_genus
 
 from cyclotomic_reference import Cyclotomic, value_cyc
 from test_consistency import _basket_pairs
@@ -119,7 +119,7 @@ def reference_inner_product(a, b):
 
 def assert_pair_matches(gv1, gv2):
     for gv in (gv1, gv2):
-        assert _chevalley_weil(gv) == reference_chevalley_weil(gv) == lcm_chevalley_weil(gv)
+        assert chevalley_weil(gv) == reference_chevalley_weil(gv) == lcm_chevalley_weil(gv)
     p_g = geometric_genus(gv1, gv2)
     assert p_g == reference_geometric_genus(gv1, gv2)
     return p_g
@@ -225,9 +225,8 @@ def sample_vectors(name, g0, reps, count, seed):
         last = word.inverse()
         if last not in classes[-1]:
             continue
-        gv = GeneratingVector(group, g0, handles, tuple(monos) + (last,), orders)
         try:
-            validate(gv)
+            gv = GeneratingVector(group, handles, tuple(monos) + (last,), orders)
         except NotGenerating:
             continue
         out.append(gv)

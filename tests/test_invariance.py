@@ -40,7 +40,6 @@ def conjugated(gv, x):
     xi = x.inverse()
     return GeneratingVector(
         gv.group,
-        gv.base_genus,
         tuple((x * a * xi, x * b * xi) for a, b in gv.handles),
         tuple(x * c * xi for c in gv.monodromies),
         gv.orders,
@@ -54,7 +53,7 @@ def braided(gv, i):
     c, d = monos[i], monos[i + 1]
     monos[i : i + 2] = [c * d * c.inverse(), c]
     orders[i : i + 2] = [orders[i + 1], orders[i]]
-    return GeneratingVector(gv.group, gv.base_genus, gv.handles, tuple(monos), tuple(orders))
+    return GeneratingVector(gv.group, gv.handles, tuple(monos), tuple(orders))
 
 
 def summary(report, swapped=False):

@@ -30,7 +30,6 @@ from pqsurf.lattice import (
     k3_embeddable,
     k3_lattice,
     lambda_d,
-    make_lattice,
     nikulin_embeds,
     rank1,
     rescale,
@@ -142,16 +141,6 @@ def test_k3_embeddable_examples():
     assert k3_embeddable(k3_lattice()) == CRITERION_NOT_SATISFIED
     with pytest.raises(NotEven):
         k3_embeddable(IntegralLattice(((2, 0), (0, 3))))
-
-
-def test_make_lattice_strings():
-    assert make_lattice("U").gram == hyperbolic_plane().gram
-    assert make_lattice("K3_Lambda").rank == 22
-    assert make_lattice("Lambda_d(3)").gram == lambda_d(3).gram
-    assert make_lattice("rank1(2)").gram == ((-4,),)
-    assert make_lattice("sum(U,U,E8_minus)").rank == 12
-    with pytest.raises(InvalidParameter):
-        make_lattice("Leech")
 
 
 @st.composite
