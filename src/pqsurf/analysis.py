@@ -26,7 +26,13 @@ from .jacobian import (
     motive_h2_decomposition,
 )
 from .lattice import GUARANTEED, CRITERION_NOT_SATISFIED
-from .surface import RANK_NEW_NOTE, chevalley_weil, invariants
+from .surface import chevalley_weil, invariants
+
+RANK_NEW_NOTE = (
+    "rank_new is computed as b2 - 6 = 12 - K^2 from the Betti-number "
+    "derivation (b2 = e + 6 when b1 = 4); some references state 14 - K^2 "
+    "for this rank, which is inconsistent with the displayed arithmetic."
+)
 
 
 def _factors(factors: tuple[IsotypicalFactor, ...]) -> list[dict]:
@@ -72,14 +78,16 @@ def analyze_pair(
     motive = None
     if gv1.base_genus == 1 and gv2.base_genus == 1:
         motive = motive_h2_decomposition(gv1, gv2)
-    signature = embedding = None
-    if surf.signature_new is not None:
-        signature = list(surf.signature_new)
+    rank_new = signature = embedding = None
+    if surf.q == 2:
+        rank_new = surf.b2 - 6
+        signature = [2, rank_new - 2]
         embedding = GUARANTEED if 0 <= signature[1] <= 8 else CRITERION_NOT_SATISFIED
 
     table = character_table(group)
     rats = rational_characters(table)
-    warnings = list(surf.warnings)
+    warnings = [] if (surf.p_g, surf.q) == (2, 2) else ["NotPgQ2"]
+    warnings.append("rank_new_convention")
     if any(rc.schur_index_unverified for rc in rats):
         warnings.append("schur_index_unverified")
     if pairing.matches:
@@ -149,7 +157,7 @@ def analyze_pair(
             "notes": list(pairing.notes),
         },
         "lattice": {
-            "rank_new": surf.rank_new,
+            "rank_new": rank_new,
             "transcendental_signature_bound": signature,
             "k3_embedding": embedding,
         },

@@ -104,20 +104,27 @@ class CyclotomicValue:
         return f"CyclotomicValue(e={self.order}, {{{body}}})"
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by trial division."""
+    factors: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            factors[q] = factors.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def _mobius_phi(n: int) -> tuple[int, int]:
     """mu(n) and phi(n)."""
-    mu, phi, rest, q = 1, 1, n, 2
-    while q * q <= rest:
-        if rest % q == 0:
-            power = 1
-            while rest % q == 0:
-                rest //= q
-                power *= q
-            mu = 0 if power > q else -mu
-            phi *= power - power // q
-        q += 1
-    if rest > 1:
-        mu, phi = -mu, phi * (rest - 1)
+    factors = _prime_factors(n)
+    mu = 0 if any(k > 1 for k in factors.values()) else (-1) ** len(factors)
+    phi = 1
+    for q, k in factors.items():
+        phi *= q ** (k - 1) * (q - 1)
     return mu, phi
 
 
@@ -324,31 +331,13 @@ def _dixon_prime(order: int, exponent: int) -> int:
     """The least prime p > 2|G| with p = 1 (mod e)."""
     p = 2 * order + 1
     while True:
-        if (p - 1) % exponent == 0 and _is_prime(p):
+        if (p - 1) % exponent == 0 and _prime_factors(p) == {p: 1}:
             return p
         p += 1
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
-
-
 def _primitive_root(p: int) -> int:
-    factors = set()
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            factors.add(q)
-            m //= q
-        q += 1
-    if m > 1:
-        factors.add(m)
+    factors = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g

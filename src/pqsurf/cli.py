@@ -15,15 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import analyze_pair, render_text, to_json
-from .catalog import (
-    ROWS,
-    TableRow,
-    resolve_reference_character,
-    rational_index_of_complex,
-    row_by_name,
-    row_witnesses,
-    select_pair,
-)
+from .catalog import ROWS, TableRow, row_by_name, row_witnesses, select_pair
 from .covering import search_generating_vectors
 from .descfile import (
     SurfaceDescription,
@@ -130,25 +122,8 @@ def _check_row(row: TableRow) -> dict:
     if match is not None:
         c1, c2 = match["curve1"], match["curve2"]
         paired_dn = (c1["d"], c1["n"])
-        expect("paired (d,n) on curve1", paired_dn, row.paired)
-        expect("paired (d,n) on curve2", (c2["d"], c2["n"]), row.paired)
-        index = match["rational_char"]
-        if row.group_name == "V4":
-            # positions 2/3/4 are equivalent under relabelling the group;
-            # the pinned facts are: nontrivial linear character
-            orbit = doc["group"]["rational_characters"][index]["orbit"]
-            paired_ok = doc["group"]["character_table"]["degrees"][orbit[0]] == 1 and index != 0
-        else:
-            group = catalog_group(row.group_name)
-            ref_complex = resolve_reference_character(row.group_name, row.paired_ref)
-            paired_ok = rational_index_of_complex(group, ref_complex) == index
-        if not paired_ok:
-            mismatches.append(
-                f"paired character: index {index} does not satisfy the "
-                f"criterion recorded for reference position {row.paired_ref}"
-            )
-        if row.paired == (2, 1) and not match["quaternionic"]:
-            mismatches.append("paired character: expected the quaternionic flag")
+        expect("paired [d,n,m] on curve1", (c1["d"], c1["n"], c1["m"]), row.paired)
+        expect("paired [d,n,m] on curve2", (c2["d"], c2["n"], c2["m"]), row.paired)
 
     return {
         "row": row.name,

@@ -36,7 +36,9 @@ from .errors import (
 from .groups import Group, cyclic_subgroup, permutation_character, stored
 from .perms import Permutation
 
-DEFAULT_SEARCH_LIMIT = 10 ** 8
+# largest scan ``search_generating_vectors`` runs: the scan checks about
+# 5,000 to 23,000 tuples a second (see the README), so at most three minutes
+SEARCH_SPACE_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -237,14 +239,13 @@ def search_generating_vectors(
     group: Group,
     base_genus: int,
     orders,
-    max_space: int = DEFAULT_SEARCH_LIMIT,
 ) -> tuple[GeneratingVector, ...]:
     """All generating vectors with the given signature, up to simultaneous
     conjugation, in a deterministic order.  The handles range over G and the
     free monodromies over the elements of their order; the final monodromy is
     forced by the long relation.  So the scan runs over
     |G|^(2*g0) * prod_{i<r} #{g : ord g = m_i} tuples, and SearchSpaceTooLarge
-    is raised when that exceeds ``max_space``.
+    is raised when that exceeds ``SEARCH_SPACE_LIMIT``.
 
     Each tuple that passes the relation and the order checks is keyed by
     its smallest simultaneous conjugate (``_canonical``, a minimum over
@@ -275,9 +276,10 @@ def search_generating_vectors(
     space = group.order ** (2 * base_genus)
     for m in orders[:-1]:
         space *= by_order[m]
-    if space > max_space:
+    if space > SEARCH_SPACE_LIMIT:
         raise SearchSpaceTooLarge(
-            f"|G|^(2g0) * prod_(i<r) #{{g : ord g = m_i}} = {space} tuples exceeds {max_space}"
+            f"|G|^(2g0) * prod_(i<r) #{{g : ord g = m_i}} = {space} tuples "
+            f"exceeds {SEARCH_SPACE_LIMIT}"
         )
     return _search(group, base_genus, orders)
 

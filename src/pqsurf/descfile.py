@@ -17,7 +17,7 @@ from typing import Optional
 
 from .covering import GeneratingVector
 from .errors import InternalInconsistency, ParseError, SizeLimit
-from .groups import DEFAULT_ORDER_CAP, Group, catalog_group, group_from_generators
+from .groups import ORDER_CAP, Group, catalog_group, group_from_generators
 from .perms import parse_permutation
 
 _GROUP_KEYS = {"name", "generators"}
@@ -196,8 +196,8 @@ def resolve_group(spec: GroupSpec) -> Group:
         (_max_point(g) for g in spec.generators),
         default=1,
     )
-    if degree > DEFAULT_ORDER_CAP:
-        raise SizeLimit(f"point {degree} in the generators exceeds the limit {DEFAULT_ORDER_CAP}")
+    if degree > ORDER_CAP:
+        raise SizeLimit(f"point {degree} in the generators exceeds the limit {ORDER_CAP}")
     perms = [parse_permutation(g, degree) for g in spec.generators]
     return group_from_generators(perms)
 

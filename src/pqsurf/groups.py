@@ -13,7 +13,7 @@ from math import lcm
 from .errors import InternalInconsistency, NonPermutation, NotInGroup, SizeLimit, UnknownName
 from .perms import Permutation, parse_permutation
 
-DEFAULT_ORDER_CAP = 10_000
+ORDER_CAP = 10_000
 _UNSET = object()
 
 
@@ -179,10 +179,10 @@ def _closure(gens, identity: Permutation, limit: int) -> set[Permutation]:
     return elements
 
 
-def group_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> Group:
+def group_from_generators(gens) -> Group:
     """Close a generator list under composition and inverse.
 
-    Raises SizeLimit if the closure exceeds ``max_order`` elements.
+    Raises SizeLimit if the closure exceeds ``ORDER_CAP`` elements.
     """
     gens = tuple(gens)
     if not gens:
@@ -191,9 +191,9 @@ def group_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> Group:
     for g in gens:
         if g.degree != degree:
             raise NotInGroup("generators have mixed degrees")
-    elements = _closure(gens, Permutation.identity(degree), max_order + 1)
-    if len(elements) > max_order:
-        raise SizeLimit(f"closure exceeds {max_order} elements")
+    elements = _closure(gens, Permutation.identity(degree), ORDER_CAP + 1)
+    if len(elements) > ORDER_CAP:
+        raise SizeLimit(f"closure exceeds {ORDER_CAP} elements")
     return Group(gens, elements)
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .chars import character_table
 from .covering import (
@@ -209,13 +208,6 @@ def euler_characteristic(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[
     return e_quot, e_quot + eta
 
 
-RANK_NEW_NOTE = (
-    "rank_new is computed as b2 - 6 = 12 - K^2 from the Betti-number "
-    "derivation (b2 = e + 6 when b1 = 4); some references state 14 - K^2 "
-    "for this rank, which is inconsistent with the displayed arithmetic."
-)
-
-
 @dataclass(frozen=True)
 class SurfaceReport:
     p_g: int
@@ -225,12 +217,9 @@ class SurfaceReport:
     e: int
     k2: int
     b2: int
-    rank_new: Optional[int]
-    signature_new: Optional[tuple[int, int]]
     singularities: tuple[QuotientSingularity, ...]
     eta: int
     family_dim: int
-    warnings: tuple[str, ...]
 
 
 def _basket_formulas(order: int, g1: int, g2: int, singularities) -> tuple[Fraction, Fraction]:
@@ -280,16 +269,6 @@ def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
             f"the basket formulas give (K^2, e) = ({basket[0]}, {basket[1]}), "
             f"not ({k2}, {e_res})"
         )
-    b2 = e_res - 2 + 4 * q
-    warnings = ["rank_new_convention"]
-    if q == 2:
-        rank_new = b2 - 6
-        signature_new = (2, rank_new - 2)
-    else:
-        rank_new = None
-        signature_new = None
-    if p_g != 2 or q != 2:
-        warnings.insert(0, "NotPgQ2")
     family_dim = _family_dimension(gv1) + _family_dimension(gv2)
     return SurfaceReport(
         p_g=p_g,
@@ -298,11 +277,8 @@ def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
         e_quotient=e_quot,
         e=e_res,
         k2=k2,
-        b2=b2,
-        rank_new=rank_new,
-        signature_new=signature_new,
+        b2=e_res - 2 + 4 * q,
         singularities=sing,
         eta=eta,
         family_dim=family_dim,
-        warnings=tuple(warnings),
     )

@@ -7,12 +7,7 @@ lines; all tolerances are exact integer/rational equality.
 import random
 import time
 
-from pqsurf.catalog import (
-    ROWS,
-    resolve_reference_character,
-    rational_index_of_complex,
-    row_witnesses,
-)
+from pqsurf.catalog import ROWS, row_witnesses
 from pqsurf.chars import (
     character_table,
     frobenius_schur,
@@ -94,16 +89,20 @@ def test_criterion_2_jacobian_table_reproduction():
     ok = ok and paired["Q8"] == (2, 1)
     ok = ok and paired["S3-8"] == (1, 2) and paired["S3-5"] == (1, 2)
     ok = ok and paired["D4-8"] == (1, 2) and paired["D4-4"] == (1, 2)
-    # alias-resolved character identity for the rows where the reference
-    # position is pinned by degree
+    # the row's (n, m) pins the matched character: on every group but V4,
+    # whose three linear characters Aut(V4) permutes, no other nontrivial
+    # rational character has it
     for row in ROWS:
         if row.group_name == "V4":
             continue
         gv1, gv2 = row_witnesses(row.name)
         match = k3_pairing(gv1, gv2).matches[0]
-        group = catalog_group(row.group_name)
-        ref = resolve_reference_character(row.group_name, row.paired_ref)
-        ok = ok and rational_index_of_complex(group, ref) == match.rational_index
+        rats = rational_characters(character_table(catalog_group(row.group_name)))
+        same_n_m = [
+            i for i, rc in enumerate(rats)
+            if i != 0 and (rc.multiplicity_n, rc.schur_index) == row.paired[1:]
+        ]
+        ok = ok and same_n_m == [match.rational_index]
     _report("2 (jacobian table)", ok)
 
 

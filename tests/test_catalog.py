@@ -1,47 +1,40 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+import dataclasses
 
 import pytest
 
+import pqsurf.cli as cli
 from pqsurf import catalog
-from pqsurf.errors import InternalInconsistency
-
-REPO = Path(__file__).resolve().parents[1]
-
-# each criterion matches no character or more than one
-AMBIGUOUS = [
-    (("D4", 5), ("unique_degree", 1)),
-    (("V4", 2), ("kernel", "()")),
-    (("V4", 1), ("degree_not_self_dual", 1)),
-]
+from pqsurf.chars import character_table, rational_characters
+from pqsurf.cli import EXIT_MISMATCH, main
+from pqsurf.groups import catalog_group
+from pqsurf.jacobian import k3_pairing
 
 
-@pytest.mark.parametrize("key,criterion", AMBIGUOUS)
-def test_ambiguous_alias_is_internal_inconsistency(monkeypatch, key, criterion):
-    monkeypatch.setitem(catalog.CHARACTER_ALIASES, key, criterion)
-    with pytest.raises(InternalInconsistency):
-        catalog.resolve_reference_character(*key)
+@pytest.mark.parametrize("row", catalog.ROWS, ids=lambda row: row.name)
+def test_row_n_m_pins_the_paired_character(row):
+    # the row's (d, n, m) names one nontrivial rational character of its
+    # group: the witness's match, or on V4 any of the three linear
+    # characters, which Aut(V4) permutes
+    rats = rational_characters(character_table(catalog_group(row.group_name)))
+    _, n, m = row.paired
+    same_n_m = [
+        i for i, rc in enumerate(rats)
+        if i != 0 and (rc.multiplicity_n, rc.schur_index) == (n, m)
+    ]
+    match = k3_pairing(*catalog.row_witnesses(row.name)).matches[0]
+    if row.group_name == "V4":
+        assert same_n_m == [1, 2, 3]
+        assert match.rational_index in same_n_m
+    else:
+        assert same_n_m == [match.rational_index]
 
 
-def test_ambiguous_alias_raises_under_python_O():
-    script = (
-        "from pqsurf import catalog\n"
-        "from pqsurf.errors import InternalInconsistency\n"
-        "catalog.CHARACTER_ALIASES[('D4', 5)] = ('unique_degree', 1)\n"
-        "try:\n"
-        "    catalog.resolve_reference_character('D4', 5)\n"
-        "except InternalInconsistency as exc:\n"
-        "    print('raised', exc)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised degree 1 is not unique in D4")
+def test_wrong_schur_index_is_a_mismatch(monkeypatch, capsys):
+    q8 = catalog.row_by_name("Q8")
+    perturbed = dataclasses.replace(q8, paired=(2, 1, 1))  # Q8's match has m = 2
+    monkeypatch.setattr(cli, "ROWS", (perturbed,))
+    assert main(["reproduce-tables"]) == EXIT_MISMATCH
+    out = capsys.readouterr().out
+    assert "    paired [d,n,m] on curve1: computed (2, 1, 2), expected (2, 1, 1)\n" in out
+    assert "    paired [d,n,m] on curve2: computed (2, 1, 2), expected (2, 1, 1)\n" in out
+    assert "0/1 rows matched" in out

@@ -368,6 +368,16 @@ def test_exit_6_search_space(tmp_path, capsys):
     assert code == EXIT_SEARCH_SPACE
 
 
+def test_exit_6_names_the_search_space_limit(capsys):
+    # 12^6 handles * 3 * 3 involutions = 26,873,856 tuples
+    code, out, err = run(capsys, "search", "A4", "3", "2,2,2")
+    assert (code, out) == (EXIT_SEARCH_SPACE, "")
+    assert err == (
+        "SearchSpaceTooLarge: |G|^(2g0) * prod_(i<r) #{g : ord g = m_i} = "
+        "26873856 tuples exceeds 1000000\n"
+    )
+
+
 def test_reproduce_tables_cli(capsys):
     code, out, _ = run(capsys, "reproduce-tables")
     assert code == 0
@@ -395,7 +405,7 @@ def test_reproduce_tables_detects_perturbed_expectations():
         branch1=(2, 2), branch2=(2, 2), k2=7,  # wrong on purpose
         singularities=(), eta=0, family_dim=4,
         jac1=((1, 1), (1, 1)), jac2=((1, 1), (1, 1)),
-        paired=(1, 1), paired_ref=4, moduli_component=3,
+        paired=(1, 1, 1),
     )
     results = reproduce_tables([perturbed])
     assert not results[0]["ok"]
@@ -410,7 +420,7 @@ def test_reproduce_tables_exit_5(monkeypatch, capsys):
         branch1=(2, 2), branch2=(2, 2), k2=4,
         singularities=((2, 1),) * 4, eta=5,  # wrong eta
         family_dim=4, jac1=((1, 1),), jac2=((1, 1),),
-        paired=(1, 1), paired_ref=2, moduli_component=9,
+        paired=(1, 1, 1),
     )
     monkeypatch.setattr(cli, "ROWS", (perturbed,))
     code, out, _ = run(capsys, "reproduce-tables")

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqsurf.analysis import analyze_pair
 from pqsurf.chars import character_table
 from pqsurf.covering import fixed_point_counts, fixed_point_data, genus, search_generating_vectors
 from pqsurf.groups import catalog_group, group_from_generators
@@ -27,7 +28,7 @@ def test_c4_pair_with_order_4_singularities():
     rep = invariants(gv1, gv2)
     assert rep.eta == 8
     assert (rep.p_g, rep.q, rep.k2, rep.e) == (4, 2, 16, 20)
-    assert "NotPgQ2" in rep.warnings
+    assert "NotPgQ2" in analyze_pair(gv1, gv2)["warnings"]
     dec = motive_h2_decomposition(gv1, gv2)
     assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2 == 26
 

@@ -239,12 +239,13 @@ def test_search_impossible_signature_is_empty():
     assert search_generating_vectors(G, 0, (2, 2)) == ()
 
 
-def test_search_space_cap():
+def test_search_space_cap(monkeypatch):
     # the cap bounds the tuples scanned: 12^4 handles * 3 * 3 involutions
+    monkeypatch.setattr(covering, "SEARCH_SPACE_LIMIT", 1000)
     with pytest.raises(SearchSpaceTooLarge):
-        search_generating_vectors(catalog_group("A4"), 2, (2, 2, 2), max_space=1000)
+        search_generating_vectors(catalog_group("A4"), 2, (2, 2, 2))
     # 3 involutions * 8 elements of order 3 fit, though |G|^r = 1728 does not
-    assert search_generating_vectors(catalog_group("A4"), 0, (2, 3, 3), max_space=1000)
+    assert search_generating_vectors(catalog_group("A4"), 0, (2, 3, 3))
 
 
 def test_search_outputs_validate_and_are_deduplicated():
@@ -376,11 +377,12 @@ def test_s5_search_closes_once_per_key(scans):
     assert scans[0] == 34 + 24
 
 
-def test_kept_search_still_checks_the_space_bound():
+def test_kept_search_still_checks_the_space_bound(monkeypatch):
     G = fresh("A4")
     assert search_generating_vectors(G, 1, (2,))  # 12^2 = 144 tuples
+    monkeypatch.setattr(covering, "SEARCH_SPACE_LIMIT", 100)
     with pytest.raises(SearchSpaceTooLarge):
-        search_generating_vectors(G, 1, (2,), max_space=100)
+        search_generating_vectors(G, 1, (2,))
 
 
 def test_search_that_raises_keeps_nothing(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pqsurf.analysis import analyze_pair
 from pqsurf.chars import character_table
 from pqsurf.covering import GeneratingVector, fixed_point_data, search_generating_vectors
 from pqsurf.errors import GroupMismatch, NotInGroup
@@ -57,7 +58,7 @@ def test_not_pg_q2_flag_still_produces_report():
     ]
     rep = invariants(vectors[0], vectors[0])
     assert rep.p_g == 3
-    assert "NotPgQ2" in rep.warnings
+    assert "NotPgQ2" in analyze_pair(vectors[0], vectors[0])["warnings"]
     assert rep.e + rep.k2 == 12 * rep.chi
 
 

@@ -205,11 +205,13 @@ def test_generated_by_matches_counting_closure(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_order_cap_is_exact(name):
+def test_order_cap_is_exact(monkeypatch, name):
     G = group(name)
-    assert group_from_generators(G.generators, max_order=G.order) == G
+    monkeypatch.setattr(groups, "ORDER_CAP", G.order)
+    assert group_from_generators(G.generators) == G
+    monkeypatch.setattr(groups, "ORDER_CAP", G.order - 1)
     with pytest.raises(SizeLimit):
-        group_from_generators(G.generators, max_order=G.order - 1)
+        group_from_generators(G.generators)
 
 
 # -- Galois twists ------------------------------------------------------------------

@@ -47,9 +47,10 @@ def test_a4_from_generators():
     assert sorted(G.class_sizes) == [1, 3, 4, 4]
 
 
-def test_size_limit():
+def test_size_limit(monkeypatch):
+    monkeypatch.setattr("pqsurf.groups.ORDER_CAP", 5)
     with pytest.raises(SizeLimit):
-        group_from_generators([parse_permutation("(1,2,3,4,5,6,7)", 7)], max_order=5)
+        group_from_generators([parse_permutation("(1,2,3,4,5,6,7)", 7)])
 
 
 def test_catalog_basics():

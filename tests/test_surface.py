@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqsurf.analysis import analyze_pair
 from pqsurf.chars import ClassFunction, CyclotomicValue, character_table
 from pqsurf.covering import GeneratingVector, hurwitz_character, genus, search_generating_vectors
 from pqsurf import surface
@@ -152,10 +153,11 @@ def test_invariants_v4():
     assert rep.eta == 0
     assert rep.family_dim == 4
     assert rep.b2 == 10
-    assert rep.rank_new == 4
-    assert rep.signature_new == (2, 2)
-    assert "rank_new_convention" in rep.warnings
-    assert "NotPgQ2" not in rep.warnings
+    doc = analyze_pair(gv1, gv2)
+    assert doc["lattice"]["rank_new"] == 4
+    assert doc["lattice"]["transcendental_signature_bound"] == [2, 2]
+    assert "rank_new_convention" in doc["warnings"]
+    assert "NotPgQ2" not in doc["warnings"]
 
 
 def test_invariants_s3_k2_5():
