@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 parse error, 3 validation error (the message names
 the violated invariant), 4 search exhaustion without a witness, 5 reference
 table mismatch, 6 search space too large, 7 internal inconsistency (an
 internal certificate failed).
+
+``main(argv)`` may be called repeatedly in one interpreter: it builds its
+argparse parser on the first call and reuses it, and it resolves
+``sys.stdout`` and ``sys.stderr`` at call time, so redirecting them around
+a call captures its output, usage and error messages included.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .analysis import analyze_pair, render_text, to_json
@@ -76,7 +80,7 @@ def _analysis_from_description(desc: SurfaceDescription) -> dict:
 def cmd_analyze(args) -> int:
     desc = parse_description(args.path)
     doc = _analysis_from_description(desc)
-    doc["input"] = Path(args.path).read_text(encoding="utf-8")
+    doc["input"] = desc.text
     fmt = args.format or desc.output_format
     sys.stdout.write(to_json(doc) if fmt == "json" else render_text(doc))
     return EXIT_OK
@@ -218,9 +222,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main() call, not at import: a process that never parses
+# a command line never pays for it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except PqsurfError as exc:

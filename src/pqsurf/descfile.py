@@ -52,16 +52,31 @@ class SurfaceDescription:
     group: GroupSpec
     curve1: CurveSpec
     curve2: CurveSpec
+    text: str                                # the file's text, as parsed
     output_format: str = "text"
     aux: Optional[tuple[GroupSpec, CurveSpec]] = None
 
 
+def _entries(raw: str, sep: str, what: str) -> list[str]:
+    """The stripped entries of a ``sep``-separated string, none for a blank
+    one; ParseError names ``what`` for an empty entry, as in "2,,2"."""
+    if not raw.strip():
+        return []
+    entries = [tok.strip() for tok in raw.split(sep)]
+    if "" in entries:
+        raise ParseError(f"{what} has an empty entry: {raw!r}")
+    return entries
+
+
 def _split_perms(raw, what: str) -> tuple[str, ...]:
     """The permutations of a JSON list of strings, or of a ';'-separated
-    string; ParseError names ``what`` for any other value."""
+    string; ParseError names ``what`` for an empty entry or any other
+    value."""
     if isinstance(raw, str):
-        return tuple(p.strip() for p in raw.split(";") if p.strip())
+        return tuple(_entries(raw, ";", what))
     if isinstance(raw, list) and all(isinstance(p, str) for p in raw):
+        if any(not p.strip() for p in raw):
+            raise ParseError(f"{what} has an empty entry: {raw!r}")
         return tuple(raw)
     raise ParseError(
         f"{what} must be a list of permutation strings or a ';'-separated string, not {raw!r}"
@@ -83,9 +98,9 @@ def _to_int(raw, what: str) -> int:
 
 def _split_ints(raw, what: str) -> tuple[int, ...]:
     """The integers of a list or of a comma-separated string; ParseError
-    names ``what`` when an entry is not an integer."""
+    names ``what`` when an entry is empty or not an integer."""
     if not isinstance(raw, (list, tuple)):
-        raw = [tok.strip() for tok in str(raw).split(",") if tok.strip()]
+        raw = _entries(str(raw), ",", what)
     return tuple(_to_int(tok, what) for tok in raw)
 
 
@@ -147,17 +162,17 @@ def parse_description(path) -> SurfaceDescription:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        return _from_mappings(payload)
+        return _from_mappings(payload, text)
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ParseError(f"invalid description file {path}: {exc}") from exc
     payload = {section: dict(parser.items(section)) for section in parser.sections()}
-    return _from_mappings(payload)
+    return _from_mappings(payload, text)
 
 
-def _from_mappings(payload: dict) -> SurfaceDescription:
+def _from_mappings(payload: dict, text: str) -> SurfaceDescription:
     if not isinstance(payload, dict):
         raise ParseError("description must be a mapping")
     unknown = set(payload) - {"group", "curve1", "curve2", "options", "aux"}
@@ -186,7 +201,7 @@ def _from_mappings(payload: dict) -> SurfaceDescription:
         aux_data = dict(payload["aux"])
         aux_group_keys = {k: aux_data.pop(k) for k in ("name", "generators") if k in aux_data}
         aux = (_group_from_mapping("aux", aux_group_keys), _curve_from_mapping("aux", aux_data))
-    return SurfaceDescription(group, curve1, curve2, fmt, aux)
+    return SurfaceDescription(group, curve1, curve2, text, fmt, aux)
 
 
 def resolve_group(spec: GroupSpec) -> Group:

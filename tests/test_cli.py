@@ -333,12 +333,123 @@ def test_the_largest_generator_point_is_the_order_cap():
     [
         (("S3", "1", "3,x"), "orders must be an integer, not 'x'"),
         (("S3", "-1", "3"), "genus0 must be nonnegative, not -1"),
+        (("V4", "1", "2,,2"), "orders has an empty entry: '2,,2'"),
+        (("V4", "1", "2,"), "orders has an empty entry: '2,'"),
+        (("V4", "1", ", 2"), "orders has an empty entry: ', 2'"),
     ],
 )
 def test_exit_2_malformed_search_arguments(capsys, argv, message):
     code, out, err = run(capsys, "search", *argv)
     assert (code, out) == (EXIT_PARSE, "")
     assert err == f"ParseError: {message}\n"
+
+
+V4_CURVE2 = "[curve2]\ngenus0 = 1\nsearch = 2, 2\n"
+
+# file name -> (contents with one empty list entry, the ParseError message)
+EMPTY_ENTRIES = {
+    "monodromies.surface": (
+        "[group]\nname = V4\n" + V4_CURVE2 + "[curve1]\ngenus0 = 1\nhandles = () ; ()\n"
+        "monodromies = (1,2)(3,4) ; ; (1,2)(3,4)\norders = 2, 2\n",
+        "[curve1] monodromies has an empty entry: '(1,2)(3,4) ; ; (1,2)(3,4)'",
+    ),
+    "handles.surface": (
+        "[group]\nname = V4\n" + V4_CURVE2 + "[curve1]\ngenus0 = 1\nhandles = () ;\n"
+        "monodromies = (1,2)(3,4) ; (1,2)(3,4)\norders = 2, 2\n",
+        "[curve1] handles has an empty entry: '() ;'",
+    ),
+    "orders.surface": (
+        "[group]\nname = V4\n" + V4_CURVE2 + "[curve1]\ngenus0 = 1\nhandles = () ; ()\n"
+        "monodromies = (1,2)(3,4) ; (1,2)(3,4)\norders = 2,, 2\n",
+        "[curve1] orders has an empty entry: '2,, 2'",
+    ),
+    "search.surface": (
+        "[group]\nname = V4\n" + V4_CURVE2 + "[curve1]\ngenus0 = 1\nsearch = 2, , 2\n",
+        "[curve1] search has an empty entry: '2, , 2'",
+    ),
+    "generators.surface": (
+        "[group]\ngenerators = (1,2) ;; (3,4)\n" + V4_CURVE2 + "[curve1]\ngenus0 = 1\nsearch = 2\n",
+        "[group] generators has an empty entry: '(1,2) ;; (3,4)'",
+    ),
+    "monodromies.json": (
+        json.dumps({
+            "group": {"name": "V4"},
+            "curve1": {"genus0": 1, "handles": ["()", "()"], "monodromies": ["(1,2)(3,4)", ""],
+                       "orders": [2, 2]},
+            "curve2": {"genus0": 1, "search": [2, 2]},
+        }),
+        "[curve1] monodromies has an empty entry: ['(1,2)(3,4)', '']",
+    ),
+    "handles.json": (
+        json.dumps({
+            "group": {"name": "V4"},
+            "curve1": {"genus0": 1, "handles": [" ", "()"], "monodromies": "(1,2)(3,4) ; (1,2)(3,4)",
+                       "orders": "2, 2"},
+            "curve2": {"genus0": 1, "search": [2, 2]},
+        }),
+        "[curve1] handles has an empty entry: [' ', '()']",
+    ),
+    "generators.json": (
+        json.dumps({
+            "group": {"generators": ["(1,2)", ""]},
+            "curve1": {"genus0": 1, "search": "2"},
+            "curve2": {"genus0": 1, "search": [2, 2]},
+        }),
+        "[group] generators has an empty entry: ['(1,2)', '']",
+    ),
+    "orders.json": (
+        json.dumps({
+            "group": {"name": "V4"},
+            "curve1": {"genus0": 1, "handles": "() ; ()", "monodromies": "(1,2)(3,4) ; (1,2)(3,4)",
+                       "orders": "2,"},
+            "curve2": {"genus0": 1, "search": [2, 2]},
+        }),
+        "[curve1] orders has an empty entry: '2,'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_ENTRIES))
+def test_exit_2_an_empty_list_entry(tmp_path, capsys, name):
+    text, message = EMPTY_ENTRIES[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"ParseError: {message}\n"
+
+
+@pytest.mark.parametrize("handles", ["handles =\n", "", "handles = \n"])
+def test_a_wholly_empty_list_is_the_empty_list(tmp_path, handles):
+    path = tmp_path / "g0.surface"
+    path.write_text(
+        "[group]\nname = V4\n[curve1]\ngenus0 = 0\n" + handles
+        + "monodromies = (1,2)(3,4) ; (1,3)(2,4) ; (1,4)(2,3)\norders = 2, 2, 2\n" + V4_CURVE2,
+        encoding="utf-8",
+    )
+    assert parse_description(path).curve1.handles == ()
+
+
+def test_analyze_reads_its_input_once(tmp_path, monkeypatch, capsys):
+    """The report's input is the text that was parsed, read once: a file
+    edited after that read cannot show in the report."""
+    path = tmp_path / "v4.surface"
+    parsed = (SURFACES / "v4.surface").read_text(encoding="utf-8")
+    path.write_text(parsed, encoding="utf-8")
+    reads = []
+    read_text = Path.read_text
+
+    def read_then_edit(self, *args, **kwargs):
+        reads.append(self)
+        text = read_text(self, *args, **kwargs)
+        self.write_text(text + "# edited after the read\n", encoding="utf-8")
+        return text
+
+    monkeypatch.setattr(Path, "read_text", read_then_edit)
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert reads == [path]
+    assert json.loads(out)["input"] == parsed
 
 
 def test_search_refuses_a_negative_base_genus():
