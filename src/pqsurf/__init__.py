@@ -39,7 +39,6 @@ from .groups import (
     power_map,
 )
 from .jacobian import (
-    IsotypicalFactor,
     MotiveDecomposition,
     PairingReport,
     decomposition_label,
@@ -101,7 +100,6 @@ __all__ = [
     "cyclic_subgroup",
     "group_from_generators",
     "power_map",
-    "IsotypicalFactor",
     "MotiveDecomposition",
     "PairingReport",
     "decomposition_label",

@@ -19,13 +19,12 @@ from . import __version__
 from .chars import character_table, rational_characters
 from .covering import GeneratingVector, genus, hurwitz_character
 from .jacobian import (
-    IsotypicalFactor,
     decomposition_label,
     isotypical_dimensions,
     k3_pairing,
     motive_h2_decomposition,
 )
-from .lattice import GUARANTEED, CRITERION_NOT_SATISFIED
+from .lattice import GUARANTEED, CRITERION_NOT_SATISFIED, k3_signature_guaranteed
 from .surface import chevalley_weil, invariants
 
 RANK_NEW_NOTE = (
@@ -35,15 +34,15 @@ RANK_NEW_NOTE = (
 )
 
 
-def _factors(factors: tuple[IsotypicalFactor, ...]) -> list[dict]:
+def _factor(d: int, rc) -> dict:
+    return {"d": d, "n": rc.multiplicity_n, "m": rc.schur_index}
+
+
+def _factors(gv: GeneratingVector) -> list[dict]:
+    rats = rational_characters(character_table(gv.group))
     return [
-        {
-            "rational_char": f.rational_char_index,
-            "d": f.reduced_dim,
-            "n": f.multiplicity,
-            "m": f.schur_index,
-        }
-        for f in factors
+        {"rational_char": i, **_factor(d, rc)}
+        for i, (d, rc) in enumerate(zip(isotypical_dimensions(gv), rats))
     ]
 
 
@@ -56,7 +55,7 @@ def _curve(gv: GeneratingVector) -> dict:
         "monodromies": [c.cycle_string() for c in gv.monodromies],
         "hurwitz_character": [int(v) for v in hurwitz_character(gv).values],
         "chevalley_weil": list(chevalley_weil(gv)),
-        "isotypical_factors": _factors(isotypical_dimensions(gv)),
+        "isotypical_factors": _factors(gv),
         "label": decomposition_label(gv) if gv.base_genus == 1 else None,
     }
 
@@ -82,7 +81,7 @@ def analyze_pair(
     if surf.q == 2:
         rank_new = surf.b2 - 6
         signature = [2, rank_new - 2]
-        embedding = GUARANTEED if 0 <= signature[1] <= 8 else CRITERION_NOT_SATISFIED
+        embedding = GUARANTEED if k3_signature_guaranteed(signature) else CRITERION_NOT_SATISFIED
 
     table = character_table(group)
     rats = rational_characters(table)
@@ -147,9 +146,9 @@ def analyze_pair(
             "matches": [
                 {
                     "rational_char": m.rational_index,
-                    "curve1": {"d": m.d1, "n": m.n1, "m": m.m1},
-                    "curve2": {"d": m.d2, "n": m.n2, "m": m.m2},
-                    "quaternionic": m.quaternionic,
+                    "curve1": _factor(m.d1, rats[m.rational_index]),
+                    "curve2": _factor(m.d2, rats[m.rational_index]),
+                    "quaternionic": rats[m.rational_index].quaternionic,
                     "partner_label": m.partner_label,
                 }
                 for m in pairing.matches
@@ -170,7 +169,7 @@ def analyze_pair(
             warnings.append("schur_index_unverified")
         doc["aux_decomposition"] = {
             "group": label,
-            "isotypical_factors": _factors(isotypical_dimensions(aux_gv)),
+            "isotypical_factors": _factors(aux_gv),
         }
     doc["warnings"] = list(dict.fromkeys(warnings))
     return doc

@@ -221,6 +221,10 @@ class RationalCharacter:
     def constituent_degree(self) -> int:
         return self.schur_index * self.multiplicity_n
 
+    @property
+    def quaternionic(self) -> bool:
+        return self.schur_index == 2
+
 
 # -- linear algebra over F_p ------------------------------------------------
 

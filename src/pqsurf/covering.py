@@ -6,9 +6,12 @@ to the a/b generators of the base surface group, the c_i are the local
 monodromies, and the long relation prod [a_j, b_j] * prod c_i = 1 holds.
 
 A ``GeneratingVector`` is checked by ``validate`` when it is built, so
-every stage can take one as valid.  The per-curve stages here and in
-``surface`` and ``jacobian`` (genus, fixed-point counts, the Hurwitz and
-Chevalley-Weil characters, the isotypical dimensions) are decorated with
+every stage can take one as valid, and is read through its monodromy
+classes: the row of c_i's class in the group's power-class table holds the
+classes of its powers, and its length is the order of c_i.  The per-curve
+stages here and in ``surface`` and ``jacobian`` (the monodromy classes,
+genus, fixed-point counts, the Hurwitz and Chevalley-Weil characters, the
+isotypical dimensions) are decorated with
 ``groups.stored``: each runs once per vector and keeps its value on the
 vector.  So are the pair stages (the singularities, the geometric genus and
 the K3 pairing): each runs once per ordered pair and keeps its value on the
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from .chars import ClassFunction
 from .errors import (
@@ -72,22 +75,31 @@ def _commutator(a: Permutation, b: Permutation) -> Permutation:
     return a * b * a.inverse() * b.inverse()
 
 
+@stored
+def monodromy_classes(gv: GeneratingVector) -> tuple[int, ...]:
+    """The class index of each local monodromy."""
+    class_of = gv.group._class_of
+    return tuple(class_of[c] for c in gv.monodromies)
+
+
 def validate(gv: GeneratingVector) -> None:
     """Check the invariants of a generating vector, in this order, and
     raise the first one violated: one declared order per monodromy, every
-    listed element in the group, no identity monodromy, the declared orders,
-    the long relation, generation.  Runs when the vector is built."""
+    listed element in the group, no identity monodromy (class 0), the
+    declared orders (the length of each class's power-class row), the long
+    relation, generation.  Runs when the vector is built."""
     group = gv.group
     if len(gv.monodromies) != len(gv.orders):
         raise OrderMismatch("one declared order per monodromy required")
     for g in gv.listed_elements():
         group.require(g)
-    for c in gv.monodromies:
-        if c.is_identity():
-            raise TrivialMonodromy("a local monodromy is the identity")
-    for c, m in zip(gv.monodromies, gv.orders):
-        if m < 2 or c.order() != m:
-            raise OrderMismatch(f"monodromy has order {c.order()}, declared {m}")
+    classes = monodromy_classes(gv)
+    if 0 in classes:
+        raise TrivialMonodromy("a local monodromy is the identity")
+    for k, m in zip(classes, gv.orders):
+        order = len(group._power_classes[k])
+        if m < 2 or order != m:
+            raise OrderMismatch(f"monodromy has order {order}, declared {m}")
     word = group.identity
     for a, b in gv.handles:
         word = word * _commutator(a, b)
@@ -126,8 +138,9 @@ def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
     ``permutation_character`` of that row."""
     group = gv.group
     counts = [0] * len(group.classes)
-    for c, m in zip(gv.monodromies, gv.orders):
-        induced = permutation_character(group, group._power_classes[group._class_of[c]], m)
+    for k in monodromy_classes(gv):
+        row = group._power_classes[k]
+        induced = permutation_character(group, row, len(row))
         counts = [a + b for a, b in zip(counts, induced)]
     return tuple(counts)
 
@@ -270,12 +283,9 @@ def search_generating_vectors(
         if m < 2:
             raise OrderMismatch("branching orders must be at least 2")
 
-    by_order = {m: sum(1 for g in group.elements if g.order() == m) for m in set(orders)}
-    if not all(by_order.values()):
+    if not all(_of_order(group, m) for m in orders):
         return ()
-    space = group.order ** (2 * base_genus)
-    for m in orders[:-1]:
-        space *= by_order[m]
+    space = group.order ** (2 * base_genus) * prod(len(_of_order(group, m)) for m in orders[:-1])
     if space > SEARCH_SPACE_LIMIT:
         raise SearchSpaceTooLarge(
             f"|G|^(2g0) * prod_(i<r) #{{g : ord g = m_i}} = {space} tuples "
@@ -285,9 +295,19 @@ def search_generating_vectors(
 
 
 @stored
+def _of_order(group: Group, m: int) -> tuple[Permutation, ...]:
+    """The elements of order m, in ``group.elements`` order: those whose
+    class's power-class row has length m."""
+    rows, class_of = group._power_classes, group._class_of
+    return tuple(g for g in group.elements if len(rows[class_of[g]]) == m)
+
+
+@stored
 def _search(group: Group, base_genus: int, orders: tuple) -> tuple[GeneratingVector, ...]:
     """The scan of ``search_generating_vectors``, for orders whose elements
-    exist and a space that passed its bound."""
+    exist and a space that passed its bound.  The closing monodromy is the
+    inverse of the product of the handle commutators and the free ones, so
+    that product must have the closing order, read off its class: 1 if r = 0."""
     r = len(orders)
     # canonical key -> whether its tuples generate G
     verdicts: dict[tuple, bool] = {}
@@ -295,29 +315,22 @@ def _search(group: Group, base_genus: int, orders: tuple) -> tuple[GeneratingVec
     found: dict[tuple, tuple[Permutation, ...]] = {}
     accepted = 0
     handle_pool = [group.elements] * (2 * base_genus)
-    free_monos = [[g for g in group.elements if g.order() == m] for m in orders[:-1]]
+    free_monos = [_of_order(group, m) for m in orders[:-1]]
+    class_order = [len(row) for row in group._power_classes]
+    class_of = group._class_of
+    closing = orders[-1] if r else 1
 
     for handle_vals in itertools.product(*handle_pool):
         word = group.identity
         for i in range(0, len(handle_vals), 2):
             word = word * _commutator(handle_vals[i], handle_vals[i + 1])
-        if r == 0:
-            if not word.is_identity():
+        for mono_head in itertools.product(*free_monos):
+            prefix = word
+            for c in mono_head:
+                prefix = prefix * c
+            if class_order[class_of[prefix]] != closing:
                 continue
-            candidates = [()]
-        else:
-            candidates = itertools.product(*free_monos)
-        for mono_head in candidates:
-            if r:
-                prefix = word
-                for c in mono_head:
-                    prefix = prefix * c
-                last = prefix.inverse()
-                if last.is_identity() or last.order() != orders[-1]:
-                    continue
-                monos = mono_head + (last,)
-            else:
-                monos = ()
+            monos = mono_head + (prefix.inverse(),) if r else ()
             listed = handle_vals + monos
             key = _canonical(group, listed)
             generating = verdicts.get(key)

@@ -24,38 +24,22 @@ from .errors import BaseGenusUnsupported, InternalInconsistency
 from .groups import stored
 
 
-@dataclass(frozen=True)
-class IsotypicalFactor:
-    rational_char_index: int
-    reduced_dim: int      # dim of one reduced factor B_i
-    multiplicity: int     # n_i, with B_i^{n_i} in the decomposition
-    schur_index: int
-
-
 @stored
-def isotypical_dimensions(gv: GeneratingVector) -> tuple[IsotypicalFactor, ...]:
-    """One factor per rational irreducible: d = (1/2) <psi, chi_V>."""
-    table = character_table(gv.group)
-    rats = rational_characters(table)
+def isotypical_dimensions(gv: GeneratingVector) -> tuple[int, ...]:
+    """The reduced dimension d = (1/2) <psi, chi_V> of the factor B of each
+    rational irreducible psi, in ``rational_characters`` order; B occurs
+    n times, n being psi's ``multiplicity_n``."""
+    rats = rational_characters(character_table(gv.group))
     chi_v = hurwitz_character(gv)
-    factors = []
-    for idx, rc in enumerate(rats):
-        pairing = inner_product(rc.psi, chi_v)
-        d = Fraction(pairing, 2)
+    dims = []
+    for rc in rats:
+        d = Fraction(inner_product(rc.psi, chi_v), 2)
         if d.denominator != 1 or d < 0:
             raise InternalInconsistency("reduced dimension must be a nonnegative integer")
-        factors.append(
-            IsotypicalFactor(
-                rational_char_index=idx,
-                reduced_dim=int(d),
-                multiplicity=rc.multiplicity_n,
-                schur_index=rc.schur_index,
-            )
-        )
-    total = sum(f.reduced_dim * f.multiplicity for f in factors)
-    if total != genus(gv):
+        dims.append(int(d))
+    if sum(d * rc.multiplicity_n for d, rc in zip(dims, rats)) != genus(gv):
         raise InternalInconsistency("dimension count must equal the genus")
-    return tuple(factors)
+    return tuple(dims)
 
 
 def _prime_marks(count: int) -> str:
@@ -68,39 +52,36 @@ def decomposition_label(gv: GeneratingVector) -> str:
     quaternionic) or B(d) per nontrivial factor, with multiplicities."""
     if gv.base_genus != 1:
         raise BaseGenusUnsupported("labels are defined for base genus 1 only")
-    factors = isotypical_dimensions(gv)
-    parts = []
-    for _ in range(factors[0].reduced_dim):
-        parts.append("E")
+    dims = isotypical_dimensions(gv)
+    rats = rational_characters(character_table(gv.group))
+    parts = ["E"] * dims[0]
     counters = {"L": 0, "A": 0, "B": 0}
-    for f in factors[1:]:
-        if f.reduced_dim == 0:
+    for d, rc in zip(dims[1:], rats[1:]):
+        if d == 0:
             continue
-        if f.reduced_dim == 1:
+        if d == 1:
             name = "L" + _prime_marks(counters["L"])
             counters["L"] += 1
-        elif f.reduced_dim == 2 and f.schur_index == 2:
+        elif d == 2 and rc.quaternionic:
             name = "A" + _prime_marks(counters["A"])
             counters["A"] += 1
         else:
-            name = f"B({f.reduced_dim})" + _prime_marks(counters["B"])
+            name = f"B({d})" + _prime_marks(counters["B"])
             counters["B"] += 1
-        if f.multiplicity > 1:
-            name += f"^{f.multiplicity}"
+        if rc.multiplicity_n > 1:
+            name += f"^{rc.multiplicity_n}"
         parts.append(name)
     return " x ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
 class PairingMatch:
+    """Rational character ``rational_index``, of reduced dimension d1, d2 > 0
+    on the two curves."""
+
     rational_index: int
     d1: int
-    n1: int
-    m1: int
     d2: int
-    n2: int
-    m2: int
-    quaternionic: bool
     partner_label: Optional[str]
 
 
@@ -139,41 +120,24 @@ def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
     index 2) certifies the Kummer surface of the 2-dimensional reduced factor.
     """
     group = require_same_group(gv1, gv2)
-    table = character_table(group)
-    rats = rational_characters(table)
-    dims1 = {f.rational_char_index: f for f in isotypical_dimensions(gv1)}
-    dims2 = {f.rational_char_index: f for f in isotypical_dimensions(gv2)}
+    rats = rational_characters(character_table(group))
+    dims1, dims2 = isotypical_dimensions(gv1), isotypical_dimensions(gv2)
 
     matches = []
     notes = []
-    for idx, rc in enumerate(rats):
+    for idx, (rc, d1, d2) in enumerate(zip(rats, dims1, dims2)):
         if idx == 0:
             continue  # the trivial character belongs to the Albanese part
-        f1 = dims1[idx]
-        f2 = dims2[idx]
-        if f1.reduced_dim == 0 or f2.reduced_dim == 0:
+        if d1 == 0 or d2 == 0:
             continue
-        quaternionic = rc.schur_index == 2
-        if f1.reduced_dim == 1 and f2.reduced_dim == 1:
+        if d1 == 1 and d2 == 1:
             partner = "Km(L1 x L2)"
-        elif quaternionic and 2 in (f1.reduced_dim, f2.reduced_dim):
+        elif rc.quaternionic and 2 in (d1, d2):
             partner = "Km(A)"
         else:
             partner = None
-        matches.append(
-            PairingMatch(
-                rational_index=idx,
-                d1=f1.reduced_dim,
-                n1=f1.multiplicity,
-                m1=f1.schur_index,
-                d2=f2.reduced_dim,
-                n2=f2.multiplicity,
-                m2=f2.schur_index,
-                quaternionic=quaternionic,
-                partner_label=partner,
-            )
-        )
-        if quaternionic:
+        matches.append(PairingMatch(rational_index=idx, d1=d1, d2=d2, partner_label=partner))
+        if rc.quaternionic:
             notes.append(
                 "quaternionic factor: the elliptic curve factors carry complex multiplication"
             )

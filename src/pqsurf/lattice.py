@@ -301,13 +301,18 @@ def nikulin_embeds(m_lattice: IntegralLattice, l_lattice: IntegralLattice) -> st
     return CRITERION_NOT_SATISFIED
 
 
+def k3_signature_guaranteed(sig) -> bool:
+    """Whether ``sig`` is (2, n) with 0 <= n <= 8, on which alone an even
+    lattice embeds uniquely and primitively into the K3 lattice."""
+    return sig[0] == 2 and 0 <= sig[1] <= 8
+
+
 def k3_embeddable(m_lattice: IntegralLattice) -> str:
     """Unique primitive embedding into the K3 lattice: guaranteed outright
-    for even lattices of signature (2, n) with 0 <= n <= 8, otherwise the
-    full criterion is evaluated."""
+    by ``k3_signature_guaranteed``, otherwise the full criterion is
+    evaluated."""
     if not is_even(m_lattice):
         raise NotEven("lattice must be even")
-    sig = signature(m_lattice)
-    if sig[0] == 2 and 0 <= sig[1] <= 8:
+    if k3_signature_guaranteed(signature(m_lattice)):
         return GUARANTEED
     return nikulin_embeds(m_lattice, k3_lattice())

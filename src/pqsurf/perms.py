@@ -106,6 +106,8 @@ class Permutation(tuple):
 
 
 def _point(token: str, text: str) -> int:
+    if not token.strip():
+        raise NonPermutation(f"empty entry in {text!r}")
     try:
         return int(token)
     except ValueError:
@@ -115,14 +117,16 @@ def _point(token: str, text: str) -> int:
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(1,2)(3,4)" or an image array like "[2,1,4,3]".
 
-    Cycles must be disjoint; points must lie in 1..degree.
+    Points are separated by a comma or by blanks; an empty entry, as in
+    "(1,,2)" or "[2,1,4,3,]", is refused.  Cycles must be disjoint; points
+    must lie in 1..degree.
     """
     s = text.strip()
     if s in ("()", "id", "e", ""):
         return Permutation.identity(degree)
     if s.startswith("["):
         body = s.strip("[]")
-        imgs = [_point(tok, text) for tok in body.split(",") if tok.strip()]
+        imgs = [_point(tok, text) for tok in body.split(",")]
         if len(imgs) != degree:
             raise NonPermutation(f"image array has length {len(imgs)}, expected {degree}")
         return Permutation(imgs)
@@ -134,7 +138,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     for body in _CYCLE_RE.findall(s):
         if not body.strip():
             continue
-        pts = [_point(tok, text) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+        pts = [_point(tok, text) for tok in re.split(r"\s*,\s*|\s+", body.strip())]
         if any(p < 1 or p > degree for p in pts):
             raise NonPermutation(f"point out of range 1..{degree} in {text!r}")
         if len(set(pts)) != len(pts) or seen & set(pts):

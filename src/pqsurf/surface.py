@@ -12,7 +12,8 @@ data alone: for n | gcd(m_i, m'_j) and a unit q mod n (q = 0 when n = 1),
     A(n, q) = #{g : g d_j^((m'_j/n) q) g^-1 = c_i^(m_i/n)}
             = |G| / |class of c_i^(m_i/n)|  when the two powers are conjugate, else 0,
 
-read off the group's power-class table.  A g counted in A(n, q) has a
+read off the rows of the two monodromy classes in the group's power-class
+table (``covering.monodromy_classes``).  A g counted in A(n, q) has a
 stabilizer of order N with n | N and exponent q' = q mod n, so going down
 the divisors, E(n, q) = A(n, q) - sum E(N, q') over N > n, n | N, q' = q
 mod n counts the g whose stabilizer has order exactly n and exponent q.
@@ -42,6 +43,7 @@ from .covering import (
     GeneratingVector,
     fixed_point_counts,
     genus,
+    monodromy_classes,
     require_same_group,
 )
 from .errors import InternalInconsistency, NotCoprime, OutOfRange
@@ -82,15 +84,16 @@ class QuotientSingularity:
         return f"1/{self.n}(1,{self.q})"
 
 
-def _basket(group: Group, c, m1: int, d, m2: int) -> dict[tuple[int, int], int]:
+def _basket(group: Group, k1: int, k2: int) -> dict[tuple[int, int], int]:
     """(n, q) -> the number of double cosets <c> g <d> whose point pair has
-    a stabilizer of order n > 1 acting by (zeta_n, zeta_n^q), counted from
-    the power classes of c and d (see the module docstring).
+    a stabilizer of order n > 1 acting by (zeta_n, zeta_n^q), for c in class
+    k1 and d in class k2, counted from the classes' power-class rows (see
+    the module docstring).
 
     Certificate: every level, n = 1 included, must count a nonnegative
     whole number of double cosets, or InternalInconsistency is raised."""
-    row1 = group._power_classes[group._class_of[c]]
-    row2 = group._power_classes[group._class_of[d]]
+    row1, row2 = group._power_classes[k1], group._power_classes[k2]
+    m1, m2 = len(row1), len(row2)
     top = gcd(m1, m2)
     exact: dict[tuple[int, int], int] = {}
     basket = {}
@@ -128,9 +131,9 @@ def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tupl
     visited."""
     group = require_same_group(gv1, gv2)
     out = []
-    for c, m1 in zip(gv1.monodromies, gv1.orders):
-        for d, m2 in zip(gv2.monodromies, gv2.orders):
-            for (n, q), count in _basket(group, c, m1, d, m2).items():
+    for k1 in monodromy_classes(gv1):
+        for k2 in monodromy_classes(gv2):
+            for (n, q), count in _basket(group, k1, k2).items():
                 out += [QuotientSingularity(n, q)] * count
     return tuple(sorted(out, key=lambda s: (s.n, s.q)))
 
@@ -154,7 +157,7 @@ def chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
     group = gv.group
     table = character_table(group)
     e = group.exponent
-    classes = [group._class_of[c] for c in gv.monodromies]
+    classes = monodromy_classes(gv)
     out = []
     for i, (cf, d) in enumerate(zip(table.irreducibles, table.degrees)):
         total = e * (d * (gv.base_genus - 1) + (i == 0))  # i == 0: the trivial character

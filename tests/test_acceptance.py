@@ -126,20 +126,19 @@ def test_criterion_3_worked_example():
     t10, t01, t11 = p("(1,2)(3,4)"), p("(1,3)(2,4)"), p("(1,4)(2,3)")
 
     def paper_order(gv):
-        factors = isotypical_dimensions(gv)
         rats = rational_characters(ct)
         dims = {}
-        for f in factors:
-            cf = ct.irreducibles[rats[f.rational_char_index].orbit[0]]
-            if f.rational_char_index == 0:
-                dims["triv"] = f.reduced_dim
+        for i, (d, rc) in enumerate(zip(isotypical_dimensions(gv), rats)):
+            cf = ct.irreducibles[rc.orbit[0]]
+            if i == 0:
+                dims["triv"] = d
             elif cf.at(t01) == 1:
-                dims["chi01"] = f.reduced_dim
+                dims["chi01"] = d
             elif cf.at(t10) == 1:
-                dims["chi10"] = f.reduced_dim
+                dims["chi10"] = d
             else:
                 assert cf.at(t11) == 1
-                dims["chi11"] = f.reduced_dim
+                dims["chi11"] = d
         return (dims["triv"], dims["chi01"], dims["chi10"], dims["chi11"])
 
     ok = ok and paper_order(gv1) == (1, 1, 0, 1)
@@ -158,8 +157,12 @@ def test_criterion_4_q8_quaternionic_detection():
     # psi = 2*chi gives d = (1/2)<psi, chi_V> = 2
     d = inner_product(rc.psi, hurwitz_character(gv)) / 2
     ok = ok and d == 2
-    factors = [f for f in isotypical_dimensions(gv) if f.reduced_dim and f.rational_char_index]
-    ok = ok and [(f.reduced_dim, f.multiplicity) for f in factors] == [(2, 1)]
+    factors = [
+        (d, rc.multiplicity_n)
+        for i, (d, rc) in enumerate(zip(isotypical_dimensions(gv), rational_characters(ct)))
+        if d and i
+    ]
+    ok = ok and factors == [(2, 1)]
     _report("4 (quaternionic case)", ok)
 
 
@@ -246,8 +249,8 @@ def test_criterion_7_covering_hodge_consistency():
                     v = value_cyc(ct.irreducibles[i], c)
                     total = total + (v + v.conjugate()).scale(n)
             ok = ok and total == chi_v.values[c]
-        factors = isotypical_dimensions(gv)
-        ok = ok and sum(f.reduced_dim * f.multiplicity for f in factors) == genus(gv)
+        dims = zip(isotypical_dimensions(gv), rational_characters(ct))
+        ok = ok and sum(d * rc.multiplicity_n for d, rc in dims) == genus(gv)
     # pair identities on the eight catalog rows
     for row in ROWS:
         gv1, gv2 = row_witnesses(row.name)

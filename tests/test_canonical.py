@@ -61,7 +61,9 @@ SIGNATURES = (
     + CATALOG_SIGNATURES
 )
 
-DIFFERENTIAL = SCALE_SEARCHES + CATALOG_SIGNATURES
+# S3 over a genus-2 base with no branch points: the scan's closing check
+# with no monodromies, where the handle commutators alone must close up
+DIFFERENTIAL = SCALE_SEARCHES + CATALOG_SIGNATURES + [("S3", 2, ())]
 
 
 @lru_cache(maxsize=None)

@@ -643,6 +643,21 @@ def test_a_point_that_is_not_an_integer_is_exit_3(tmp_path, edit):
     assert "is not an integer" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("monodromy", ["[2,1,,4,3]", "(1,,2)(3,4)"])
+def test_an_empty_entry_in_a_permutation_is_exit_3(tmp_path, capsys, monodromy):
+    path = tmp_path / "bad.surface"
+    path.write_text(
+        (SURFACES / "v4.surface").read_text(encoding="utf-8").replace(
+            "monodromies = (1,2)(3,4) ; (1,2)(3,4)", f"monodromies = {monodromy} ; (1,2)(3,4)"
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_VALIDATION == 3
+    assert out == ""
+    assert err == f"NonPermutation: empty entry in {monodromy!r}\n"
+
+
 def test_acceptance_suite_passes_under_python_O():
     env = subprocess_env()
     proc = subprocess.run(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsurf.analysis import analyze_pair
-from pqsurf.chars import character_table
+from pqsurf.chars import character_table, rational_characters
 from pqsurf.covering import fixed_point_counts, fixed_point_data, genus, search_generating_vectors
 from pqsurf.groups import catalog_group, group_from_generators
 from pqsurf.jacobian import isotypical_dimensions, k3_pairing, motive_h2_decomposition
@@ -57,9 +57,10 @@ def test_identities_hold_across_cross_pairs():
         assert rep.b2 == rep.e - 2 + 4 * rep.q
         dec = motive_h2_decomposition(gv1, gv2)
         assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
+        rats = rational_characters(character_table(G))
         for gv in (gv1, gv2):
             assert sum(
-                f.reduced_dim * f.multiplicity for f in isotypical_dimensions(gv)
+                d * rc.multiplicity_n for d, rc in zip(isotypical_dimensions(gv), rats)
             ) == genus(gv)
 
 

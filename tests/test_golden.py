@@ -73,3 +73,24 @@ def test_text_report_is_a_rendering_of_the_json_document(path):
     text = render_text(doc)
     assert render_text(json.loads(to_json(doc))) == text
     assert text.encode("utf-8") == (GOLDEN / f"{path.name}.text").read_bytes()
+
+
+@pytest.mark.parametrize("path", INPUTS, ids=[path.name for path in INPUTS])
+def test_golden_n_and_m_are_the_rational_characters(path):
+    # every [d, n, m] over the report's group carries the n and Schur index
+    # m of its rational character, and a match is quaternionic when m = 2
+    doc = json.loads((GOLDEN / f"{path.name}.json").read_text(encoding="utf-8"))
+    rats = doc["group"]["rational_characters"]
+
+    def pins(factor, index):
+        rc = rats[index]
+        assert (factor["n"], factor["m"]) == (rc["multiplicity_n"], rc["schur_index"])
+
+    for curve in doc["curves"]:
+        assert [f["rational_char"] for f in curve["isotypical_factors"]] == list(range(len(rats)))
+        for factor in curve["isotypical_factors"]:
+            pins(factor, factor["rational_char"])
+    for match in doc["pairing"]["matches"]:
+        pins(match["curve1"], match["rational_char"])
+        pins(match["curve2"], match["rational_char"])
+        assert match["quaternionic"] == (match["curve1"]["m"] == 2)

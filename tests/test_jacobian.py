@@ -17,19 +17,24 @@ from planted import planted
 from test_covering import s3_branch3, v4_example_pair
 
 
-def by_kernel_element(group, factors, element):
-    """Factor on the nontrivial linear character annihilating the element."""
+def rats_of(group):
     from pqsurf.chars import character_table, rational_characters
 
+    return rational_characters(character_table(group))
+
+
+def by_kernel_element(group, dims, element):
+    """Reduced dimension on the nontrivial linear character annihilating
+    the element."""
+    from pqsurf.chars import character_table
+
     ct = character_table(group)
-    rats = rational_characters(ct)
-    for f in factors:
-        rc = rats[f.rational_char_index]
-        if f.rational_char_index == 0 or rc.constituent_degree != 1:
+    for i, (d, rc) in enumerate(zip(dims, rats_of(group))):
+        if i == 0 or rc.constituent_degree != 1:
             continue
         cf = ct.irreducibles[rc.orbit[0]]
         if cf.at(element) == 1:
-            return f
+            return d
     raise AssertionError("no such factor")
 
 
@@ -41,37 +46,40 @@ def test_isotypical_dimensions_v4_example():
     t11 = parse_permutation("(1,4)(2,3)", 4)
 
     f1 = isotypical_dimensions(gv1)
-    assert f1[0].reduced_dim == 1  # trivial factor: the elliptic base
+    assert all(type(d) is int for d in f1)
+    assert f1[0] == 1  # trivial factor: the elliptic base
     # paper order (chi_00, chi_01, chi_10, chi_11): dims (1, 1, 0, 1)
-    assert by_kernel_element(G, f1, t01).reduced_dim == 1
-    assert by_kernel_element(G, f1, t10).reduced_dim == 0
-    assert by_kernel_element(G, f1, t11).reduced_dim == 1
+    assert by_kernel_element(G, f1, t01) == 1
+    assert by_kernel_element(G, f1, t10) == 0
+    assert by_kernel_element(G, f1, t11) == 1
 
     f2 = isotypical_dimensions(gv2)
-    assert f2[0].reduced_dim == 1
-    assert by_kernel_element(G, f2, t01).reduced_dim == 0
-    assert by_kernel_element(G, f2, t10).reduced_dim == 1
-    assert by_kernel_element(G, f2, t11).reduced_dim == 1
+    assert f2[0] == 1
+    assert by_kernel_element(G, f2, t01) == 0
+    assert by_kernel_element(G, f2, t10) == 1
+    assert by_kernel_element(G, f2, t11) == 1
 
 
 def test_isotypical_dimensions_q8():
     G = catalog_group("Q8")
     gv = search_generating_vectors(G, 1, (2,))[0]
-    factors = isotypical_dimensions(gv)
-    nontrivial = [f for f in factors if f.rational_char_index != 0 and f.reduced_dim]
+    dims = isotypical_dimensions(gv)
+    nontrivial = [(d, rc) for i, (d, rc) in enumerate(zip(dims, rats_of(G))) if i != 0 and d]
     assert len(nontrivial) == 1
-    f = nontrivial[0]
-    assert (f.reduced_dim, f.multiplicity, f.schur_index) == (2, 1, 2)
+    d, rc = nontrivial[0]
+    assert (d, rc.multiplicity_n, rc.schur_index) == (2, 1, 2)
 
 
 def test_dimension_sum_equals_genus():
     for name, g0, orders in [("V4", 1, (2, 2)), ("S3", 1, (2, 2)), ("D4", 1, (2, 2)), ("A4", 1, (2,))]:
         G = catalog_group(name)
+        rats = rats_of(G)
         for gv in search_generating_vectors(G, g0, orders):
-            factors = isotypical_dimensions(gv)
-            assert sum(f.reduced_dim * f.multiplicity for f in factors) == genus(gv)
-            assert all(f.reduced_dim >= 0 for f in factors)
-            assert factors[0].reduced_dim == g0
+            dims = isotypical_dimensions(gv)
+            assert len(dims) == len(rats)
+            assert sum(d * rc.multiplicity_n for d, rc in zip(dims, rats)) == genus(gv)
+            assert all(d >= 0 for d in dims)
+            assert dims[0] == g0
 
 
 def test_decomposition_labels():
@@ -165,16 +173,16 @@ def test_k3_pairing_v4():
     report = k3_pairing(gv1, gv2)
     assert report.status == "unique"
     match = report.matches[0]
-    assert (match.d1, match.n1) == (1, 1)
-    assert (match.d2, match.n2) == (1, 1)
-    assert not match.quaternionic
+    G = gv1.group
+    rc = rats_of(G)[match.rational_index]
+    assert (match.d1, rc.multiplicity_n) == (1, 1)
+    assert (match.d2, rc.multiplicity_n) == (1, 1)
+    assert not rc.quaternionic
     assert match.partner_label == "Km(L1 x L2)"
     # the matched character annihilates the product of the two branch involutions
-    from pqsurf.chars import character_table, rational_characters
+    from pqsurf.chars import character_table
 
-    G = gv1.group
-    rats = rational_characters(character_table(G))
-    cf = character_table(G).irreducibles[rats[match.rational_index].orbit[0]]
+    cf = character_table(G).irreducibles[rc.orbit[0]]
     t11 = parse_permutation("(1,4)(2,3)", 4)
     assert cf.at(t11) == 1
 
@@ -185,8 +193,9 @@ def test_k3_pairing_q8_is_quaternionic():
     report = k3_pairing(vectors[0], vectors[1])
     assert report.status == "unique"
     match = report.matches[0]
-    assert (match.d1, match.n1, match.m1) == (2, 1, 2)
-    assert match.quaternionic
+    rc = rats_of(G)[match.rational_index]
+    assert (match.d1, rc.multiplicity_n, rc.schur_index) == (2, 1, 2)
+    assert rc.quaternionic
     assert match.partner_label == "Km(A)"
     assert any("complex multiplication" in note for note in report.notes)
 
@@ -203,8 +212,9 @@ def test_k3_pairing_s3_k2_8_row():
     report = k3_pairing(*pair)
     assert report.status == "unique"
     match = report.matches[0]
-    assert (match.d1, match.n1) == (1, 2)
-    assert (match.d2, match.n2) == (1, 2)
+    rc = rats_of(G)[match.rational_index]
+    assert (match.d1, rc.multiplicity_n) == (1, 2)
+    assert (match.d2, rc.multiplicity_n) == (1, 2)
 
 
 def test_k3_pairing_reports_multiple_matches():

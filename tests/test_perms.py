@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -40,6 +41,9 @@ def test_parse_cycle_notation():
     assert g.images == (2, 1, 4, 3)
     assert parse_permutation("[2,1,4,3]", 4) == g
     assert parse_permutation("()", 5) == Permutation.identity(5)
+    # points may be separated by blanks, and an empty cycle is no cycle
+    assert parse_permutation("(1 2)(3 ,4)", 4) == g
+    assert parse_permutation("[ 2, 1 ]", 2) == parse_permutation("(1,2)()", 2)
 
 
 @pytest.mark.parametrize("text, degree", [("()", 1), ("(1,2)", 3), ("(1,3,2)", 3), ("(1,4)(2,3)", 5)])
@@ -72,6 +76,10 @@ def test_parse_rejects_garbage():
         parse_permutation("(1,a)", 4)
     with pytest.raises(NonPermutation, match="point 'x' is not an integer"):
         parse_permutation("[2,1,x]", 3)
+    # an empty entry is refused, not dropped
+    for text, degree in [("[2,1,,4,3]", 4), ("[2,1,4,3,]", 4), ("(1,,2)", 3), ("(,1,2)", 3)]:
+        with pytest.raises(NonPermutation, match=rf"^empty entry in {re.escape(repr(text))}$"):
+            parse_permutation(text, degree)
 
 
 def test_cycles_start_at_smallest_point():
