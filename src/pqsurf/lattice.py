@@ -7,11 +7,17 @@ integer elimination (each trailing block scaled by its pivot and divided by
 the gcd of its entries, a congruence up to a positive scalar), determinants
 from fraction-free (Bareiss) elimination, and discriminant groups from an
 integer Smith normal form.
+
+Each invariant is computed once per lattice object and kept on it, as
+group data is kept on its group; an equal lattice built separately
+computes it again.  The K3 lattice enters the embedding test only through
+its constants ``K3_SIGNATURE`` and ``K3_RANK``, so ``k3_embeddable`` builds
+no rank-22 lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
@@ -21,9 +27,14 @@ from .errors import (
     NotEven,
     NotUnimodular,
 )
+from .groups import stored
 
 GUARANTEED = "guaranteed"
 CRITERION_NOT_SATISFIED = "criterion_not_satisfied"
+
+# the even unimodular K3 lattice E8(-1)^2 + U^3 that ``k3_lattice`` builds
+K3_SIGNATURE = (3, 19)
+K3_RANK = 22
 
 # Gram matrix of the E8 root lattice (Bourbaki node numbering: the chain
 # 1-3-4-5-6-7-8 with node 2 attached to node 4).
@@ -33,6 +44,8 @@ _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 @dataclass(frozen=True)
 class IntegralLattice:
     gram: tuple[tuple[int, ...], ...]
+    # what ``stored`` functions derive from the lattice
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -126,6 +139,7 @@ def lambda_d(d: int) -> IntegralLattice:
 
 # -- exact linear algebra -----------------------------------------------------
 
+@stored
 def determinant(lattice: IntegralLattice) -> int:
     """Fraction-free Bareiss elimination; exact integer determinant."""
     n = lattice.rank
@@ -149,6 +163,7 @@ def determinant(lattice: IntegralLattice) -> int:
     return sign * m[n - 1][n - 1]
 
 
+@stored
 def signature(lattice: IntegralLattice) -> tuple[int, int]:
     """(s_+, s_-) by symmetric elimination in integers.
 
@@ -257,6 +272,7 @@ def _smith_normal_form(mat: list[list[int]]) -> list[int]:
     return diag
 
 
+@stored
 def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
     """Invariant factors > 1 of the Gram matrix (the group M^dual / M)."""
     det = determinant(lattice)
@@ -281,24 +297,28 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
 
 # -- embedding criteria ---------------------------------------------------------
 
+def _criterion(
+    m_lattice: IntegralLattice, target_signature: tuple[int, int], target_rank: int
+) -> str:
+    """Nikulin's sufficient criterion against an even unimodular target of
+    the given signature and rank: strict signature inequalities plus rank
+    slack of at least ell(A_M) + 2."""
+    t_plus, t_minus = signature(m_lattice)
+    s_plus, s_minus = target_signature
+    ell = discriminant_group(m_lattice).ell
+    if t_plus < s_plus and t_minus < s_minus and target_rank - m_lattice.rank >= ell + 2:
+        return GUARANTEED
+    return CRITERION_NOT_SATISFIED
+
+
 def nikulin_embeds(m_lattice: IntegralLattice, l_lattice: IntegralLattice) -> str:
     """Sufficient criterion for a unique primitive embedding M -> L with L
-    even unimodular: strict signature inequalities plus rank slack of at
-    least ell(A_M) + 2.  "criterion_not_satisfied" is not a disproof."""
+    even unimodular.  "criterion_not_satisfied" is not a disproof."""
     if not is_even(m_lattice) or not is_even(l_lattice):
         raise NotEven("both lattices must be even")
     if abs(determinant(l_lattice)) != 1:
         raise NotUnimodular("embedding target must be unimodular")
-    t_plus, t_minus = signature(m_lattice)
-    s_plus, s_minus = signature(l_lattice)
-    ell = discriminant_group(m_lattice).ell
-    if (
-        t_plus < s_plus
-        and t_minus < s_minus
-        and l_lattice.rank - m_lattice.rank >= ell + 2
-    ):
-        return GUARANTEED
-    return CRITERION_NOT_SATISFIED
+    return _criterion(m_lattice, signature(l_lattice), l_lattice.rank)
 
 
 def k3_signature_guaranteed(sig) -> bool:
@@ -310,9 +330,9 @@ def k3_signature_guaranteed(sig) -> bool:
 def k3_embeddable(m_lattice: IntegralLattice) -> str:
     """Unique primitive embedding into the K3 lattice: guaranteed outright
     by ``k3_signature_guaranteed``, otherwise the full criterion is
-    evaluated."""
+    evaluated against ``K3_SIGNATURE`` and ``K3_RANK``."""
     if not is_even(m_lattice):
         raise NotEven("lattice must be even")
     if k3_signature_guaranteed(signature(m_lattice)):
         return GUARANTEED
-    return nikulin_embeds(m_lattice, k3_lattice())
+    return _criterion(m_lattice, K3_SIGNATURE, K3_RANK)

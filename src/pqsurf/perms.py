@@ -8,6 +8,10 @@ from math import lcm
 from .errors import NonPermutation
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# the two notations, each matched against the whole stripped text: cycles
+# separated by optional blanks, or one bracketed list of images
+_CYCLES_RE = re.compile(rf"(?:\s*{_CYCLE_RE.pattern})*")
+_IMAGES_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
 class Permutation(tuple):
@@ -117,21 +121,23 @@ def _point(token: str, text: str) -> int:
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(1,2)(3,4)" or an image array like "[2,1,4,3]".
 
-    Points are separated by a comma or by blanks; an empty entry, as in
-    "(1,,2)" or "[2,1,4,3,]", is refused.  Cycles must be disjoint; points
-    must lie in 1..degree.
+    The identity is also written "()", "id", "e" or as the empty string.
+    An image array is one pair of brackets around comma-separated points;
+    in a cycle, points are separated by a comma or by blanks.  Any other
+    text, such as "[2,1", "[2,1]]" or "((1,2))", is refused, and so is an
+    empty entry, as in "(1,,2)" or "[2,1,4,3,]".  Cycles must be disjoint;
+    points must lie in 1..degree.
     """
     s = text.strip()
-    if s in ("()", "id", "e", ""):
+    if s in ("id", "e"):
         return Permutation.identity(degree)
-    if s.startswith("["):
-        body = s.strip("[]")
-        imgs = [_point(tok, text) for tok in body.split(",")]
+    array = _IMAGES_RE.fullmatch(s)
+    if array:
+        imgs = [_point(tok, text) for tok in array[1].split(",")]
         if len(imgs) != degree:
             raise NonPermutation(f"image array has length {len(imgs)}, expected {degree}")
         return Permutation(imgs)
-    stripped = _CYCLE_RE.sub("", s)
-    if stripped.strip():
+    if not _CYCLES_RE.fullmatch(s):
         raise NonPermutation(f"cannot parse permutation: {text!r}")
     images = list(range(1, degree + 1))
     seen: set[int] = set()

@@ -658,6 +658,21 @@ def test_an_empty_entry_in_a_permutation_is_exit_3(tmp_path, capsys, monodromy):
     assert err == f"NonPermutation: empty entry in {monodromy!r}\n"
 
 
+@pytest.mark.parametrize("monodromy", ["[2,1", "[2,1,4,3", "[2,1,4,3]]", "[[2,1,4,3]]"])
+def test_a_malformed_image_array_is_exit_3(tmp_path, capsys, monodromy):
+    path = tmp_path / "bad.surface"
+    path.write_text(
+        (SURFACES / "v4.surface").read_text(encoding="utf-8").replace(
+            "monodromies = (1,2)(3,4) ; (1,2)(3,4)", f"monodromies = {monodromy} ; (1,2)(3,4)"
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_VALIDATION == 3
+    assert out == ""
+    assert err == f"NonPermutation: cannot parse permutation: {monodromy!r}\n"
+
+
 def test_acceptance_suite_passes_under_python_O():
     env = subprocess_env()
     proc = subprocess.run(

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +23,8 @@ from pqsurf.errors import (
 from pqsurf.lattice import (
     CRITERION_NOT_SATISFIED,
     GUARANTEED,
+    K3_RANK,
+    K3_SIGNATURE,
     IntegralLattice,
     determinant,
     direct_sum,
@@ -55,9 +60,10 @@ def test_e8_minus():
 
 def test_k3_lattice_facts():
     lam = k3_lattice()
-    assert lam.rank == 22
+    # the constants k3_embeddable tests against are the built lattice's
+    assert lam.rank == K3_RANK == 22
     assert abs(determinant(lam)) == 1
-    assert signature(lam) == (3, 19)
+    assert signature(lam) == K3_SIGNATURE == (3, 19)
     assert is_even(lam)
     assert discriminant_group(lam).ell == 0
 
@@ -105,10 +111,13 @@ def test_signature_additivity():
 
 def test_degenerate_is_rejected():
     degenerate = IntegralLattice(((0, 0), (0, 2)))
-    with pytest.raises(Degenerate):
-        signature(degenerate)
-    with pytest.raises(Degenerate):
-        discriminant_group(degenerate)
+    for _ in range(3):
+        with pytest.raises(Degenerate):
+            signature(degenerate)
+        with pytest.raises(Degenerate):
+            discriminant_group(degenerate)
+    # on every call: the determinant, 0, is kept, and what raised is not
+    assert degenerate._memo == {determinant.__wrapped__: 0}
 
 
 def test_nikulin_examples():
@@ -313,14 +322,18 @@ def test_integer_signature_matches_the_rational_one_on_named_lattices():
 # -- certificates of the discriminant group ---------------------------------------
 
 def test_broken_smith_form_is_internal_inconsistency(monkeypatch):
-    lat = direct_sum(rank1(1), rank1(3))  # |det| = 12, invariant factors 2, 6
-    assert discriminant_group(lat).invariant_factors == (2, 6)
+    def build():
+        return direct_sum(rank1(1), rank1(3))  # |det| = 12, invariant factors 2, 6
+
+    assert discriminant_group(build()).invariant_factors == (2, 6)
+    # each plant runs on a freshly built equal lattice: on the one above,
+    # the kept discriminant group would be returned without a computation
     monkeypatch.setattr(lattice, "_smith_normal_form", lambda m: [3, 4])
     with pytest.raises(InternalInconsistency, match="divisibility chain"):
-        discriminant_group(lat)
+        discriminant_group(build())
     monkeypatch.setattr(lattice, "_smith_normal_form", lambda m: [2, 2])
     with pytest.raises(InternalInconsistency, match="multiply"):
-        discriminant_group(lat)
+        discriminant_group(build())
 
 
 def test_broken_smith_form_raises_under_python_O():
@@ -348,3 +361,121 @@ def test_broken_smith_form_raises_under_python_O():
     assert len(lines) == 2
     assert lines[0].startswith("raised") and "divisibility chain" in lines[0]
     assert lines[1].startswith("raised") and "multiply" in lines[1]
+
+
+# -- invariants kept on their lattice -----------------------------------------------
+
+STORED = (determinant, signature, discriminant_group)
+
+
+def test_each_invariant_runs_once_per_lattice_and_shares_its_value():
+    lat = lambda_d(2)
+    first = [stage(lat) for stage in STORED]
+    assert {stage.__wrapped__ for stage in STORED} == set(lat._memo)
+    again = [stage(lat) for stage in STORED]
+    assert all(a is b for a, b in zip(first, again))
+    # an equal lattice built separately computes them again
+    other = lambda_d(2)
+    assert other == lat and other._memo == {}
+    assert [stage(other) for stage in STORED] == first
+
+
+def test_lattice_memo_is_not_part_of_equality_hash_or_repr():
+    fresh, used = lambda_d(3), lambda_d(3)
+    k3_embeddable(used)
+    assert signature.__wrapped__ in used._memo and fresh._memo == {}
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert "_memo" not in repr(used)
+
+
+def test_lattice_replace_starts_with_an_empty_memo():
+    lat = direct_sum(rank1(1), rank1(3))
+    disc = discriminant_group(lat)
+    copy = dataclasses.replace(lat)
+    assert copy == lat and copy._memo == {}
+    assert discriminant_group(copy) == disc
+    assert discriminant_group(copy) is not disc
+
+
+def test_a_dropped_lattice_is_freed_with_its_memo():
+    def derive():
+        lat = lambda_d(1)
+        disc = discriminant_group(lat)
+        k3_embeddable(lat)
+        return weakref.ref(lat), weakref.ref(disc)
+
+    refs = derive()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+# -- k3_embeddable against the criterion on a built K3 lattice ------------------------
+
+def seeded_even_lattice(rng, plus, minus):
+    """An even lattice of signature (plus, minus), plus in {2, 3}: hyperbolic
+    planes, <2d> and <-2d> summands and E8(-1), with its basis scrambled by
+    unimodular row and column operations."""
+    parts = [hyperbolic_plane()] * (plus - 1)
+    negatives = minus - (plus - 1)
+    parts.append(rescale(rank1(rng.randint(1, 6)), -1))
+    while negatives >= 8 and rng.random() < 0.5:
+        parts.append(e8_minus())
+        negatives -= 8
+    parts += [rank1(rng.randint(1, 6)) for _ in range(negatives)]
+    gram = [list(row) for row in direct_sum(*parts).gram]
+    n = len(gram)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        # b_i += c b_j: row and column, which keeps the lattice and evenness
+        gram[i] = [a + c * b for a, b in zip(gram[i], gram[j])]
+        for row in gram:
+            row[i] += c * row[j]
+    return IntegralLattice(tuple(map(tuple, gram)))
+
+
+def differential_lattices():
+    rng = random.Random(2019)
+    lattices = [k3_lattice()] + [lambda_d(d) for d in range(1, 13)]
+    for plus in (2, 3):
+        for minus in range(plus - 1, 20):
+            lattices += [seeded_even_lattice(rng, plus, minus) for _ in range(2)]
+    return lattices
+
+
+def test_k3_embeddable_matches_nikulin_embeds_into_the_built_k3_lattice():
+    verdicts = {GUARANTEED: 0, CRITERION_NOT_SATISFIED: 0}
+    for m in differential_lattices():
+        assert is_even(m)
+        verdict = k3_embeddable(m)
+        # a separately built M, so that neither side reads the other's memo
+        assert verdict == nikulin_embeds(IntegralLattice(m.gram), k3_lattice()), m.gram
+        verdicts[verdict] += 1
+    assert verdicts[GUARANTEED] >= 20 and verdicts[CRITERION_NOT_SATISFIED] >= 20
+
+
+def test_nikulin_rank_slack_boundary():
+    # into U + E8(-1), of signature (1, 9) and rank 10: A2(-1) has ell = 1
+    # (discriminant Z3), so each M below is negative definite of rank 10 - slack
+    target = direct_sum(hyperbolic_plane(), e8_minus())
+    a2 = IntegralLattice(((-2, 1), (1, -2)))
+    exact = direct_sum(a2, rank1(1), rank1(1), rank1(1))  # ell 3, slack 5 = ell + 2
+    short = direct_sum(a2, a2, a2)  # ell 3, slack 4 = ell + 1
+    assert [discriminant_group(m).ell for m in (exact, short)] == [3, 3]
+    assert nikulin_embeds(exact, target) == GUARANTEED
+    assert nikulin_embeds(short, target) == CRITERION_NOT_SATISFIED
+
+
+@pytest.mark.parametrize("gram, error", [
+    (((1,),), NotEven),
+    (((2, 1), (1, 3)), NotEven),
+    (((0, 0), (0, 2)), Degenerate),
+    (((2, 2), (2, 2)), Degenerate),
+])
+def test_k3_embeddable_and_nikulin_embeds_raise_alike(gram, error):
+    with pytest.raises(error):
+        k3_embeddable(IntegralLattice(gram))
+    with pytest.raises(error):
+        nikulin_embeds(IntegralLattice(gram), k3_lattice())

@@ -3,6 +3,8 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pqsurf.errors import NonPermutation
 from pqsurf.perms import Permutation, parse_permutation
@@ -44,6 +46,9 @@ def test_parse_cycle_notation():
     # points may be separated by blanks, and an empty cycle is no cycle
     assert parse_permutation("(1 2)(3 ,4)", 4) == g
     assert parse_permutation("[ 2, 1 ]", 2) == parse_permutation("(1,2)()", 2)
+    # the identity's spellings
+    for text in ("()", "id", "e", "", " ", "()()", "( )"):
+        assert parse_permutation(text, 3) == Permutation.identity(3)
 
 
 @pytest.mark.parametrize("text, degree", [("()", 1), ("(1,2)", 3), ("(1,3,2)", 3), ("(1,4)(2,3)", 5)])
@@ -80,9 +85,36 @@ def test_parse_rejects_garbage():
     for text, degree in [("[2,1,,4,3]", 4), ("[2,1,4,3,]", 4), ("(1,,2)", 3), ("(,1,2)", 3)]:
         with pytest.raises(NonPermutation, match=rf"^empty entry in {re.escape(repr(text))}$"):
             parse_permutation(text, degree)
+    # one pair of brackets around an image array, no more and no less
+    for text in ("[2,1", "[2,1]]", "[[2,1]]", "2,1]", "[2,1](1,2)", "(1,2)[2,1]"):
+        with pytest.raises(NonPermutation, match=rf"^cannot parse permutation: {re.escape(repr(text))}$"):
+            parse_permutation(text, 2)
 
 
 def test_cycles_start_at_smallest_point():
     g = parse_permutation("(2,4,3)", 4)
     assert g.cycles() == ((2, 4, 3),)
     assert g.cycle_string() == "(2,4,3)"
+
+
+permutations = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(Permutation)
+)
+
+
+def image_array(p: Permutation) -> str:
+    return "[" + ",".join(str(x) for x in p) + "]"
+
+
+@given(permutations)
+def test_both_notations_parse_back(p):
+    assert parse_permutation(p.cycle_string(), p.degree) == p
+    assert parse_permutation(image_array(p), p.degree) == p
+
+
+@given(permutations, st.sampled_from(["", "[", "[["]), st.sampled_from(["", "]", "]]"]))
+def test_unbalanced_or_nested_brackets_are_refused(p, before, after):
+    text = before + image_array(p)[1:-1] + after
+    if text != image_array(p):
+        with pytest.raises(NonPermutation):
+            parse_permutation(text, p.degree)
