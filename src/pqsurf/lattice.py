@@ -2,13 +2,14 @@
 sufficient criterion for a unique primitive embedding into an even
 unimodular lattice.
 
-All arithmetic is exact and in integers: signatures come from symmetric
-integer elimination (each trailing block scaled by its pivot and divided by
-the gcd of its entries, a congruence up to a positive scalar), determinants
-from fraction-free (Bareiss) elimination, and discriminant groups from an
-integer Smith normal form.
+All arithmetic is exact and in integers, and two eliminations serve every
+invariant: one fraction-free (Bareiss) symmetric congruence, whose pivots
+are leading principal minors, gives both the signature and the
+determinant, and an integer Smith normal form gives the discriminant
+group, whose order is checked against that determinant.  Gram entries
+must be ints.
 
-Each invariant is computed once per lattice object and kept on it, as
+Each elimination runs once per lattice object and is kept on it, as
 group data is kept on its group; an equal lattice built separately
 computes it again.  The K3 lattice enters the embedding test only through
 its constants ``K3_SIGNATURE`` and ``K3_RANK``, so ``k3_embeddable`` builds
@@ -18,7 +19,6 @@ no rank-22 lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .errors import (
     Degenerate,
@@ -52,6 +52,9 @@ class IntegralLattice:
         for row in self.gram:
             if len(row) != n:
                 raise InvalidParameter("Gram matrix must be square")
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InvalidParameter(f"Gram matrix entry {x!r} is not an integer")
         for i in range(n):
             for j in range(n):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -140,42 +143,21 @@ def lambda_d(d: int) -> IntegralLattice:
 # -- exact linear algebra -----------------------------------------------------
 
 @stored
-def determinant(lattice: IntegralLattice) -> int:
-    """Fraction-free Bareiss elimination; exact integer determinant."""
-    n = lattice.rank
-    if n == 0:
-        return 1
-    m = [list(row) for row in lattice.gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _congruence(lattice: IntegralLattice) -> tuple[int, int, int]:
+    """(s_+, s_-, det) by one fraction-free symmetric elimination.
 
-
-@stored
-def signature(lattice: IntegralLattice) -> tuple[int, int]:
-    """(s_+, s_-) by symmetric elimination in integers.
-
-    A pivot p with column a below it leaves the block p*A22 - a a^T, divided
-    by the gcd of its entries and negated when p < 0: a positive multiple of
-    the Schur complement A22 - a a^T / p, so congruent to it up to a
-    positive scalar, and the signature is unchanged.  A zero diagonal is
-    swapped with a nonzero one, or else folded with a nonzero off-diagonal
-    entry; a block with neither is degenerate."""
-    n = lattice.rank
+    Each step leaves the block (p*A22 - a a^T) // prev, where p is the
+    pivot, a the column below it and prev the pivot before; by Sylvester's
+    identity the division is exact, and the k-th pivot is the leading
+    principal minor D_k of a matrix congruent to the Gram matrix by a
+    unimodular change of basis.  D_k / D_(k-1) has the sign of the k-th
+    diagonal entry of a congruent diagonal form, and the last pivot is the
+    determinant.  A zero diagonal is swapped with a nonzero one, or else
+    folded with a nonzero off-diagonal entry; a block with neither is
+    degenerate, and det is 0."""
     m = [list(row) for row in lattice.gram]
     plus = minus = 0
+    prev = 1
     while m:
         size = len(m)
         if m[0][0] == 0:
@@ -189,27 +171,36 @@ def signature(lattice: IntegralLattice) -> tuple[int, int]:
                 # entry onto the diagonal
                 j = next((j for j in range(1, size) if m[0][j] != 0), None)
                 if j is None:
-                    raise Degenerate("lattice is degenerate")
+                    return plus, minus, 0
                 for col in range(size):
                     m[0][col] += m[j][col]
                 for row in m:
                     row[0] += row[j]
         pivot = m[0][0]
-        if pivot > 0:
-            plus, sign = plus + 1, 1
+        if (pivot > 0) == (prev > 0):
+            plus += 1
         else:
-            minus, sign = minus + 1, -1
+            minus += 1
         column = [row[0] for row in m[1:]]
         m = [
-            [sign * (pivot * x - ai * aj) for x, aj in zip(row[1:], column)]
+            [(pivot * x - ai * aj) // prev for x, aj in zip(row[1:], column)]
             for row, ai in zip(m[1:], column)
         ]
-        common = 0
-        for row in m:
-            for x in row:
-                common = gcd(common, x)
-        if common > 1:
-            m = [[x // common for x in row] for row in m]
+        prev = pivot
+    return plus, minus, prev
+
+
+def determinant(lattice: IntegralLattice) -> int:
+    """The exact determinant: the last pivot of ``_congruence``."""
+    return _congruence(lattice)[2]
+
+
+def signature(lattice: IntegralLattice) -> tuple[int, int]:
+    """(s_+, s_-), from the pivots of ``_congruence``."""
+    plus, minus, det = _congruence(lattice)
+    if det == 0:
+        raise Degenerate("lattice is degenerate")
+    n = lattice.rank
     if plus + minus != n:
         raise InternalInconsistency(f"signature ({plus}, {minus}) does not add up to rank {n}")
     return (plus, minus)
@@ -284,15 +275,12 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
             raise InternalInconsistency(
                 f"invariant factors {a} and {b} do not form a divisibility chain"
             )
-    factors = tuple(d for d in diag if d > 1)
-    order = 1
-    for d in factors:
-        order *= d
-    if order != abs(det):
+    group = DiscriminantGroup(tuple(d for d in diag if d > 1))
+    if group.order != abs(det):
         raise InternalInconsistency(
-            f"invariant factors multiply to {order}, not |det| = {abs(det)}"
+            f"invariant factors multiply to {group.order}, not |det| = {abs(det)}"
         )
-    return DiscriminantGroup(factors)
+    return group
 
 
 # -- embedding criteria ---------------------------------------------------------

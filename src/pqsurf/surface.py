@@ -255,9 +255,13 @@ def _family_dimension(gv: GeneratingVector) -> int:
 def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
     """Full numerical invariant set of the resolved quotient surface.
 
-    Certificate: K^2 = 12 chi - e, with chi from the Chevalley-Weil p_g and
-    e from the Lefschetz average, must equal the basket formulas' K^2 and e,
-    or InternalInconsistency is raised."""
+    Certificates: K^2 = 12 chi - e, with chi from the Chevalley-Weil p_g and
+    e from the Lefschetz average, must equal the basket formulas' K^2 and e;
+    and b2 = e - 2 + 4q must equal 2 + D + eta, where
+    D = dim (H^1(C1) (x) H^1(C2))^G = sum_chi h1(chi) h2(chi-bar) and
+    h_i(chi) = a_i(chi) + a_i(chi-bar) is the multiplicity of chi in
+    H^1(C_i), read from the Chevalley-Weil multiplicities and the dual map.
+    One InternalInconsistency names every certificate that fails."""
     group = require_same_group(gv1, gv2)
     q = gv1.base_genus + gv2.base_genus
     p_g = geometric_genus(gv1, gv2)
@@ -266,12 +270,21 @@ def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
     eta = eta_of(sing)
     e_quot, e_res = euler_characteristic(gv1, gv2)
     k2 = 12 * chi - e_res
+    b2 = e_res - 2 + 4 * q
+    dual = character_table(group).dual
+    h1, h2 = ([n + a[j] for n, j in zip(a, dual)] for a in (chevalley_weil(gv1), chevalley_weil(gv2)))
+    b2_from_h1 = 2 + sum(n * h2[j] for n, j in zip(h1, dual)) + eta
     basket = _basket_formulas(group.order, genus(gv1), genus(gv2), sing)
+    failed = []
     if basket != (k2, e_res):
-        raise InternalInconsistency(
+        failed.append(
             f"the basket formulas give (K^2, e) = ({basket[0]}, {basket[1]}), "
             f"not ({k2}, {e_res})"
         )
+    if b2_from_h1 != b2:
+        failed.append(f"the H^1 characters give b2 = 2 + D + eta = {b2_from_h1}, not {b2}")
+    if failed:
+        raise InternalInconsistency("; ".join(failed))
     family_dim = _family_dimension(gv1) + _family_dimension(gv2)
     return SurfaceReport(
         p_g=p_g,
@@ -280,7 +293,7 @@ def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
         e_quotient=e_quot,
         e=e_res,
         k2=k2,
-        b2=e_res - 2 + 4 * q,
+        b2=b2,
         singularities=sing,
         eta=eta,
         family_dim=family_dim,

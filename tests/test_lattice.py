@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planted import planted
 from pqsurf import lattice
 from pqsurf.errors import (
     Degenerate,
@@ -116,8 +117,10 @@ def test_degenerate_is_rejected():
             signature(degenerate)
         with pytest.raises(Degenerate):
             discriminant_group(degenerate)
-    # on every call: the determinant, 0, is kept, and what raised is not
-    assert degenerate._memo == {determinant.__wrapped__: 0}
+    # on every call: the congruence pass, with det = 0, is kept, and what
+    # raised is not
+    assert degenerate._memo == {lattice._congruence.__wrapped__: (1, 0, 0)}
+    assert determinant(degenerate) == 0
 
 
 def test_nikulin_examples():
@@ -161,6 +164,45 @@ def small_symmetric_matrices(draw):
             entries[(i, j)] = draw(st.integers(min_value=-6, max_value=6))
     gram = [[entries[(min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
     return IntegralLattice(tuple(tuple(row) for row in gram))
+
+
+@st.composite
+def zero_diagonal_lattices(draw):
+    """Direct sums of U(c) and the degenerate <0>, with the basis permuted
+    and then scrambled by moves b_i += c b_j with b_j isotropic and
+    orthogonal to b_i: the diagonal stays zero, so the first pivot, and
+    often later ones, is found by a fold."""
+    # c = 0 stands for the summand <0>
+    scales = draw(st.lists(st.sampled_from((1, -1, 2, 3, 0)), min_size=1, max_size=4))
+    parts = [rescale(hyperbolic_plane(), c) if c else IntegralLattice(((0,),)) for c in scales]
+    gram = [list(row) for row in direct_sum(*parts).gram]
+    n = len(gram)
+    order = draw(st.permutations(range(n)))
+    gram = [[gram[i][j] for j in order] for i in order]
+    if n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+            i, j = draw(st.sampled_from(pairs))
+            c = draw(st.integers(min_value=-2, max_value=2))
+            if gram[i][j] == 0 and gram[j][j] == 0:
+                gram[i] = [a + c * b for a, b in zip(gram[i], gram[j])]
+                for row in gram:
+                    row[i] += c * row[j]
+    assert all(gram[i][i] == 0 for i in range(n))
+    return IntegralLattice(tuple(map(tuple, gram)))
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """B^T D B with B of k < n rows: a Gram matrix of rank at most k."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    b = [[draw(st.integers(min_value=-2, max_value=2)) for _ in range(n)] for _ in range(k)]
+    d = [draw(st.sampled_from((-3, -1, 1, 2))) for _ in range(k)]
+    return IntegralLattice(tuple(
+        tuple(sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(n))
+        for i in range(n)
+    ))
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,16 +261,40 @@ def test_signature_counts_match_rank(lat):
     assert (det > 0) == (minus % 2 == 0)
 
 
-# -- the integer signature against the rational diagonalisation ---------------
+# -- the congruence pass against Bareiss and the rational diagonalisation -------
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def bareiss_determinant(lat):
+    """Reference: fraction-free Bareiss elimination with row swaps, as
+    determinant computed it before the symmetric congruence pass."""
+    n = lat.rank
+    if n == 0:
+        return 1
+    m = [list(row) for row in lat.gram]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def fraction_signature(lat):
     """Reference: symmetric congruent diagonalisation over Q, as signature
     computed it before the integer elimination."""
     n = lat.rank
-    if determinant(lat) == 0:
+    if bareiss_determinant(lat) == 0:
         raise Degenerate("lattice is degenerate")
     m = [[Fraction(x) for x in row] for row in lat.gram]
     plus = minus = 0
@@ -289,12 +355,17 @@ def random_gram(rng):
     return gram
 
 
-def assert_same_signature(lat):
+def assert_matches_the_references(lat):
+    """determinant against Bareiss and signature against the rational
+    diagonalisation; a degenerate lattice has no signature and no
+    discriminant group."""
+    assert determinant(lat) == bareiss_determinant(lat)
     try:
         expected = fraction_signature(lat)
     except Degenerate:
-        with pytest.raises(Degenerate):
-            signature(lat)
+        for invariant in (signature, discriminant_group):
+            with pytest.raises(Degenerate):
+                invariant(lat)
         return "degenerate"
     assert signature(lat) == expected
     return "regular"
@@ -305,7 +376,7 @@ def test_integer_signature_matches_the_rational_one_on_random_matrices():
     outcomes = {"degenerate": 0, "regular": 0}
     for _ in range(1500):
         lat = IntegralLattice(tuple(map(tuple, random_gram(rng))))
-        outcomes[assert_same_signature(lat)] += 1
+        outcomes[assert_matches_the_references(lat)] += 1
     assert outcomes["degenerate"] >= 300 and outcomes["regular"] >= 600
 
 
@@ -315,8 +386,32 @@ def test_integer_signature_matches_the_rational_one_on_named_lattices():
     lattices += [lambda_d(d) for d in range(1, 13)]
     lattices += [direct_sum(*[u] * k) for k in range(1, 5)]
     lattices += [rescale(lat, -1) for lat in lattices[:3]]
-    for lat in lattices:
-        assert assert_same_signature(lat) == "regular"
+    lattices.append(IntegralLattice(()))  # rank 0: det 1, signature (0, 0)
+    # k3_lattice(), lambda_d(1..12) and 74 seeded even lattices
+    embedding = differential_lattices()
+    assert len(embedding) == 87
+    for lat in lattices + embedding:
+        assert assert_matches_the_references(lat) == "regular"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_symmetric_matrices(), zero_diagonal_lattices(), rank_deficient_matrices()))
+def test_congruence_matches_the_references_on_drawn_matrices(lat):
+    assert_matches_the_references(lat)
+
+
+@pytest.mark.parametrize("gram", [
+    ((Fraction(1, 2),),),
+    ((0.5,),),
+    ((2.0,),),
+    ((2, 1.5), (1.5, 2)),
+    (("2",),),
+    ((True,),),
+    ((2, False), (False, 2)),
+])
+def test_non_integer_entries_are_invalid(gram):
+    with pytest.raises(InvalidParameter, match="not an integer"):
+        IntegralLattice(gram)
 
 
 # -- certificates of the discriminant group ---------------------------------------
@@ -363,17 +458,39 @@ def test_broken_smith_form_raises_under_python_O():
     assert lines[1].startswith("raised") and "multiply" in lines[1]
 
 
+@planted
+def test_planted_congruence_faults_are_internal_inconsistency(monkeypatch):
+    def build():
+        return direct_sum(rank1(1), rank1(3))  # det = 12, signature (0, 2)
+
+    congruence = lattice._congruence
+    # each plant runs on a freshly built lattice, whose memo is empty
+    monkeypatch.setattr(lattice, "_congruence", lambda lat: (lambda p, m, d: (p, m, 2 * d))(*congruence(lat)))
+    with pytest.raises(InternalInconsistency, match="multiply"):
+        discriminant_group(build())
+    monkeypatch.setattr(lattice, "_congruence", lambda lat: (lambda p, m, d: (p, m - 1, d))(*congruence(lat)))
+    with pytest.raises(InternalInconsistency, match="add up to rank"):
+        signature(build())
+
+
 # -- invariants kept on their lattice -----------------------------------------------
 
-STORED = (determinant, signature, discriminant_group)
+# the stages kept on a lattice, and the invariants read from them
+STORED = (lattice._congruence, discriminant_group)
+INVARIANTS = (determinant, signature, discriminant_group)
 
 
 def test_each_invariant_runs_once_per_lattice_and_shares_its_value():
     lat = lambda_d(2)
+    values = [invariant(lat) for invariant in INVARIANTS]
     first = [stage(lat) for stage in STORED]
     assert {stage.__wrapped__ for stage in STORED} == set(lat._memo)
     again = [stage(lat) for stage in STORED]
     assert all(a is b for a, b in zip(first, again))
+    # determinant and signature read the one congruence pass
+    plus, minus, det = first[0]
+    assert values[:2] == [det, (plus, minus)]
+    assert [invariant(lat) for invariant in INVARIANTS] == values
     # an equal lattice built separately computes them again
     other = lambda_d(2)
     assert other == lat and other._memo == {}
@@ -383,7 +500,7 @@ def test_each_invariant_runs_once_per_lattice_and_shares_its_value():
 def test_lattice_memo_is_not_part_of_equality_hash_or_repr():
     fresh, used = lambda_d(3), lambda_d(3)
     k3_embeddable(used)
-    assert signature.__wrapped__ in used._memo and fresh._memo == {}
+    assert lattice._congruence.__wrapped__ in used._memo and fresh._memo == {}
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -301,3 +302,32 @@ def test_planted_dropped_singularity_is_internal_inconsistency(monkeypatch):
     gv = c4_rational_vector()
     with pytest.raises(InternalInconsistency, match="basket formulas give"):
         invariants(gv, gv)
+
+
+@planted
+def test_planted_fixed_point_fault_fails_the_b2_certificate(monkeypatch):
+    # the C4 vector fixes (4, 4, 2, 2) points by class; a count of 4 for the
+    # last class keeps the Lefschetz average whole but moves e from 16 to 19
+    counts = surface.fixed_point_counts
+    monkeypatch.setattr(surface, "fixed_point_counts", lambda gv: counts(gv)[:3] + (4,))
+    gv = c4_rational_vector()
+    assert counts(gv) == (4, 4, 2, 2)
+    with pytest.raises(InternalInconsistency, match=re.escape("b2 = 2 + D + eta = 14, not 17")) as raised:
+        invariants(gv, gv)
+    # e is wrong, so the basket formulas, checked first, fail as well
+    assert str(raised.value).startswith("the basket formulas give (K^2, e) = (-4, 16), not (-7, 19); ")
+
+
+@planted
+def test_planted_dual_map_fault_fails_the_b2_certificate(monkeypatch):
+    # a 3-cycle on the three nontrivial characters of C4, not the
+    # conjugation: p_g stays 0, so the basket formulas still hold, but the
+    # H^1 multiplicities pair to D = 1, not 2
+    gv = c4_rational_vector()
+    table = character_table(gv.group)
+    assert table.dual == (0, 1, 3, 2)
+    faulty = dataclasses.replace(table, dual=(0, 3, 1, 2))
+    monkeypatch.setattr(surface, "character_table", lambda group: faulty)
+    with pytest.raises(InternalInconsistency, match=re.escape("b2 = 2 + D + eta = 13, not 14")) as raised:
+        invariants(gv, gv)
+    assert "basket" not in str(raised.value)
