@@ -20,8 +20,8 @@ quantity built from the values (orbit sums, Frobenius-Schur indicators) is
 a sum of Galois averages, added up in integers scaled by phi(e): a rational
 sum of roots of unity equals its Galois average, and zeta_e^a averages to
 mu(n)/phi(n) with n = e/gcd(a, e), so phi(e) mu(n)/phi(n) is an integer.
-Trace coordinates t_k = Tr(x zeta_e^-k), the same weights on the multiset
-shifted by -k (``_traces``), decide equality, hashing and rationality.
+A value is its multiset: two values are equal when their orders and
+multisets are, and ``inner_product`` takes only int or Fraction values.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from functools import lru_cache
+from math import gcd, isqrt
 from operator import itemgetter, mul
 
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
@@ -40,64 +40,44 @@ from .perms import Permutation
 
 # -- values ------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CyclotomicValue:
     """A character value stored as the eigenvalue multiset of a group element:
     ``multiplicities`` records, for each residue a mod ``order``, how many
     eigenvalues zeta_order^a occur.
 
-    Rational quantities are read off the multiset by ``galois_average``.
-    Equality, hashing and ``as_rational`` read the integer trace coordinates
-    t_k = Tr(x zeta_order^-k) (``_traces``), kept after first use: the trace
-    form is nondegenerate, so values of one order are equal exactly when
-    their coordinates are.
+    Two values are equal when their orders and multisets are, so the
+    multiset is kept in one form: residues ascending and reduced, each with
+    a positive count (``from_dict`` builds it from any mapping).
+    Rational quantities are read off the multiset by ``galois_sum``.
     """
 
     order: int
     multiplicities: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if any(count < 0 for _, count in self.multiplicities):
-            raise ValueError("negative eigenvalue multiplicity")
-
-    @cached_property
-    def _t(self) -> tuple[int, ...]:
-        return _traces(self.order, self.multiplicities)
+        residues = [a for a, _ in self.multiplicities]
+        if residues != sorted(set(residues)) or any(
+            not 0 <= a < self.order or count <= 0 for a, count in self.multiplicities
+        ):
+            raise ValueError(
+                "eigenvalue residues must be strictly ascending and reduced, "
+                "each with a positive count"
+            )
 
     @classmethod
     def from_dict(cls, order: int, mapping) -> "CyclotomicValue":
         items = tuple(sorted((int(a) % order, int(m)) for a, m in mapping.items() if m))
         return cls(order, items)
 
-    def as_rational(self) -> Fraction | None:
-        return _rational(self.order, self._t)
-
     def degree(self) -> int:
         return sum(m for _, m in self.multiplicities)
 
     def galois_sum(self) -> int:
-        """phi(order) times the mean of the value's Galois conjugates: the
-        trace t_0, an integer (``_galois_weights``).  A sum of values that
+        """phi(order) times the mean of the value's Galois conjugates: its
+        trace Tr(x), an integer (``_trace`` with k = 0).  A sum of values that
         is rational equals the sum of their averages."""
         return _trace(self.order, self.multiplicities, 0)
-
-    def galois_average(self) -> Fraction:
-        """The mean of the value's Galois conjugates, a rational number."""
-        return Fraction(self.galois_sum(), _galois_weights(self.order)[0])
-
-    def sort_key(self):
-        return self.multiplicities
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CyclotomicValue):
-            return self.order == other.order and self._t == other._t
-        if isinstance(other, (int, Fraction)):
-            return self.as_rational() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        q = self.as_rational()
-        return hash(self._t) if q is None else hash(q)
 
     def __repr__(self) -> str:
         body = ",".join(f"{a}:{m}" for a, m in self.multiplicities)
@@ -150,37 +130,14 @@ def _trace(e: int, terms, k: int):
     return sum(c * weights[(a - k) % e] for a, c in terms)
 
 
-def _traces(e: int, terms) -> tuple:
-    """The trace coordinates (t_0, ..., t_(e-1)) of x, t_k = Tr(x zeta_e^-k)."""
-    return tuple(_trace(e, terms, k) for k in range(e))
-
-
-def _rational(e: int, t) -> Fraction | None:
-    """x from its trace coordinates t if rational (t_k = x w[-k]), else None."""
-    phi_e, weights = _galois_weights(e)
-    if any(t_k * phi_e != t[0] * weights[-k] for k, t_k in enumerate(t)):
-        return None
-    return Fraction(t[0], phi_e)
-
-
-def _rational_valued(cf) -> bool:
-    """Whether every value of the class function is an int or a Fraction."""
-    return all(isinstance(v, (int, Fraction)) for v in cf.values)
-
-
-def _terms(value):
-    """A class-function value as the (a, c) pairs of sum c zeta_e^a."""
-    return value.multiplicities if isinstance(value, CyclotomicValue) else ((0, value),)
-
-
 # -- class functions -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class ClassFunction:
     """Values indexed by conjugacy class, in the group's canonical class order.
 
-    Values may be ints, Fractions or CyclotomicValue eigenvalue multisets,
-    the latter compared by their trace coordinates.
+    Values are ints or Fractions, or the CyclotomicValue eigenvalue
+    multisets of a character table.
     """
 
     group: Group
@@ -486,7 +443,9 @@ def character_table(group: Group) -> CharacterTable:
             values.append(CyclotomicValue.from_dict(e, mult))
         characters.append(ClassFunction(group, tuple(values)))
 
-    characters.sort(key=lambda cf: (cf.values[0].degree(), tuple(v.sort_key() for v in cf.values)))
+    characters.sort(
+        key=lambda cf: (cf.values[0].degree(), tuple(v.multiplicities for v in cf.values))
+    )
     # the trivial character, eigenvalue 1 on every class, sorts first
     if any(v.multiplicities != ((0, 1),) for v in characters[0].values):
         raise InternalInconsistency("the first character of the table is not the trivial one")
@@ -555,36 +514,18 @@ def _dual_map(characters, degrees, inverse_class) -> tuple[int, ...]:
 # -- operations on class functions ---------------------------------------------
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    """<a, b> = (1/|G|) sum over classes of size * a * conj(b); exact rational.
+    """<a, b> = (1/|G|) sum over classes of size * a * b, exact, for class
+    functions with int or Fraction values, which are their own conjugates.
 
-    When both arguments are rational-valued (every value an int or a
-    Fraction) the values are scaled to integers by the least common
-    denominator of each argument and summed in integers; otherwise the
-    multisets are convolved class by class, conj(zeta^j) being zeta^-j, and
-    the sum is read off by ``_rational``."""
+    Any other value raises ValueError: a character enters through its
+    rational character, and its eigenvalue multisets through ``galois_sum``."""
     if a.group != b.group:
         raise GroupMismatch("class functions live over different groups")
+    if not all(isinstance(v, (int, Fraction)) for v in a.values + b.values):
+        raise ValueError("inner_product takes int or Fraction values")
     group = a.group
-    if _rational_valued(a) and _rational_valued(b):
-        den_a = lcm(*(x.denominator for x in a.values))
-        den_b = lcm(*(y.denominator for y in b.values))
-        total = sum(
-            size * x.numerator * (den_a // x.denominator) * y.numerator * (den_b // y.denominator)
-            for size, x, y in zip(group.class_sizes, a.values, b.values)
-        )
-        return Fraction(total, group.order * den_a * den_b)
-    e = group.exponent
-    if any(isinstance(v, CyclotomicValue) and v.order != e for v in a.values + b.values):
-        raise ValueError("mixed cyclotomic orders")
-    total = [0] * e
-    for size, x, y in zip(group.class_sizes, a.values, b.values):
-        for i, m in _terms(x):
-            for j, n in _terms(y):
-                total[(i - j) % e] += size * m * n
-    q = _rational(e, _traces(e, list(enumerate(total))))
-    if q is None:
-        raise ValueError("inner product is not rational")
-    return q / group.order
+    total = sum(size * x * y for size, x, y in zip(group.class_sizes, a.values, b.values))
+    return Fraction(total, group.order)
 
 
 def induced_trivial(group: Group, subgroup) -> ClassFunction:
@@ -649,13 +590,13 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     for i in range(k):
         if i in seen:
             continue
-        orbit_t = tuple(sorted({twist[i] for twist in twists}))
-        seen.update(orbit_t)
+        orbit = tuple(sorted({twist[i] for twist in twists}))
+        seen.update(orbit)
         fs = frobenius_schur(table, i)
         schur = 2 if fs == -1 else 1
         degree = table.degrees[i]
         unverified = fs == 0 and degree > 1
-        scale = len(orbit_t) * schur
+        scale = len(orbit) * schur
         sums = [scale * v.galois_sum() for v in table.irreducibles[i].values]
         values = [s // phi_e for s in sums]
         norm = sum(size * q * q for size, q in zip(group.class_sizes, values))
@@ -668,7 +609,7 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
         out.append(
             RationalCharacter(
                 psi=ClassFunction(group, tuple(values)),
-                orbit=orbit_t,
+                orbit=orbit,
                 schur_index=schur,
                 multiplicity_n=degree // schur,
                 schur_index_unverified=unverified,

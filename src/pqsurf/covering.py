@@ -30,6 +30,7 @@ from .errors import (
     GroupMismatch,
     IdentityElement,
     InternalInconsistency,
+    InvalidParameter,
     NotGenerating,
     OrderMismatch,
     RelationFails,
@@ -84,10 +85,15 @@ def monodromy_classes(gv: GeneratingVector) -> tuple[int, ...]:
 
 def validate(gv: GeneratingVector) -> None:
     """Check the invariants of a generating vector, in this order, and
-    raise the first one violated: one declared order per monodromy, every
-    listed element in the group, no identity monodromy (class 0), the
-    declared orders (the length of each class's power-class row), the long
-    relation, generation.  Runs when the vector is built."""
+    raise the first one violated: tuple fields with a pair per handle (so
+    the vector hashes), one declared order per monodromy, every listed
+    element in the group, no identity monodromy (class 0), the declared
+    orders (the length of each class's power-class row), the long relation,
+    generation.  Runs when the vector is built."""
+    if not all(isinstance(f, tuple) for f in (gv.handles, gv.monodromies, gv.orders)) or any(
+        not isinstance(h, tuple) or len(h) != 2 for h in gv.handles
+    ):
+        raise InvalidParameter("a generating vector's fields must be tuples, its handles pairs")
     group = gv.group
     if len(gv.monodromies) != len(gv.orders):
         raise OrderMismatch("one declared order per monodromy required")

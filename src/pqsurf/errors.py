@@ -88,7 +88,8 @@ class OutOfRange(PqsurfError):
 # -- lattices ----------------------------------------------------------------
 
 class InvalidParameter(PqsurfError):
-    """Bad parameter to a lattice constructor."""
+    """Bad parameter to a constructor: a Gram matrix that is not a tuple of
+    tuples of ints, or a generating vector whose fields are not tuples."""
 
 
 class Degenerate(PqsurfError):

@@ -6,8 +6,8 @@ All arithmetic is exact and in integers, and two eliminations serve every
 invariant: one fraction-free (Bareiss) symmetric congruence, whose pivots
 are leading principal minors, gives both the signature and the
 determinant, and an integer Smith normal form gives the discriminant
-group, whose order is checked against that determinant.  Gram entries
-must be ints.
+group, whose order is checked against that determinant.  A Gram matrix
+is a tuple of tuples of ints, so a lattice hashes.
 
 Each elimination runs once per lattice object and is kept on it, as
 group data is kept on its group; an equal lattice built separately
@@ -48,6 +48,8 @@ class IntegralLattice:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.gram, tuple) or not all(isinstance(r, tuple) for r in self.gram):
+            raise InvalidParameter("Gram matrix must be a tuple of tuples")
         n = len(self.gram)
         for row in self.gram:
             if len(row) != n:

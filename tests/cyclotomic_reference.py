@@ -2,9 +2,11 @@
 
 Elements are stored as rational coordinate vectors on the power basis
 1, zeta, ..., zeta^(phi(e)-1) of Z[x]/(Phi_e), so equality of coordinate
-tuples is equality of field elements.  pqsurf compares character values by
-their trace coordinates instead; the tests check those comparisons, and
-the sums they replace, against arithmetic in the field.
+tuples is equality of field elements.  pqsurf never adds character values
+up in the field: it keeps them as eigenvalue multisets and reads rational
+quantities off them as Galois averages and traces.  The tests check those
+readings, and the orthogonality relations of its tables, against
+arithmetic in the field.
 """
 
 from __future__ import annotations
@@ -180,3 +182,12 @@ def value_cyc(cf, class_index: int) -> Cyclotomic:
     """The value of a class function at a class, in Q(zeta_e), e the
     group's exponent."""
     return as_cyclotomic(cf.values[class_index], cf.group.exponent)
+
+
+def field_inner_product(a, b):
+    """<a, b> summed in Q(zeta_e); None when it is not rational."""
+    G = a.group
+    total = Cyclotomic.zero(G.exponent)
+    for c, size in enumerate(G.class_sizes):
+        total = total + (value_cyc(a, c) * value_cyc(b, c).conjugate()).scale(size)
+    return total.scale(Fraction(1, G.order)).as_rational()

@@ -41,7 +41,7 @@ from pqsurf.lattice import (
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import chevalley_weil, invariants
 
-from cyclotomic_reference import Cyclotomic, value_cyc
+from cyclotomic_reference import Cyclotomic, field_inner_product, value_cyc
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -132,12 +132,12 @@ def test_criterion_3_worked_example():
             cf = ct.irreducibles[rc.orbit[0]]
             if i == 0:
                 dims["triv"] = d
-            elif cf.at(t01) == 1:
+            elif value_cyc(cf, G.class_index(t01)) == 1:
                 dims["chi01"] = d
-            elif cf.at(t10) == 1:
+            elif value_cyc(cf, G.class_index(t10)) == 1:
                 dims["chi10"] = d
             else:
-                assert cf.at(t11) == 1
+                assert value_cyc(cf, G.class_index(t11)) == 1
                 dims["chi11"] = d
         return (dims["triv"], dims["chi01"], dims["chi10"], dims["chi11"])
 
@@ -209,7 +209,7 @@ def test_criterion_6_character_property_suite():
         k = len(G.classes)
         for i in range(k):
             for j in range(k):
-                ok = ok and inner_product(ct.irreducibles[i], ct.irreducibles[j]) == (
+                ok = ok and field_inner_product(ct.irreducibles[i], ct.irreducibles[j]) == (
                     1 if i == j else 0
                 )
         for c1 in range(k):

@@ -26,9 +26,8 @@ from pqsurf.groups import (
 )
 from pqsurf.perms import parse_permutation
 
-from cyclotomic_reference import Cyclotomic, value_cyc
+from cyclotomic_reference import Cyclotomic, field_inner_product, value_cyc
 from planted import PLANTED, all_test_modules, planted
-from test_trace_values import check_trace_values
 
 ABELIAN = ("C2", "C4", "C6", "V4")
 
@@ -80,8 +79,8 @@ def test_abelian_tables_match_hom_enumeration(name):
 def test_v4_table_values_are_signs():
     ct = character_table(catalog_group("V4"))
     for cf in ct.irreducibles:
-        for v in cf.values:
-            assert v.as_rational() in (1, -1)
+        for c in range(len(cf.values)):
+            assert value_cyc(cf, c) in (1, -1)
 
 
 def test_degree_sequences():
@@ -105,7 +104,7 @@ def test_first_orthogonality(name):
     ct = character_table(catalog_group(name))
     for i, a in enumerate(ct.irreducibles):
         for j, b in enumerate(ct.irreducibles):
-            assert inner_product(a, b) == (1 if i == j else 0)
+            assert field_inner_product(a, b) == (1 if i == j else 0)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -135,15 +134,17 @@ def test_table_ordering_is_deterministic(monkeypatch):
 
 
 def test_inner_product_element_wise_oracle():
-    # class-wise sum with sizes equals the raw sum over group elements
+    # class-wise sum with sizes equals the raw sum over group elements; the
+    # degree-2 character of S3 is its own rational character
     G = catalog_group("S3")
     ct = character_table(G)
     chi = ct.irreducibles[2]
+    (psi,) = (rc.psi for rc in rational_characters(ct) if rc.orbit == (2,))
     raw = Cyclotomic.zero(G.exponent)
     for g in G.elements:
         c = G.class_index(g)
         raw = raw + value_cyc(chi, c) * value_cyc(chi, G.class_index(g.inverse()))
-    assert raw.scale(Fraction(1, G.order)).as_rational() == inner_product(chi, chi)
+    assert raw.scale(Fraction(1, G.order)).as_rational() == inner_product(psi, psi) == 1
 
 
 def test_inner_product_examples():
@@ -152,10 +153,11 @@ def test_inner_product_examples():
     # chi_V of the explicit K^2=8 cover, on classes (e, (1,0), (0,1), (1,1))
     chi_v = ClassFunction(G, (6, -2, 2, 2))
     t10 = parse_permutation("(1,2)(3,4)", 4)
+    # each character of V4 is its own rational character, with int values
     chi_01 = next(
-        cf
-        for i, cf in enumerate(ct.irreducibles)
-        if ct.degrees[i] == 1 and cf.at(t10) == -1 and cf.at(parse_permutation("(1,3)(2,4)", 4)) == 1
+        rc.psi
+        for rc in rational_characters(ct)
+        if rc.psi.at(t10) == -1 and rc.psi.at(parse_permutation("(1,3)(2,4)", 4)) == 1
     )
     assert inner_product(chi_01, chi_v) == 2
 
@@ -164,8 +166,10 @@ def test_inner_product_examples():
     chi5 = ctq.irreducibles[ctq.degrees.index(2)]
     minus_one = next(g for g in q8.elements if g.order() == 2)
     ind = induced_trivial(q8, cyclic_subgroup(q8, minus_one))
-    # Frobenius reciprocity: (chi5(1) + chi5(-1)) / 2 = 0
-    assert inner_product(chi5, ind) == 0
+    # Frobenius reciprocity: (chi5(1) + chi5(-1)) / 2 = 0, and psi = 2 chi5
+    assert field_inner_product(chi5, ind) == 0
+    (psi,) = (rc.psi for rc in rational_characters(ctq) if rc.orbit == (4,))
+    assert inner_product(psi, ind) == 0 and psi.values[0] == 4
 
     with pytest.raises(GroupMismatch):
         inner_product(chi_01, ClassFunction(q8, (1,) * 5))
@@ -227,7 +231,7 @@ def test_frobenius_schur_of_rational_valued_is_nonzero():
     for name in CATALOG_NAMES:
         ct = character_table(catalog_group(name))
         for i, cf in enumerate(ct.irreducibles):
-            if all(v.as_rational() is not None for v in cf.values):
+            if all(value_cyc(cf, c).as_rational() is not None for c in range(len(cf.values))):
                 assert frobenius_schur(ct, i) in (-1, 1)
 
 
@@ -245,7 +249,7 @@ def test_eigenvalue_multiplicities_examples():
     ctv = character_table(v4)
     t10 = parse_permutation("(1,2)(3,4)", 4)
     chi = next(
-        i for i, cf in enumerate(ctv.irreducibles) if cf.at(t10) == -1
+        i for i, cf in enumerate(ctv.irreducibles) if value_cyc(cf, v4.class_index(t10)) == -1
     )
     assert ctv.irreducibles[chi].at(t10).multiplicities == ((1, 1),)
 
@@ -355,9 +359,8 @@ def test_tables_hash_by_identity(monkeypatch):
 # -- certificates with a planted fault -----------------------------------------
 #
 # Each plant breaks one step of Dixon's method, the Frobenius-Schur sum, the
-# Galois orbit sums or the dual map, and the certificate after it must raise
-# InternalInconsistency; a plant in the trace coordinates must fail the
-# comparison with Q(zeta_e) (``check_trace_values``).  The tests check only
+# Galois orbit sums, the dual map or the traces, and the certificate after it
+# must raise InternalInconsistency.  The tests check only
 # through ``pytest.raises``, so they keep their meaning under ``python -O``,
 # which strips ``assert``.
 
@@ -529,6 +532,16 @@ def test_planted_truncated_orbit_is_internal_inconsistency(monkeypatch, name):
         rational_characters.__wrapped__(table)
 
 
+class _Descending(tuple):
+    """A tuple equal to the same plain tuple that sorts in reverse order."""
+
+    def __lt__(self, other):
+        return tuple.__gt__(self, other)
+
+    def __gt__(self, other):
+        return tuple.__lt__(self, other)
+
+
 TRIVIAL_PLANT_GROUPS = {
     "S3": lambda: catalog_group("S3"),
     "Q8": lambda: catalog_group("Q8"),
@@ -540,10 +553,14 @@ TRIVIAL_PLANT_GROUPS = {
 @planted
 @pytest.mark.parametrize("name", TRIVIAL_PLANT_GROUPS)
 def test_planted_trivial_character_fault_is_internal_inconsistency(monkeypatch, name):
-    # an order that sorts a nontrivial linear character before the trivial one
-    monkeypatch.setattr(
-        chars.CyclotomicValue, "sort_key", lambda v: tuple((-a, m) for a, m in v.multiplicities)
-    )
+    # an order that sorts a nontrivial linear character before the trivial one:
+    # the multisets of one degree compare in reverse
+    real = chars.CyclotomicValue.from_dict
+
+    def descending(cls, order, mapping):
+        return cls(order, _Descending(real(order, mapping).multiplicities))
+
+    monkeypatch.setattr(chars.CyclotomicValue, "from_dict", classmethod(descending))
     with pytest.raises(InternalInconsistency, match="not the trivial one"):
         build_table(TRIVIAL_PLANT_GROUPS[name]())
 
@@ -583,10 +600,12 @@ def _trace_unshifted(e, terms, k):
     return sum(c * weights[a] for a, c in terms)
 
 
-# An unshifted trace makes every t_k equal t_0, so no nonzero rational value
-# reads as rational.  A flipped shift gives t(conj x), which decides ==,
-# hashing and rationality just as well, so only the coordinates show it,
-# and only on a table with values that are not real (S3 and Q8 have none).
+# Column orthogonality adds up m_b Tr(chi(c) zeta_e^-b) over the eigenvalues
+# zeta_e^b of chi(c), which gives Tr(|chi(c)|^2).  An unshifted trace gives
+# the trace of chi(1) chi(c), whose sum over chi is 0 off the identity.  A
+# flipped shift gives Tr(chi(c)^2), whose sum over chi is 0 at a class that
+# is not real, so only a table with such a class shows it: C4 and A4 have
+# one, S3 and Q8 have none.
 TRACE_PLANTS = [
     ("S3", _trace_unshifted),
     ("Q8", _trace_unshifted),
@@ -600,10 +619,11 @@ TRACE_PLANTS = [
     "name, plant", TRACE_PLANTS, ids=[f"{n}-{p.__name__[7:]}" for n, p in TRACE_PLANTS]
 )
 def test_planted_trace_fault_fails_the_field_comparison(monkeypatch, name, plant):
-    values = [v for cf in character_table(catalog_group(name)).irreducibles for v in cf.values]
+    # the certificate compares sum_chi |chi(c)|^2, read through the traces of
+    # Q(zeta_e), with |G|/|c|
     monkeypatch.setattr(chars, "_trace", plant)
-    with pytest.raises(AssertionError, match="disagree with Q\\(zeta_e\\)"):
-        check_trace_values(values)
+    with pytest.raises(InternalInconsistency, match="column orthogonality"):
+        build_table(catalog_group(name))
 
 
 def test_planted_faults_raise_under_python_O():

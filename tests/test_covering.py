@@ -20,6 +20,7 @@ from pqsurf.errors import (
     GroupMismatch,
     IdentityElement,
     InternalInconsistency,
+    InvalidParameter,
     NotGenerating,
     OrderMismatch,
     RelationFails,
@@ -113,6 +114,26 @@ def test_validate_raises_the_first_violated_invariant():
     # a missing order and an element outside the group
     with pytest.raises(OrderMismatch):
         GeneratingVector(G, handles, (p4("(1,2)"),), ())
+
+
+def test_fields_that_are_not_tuples_are_invalid():
+    # a list field would be accepted and then fail to hash in every pair
+    # stage keyed by its partner
+    gv, _ = v4_example_pair()
+    (a, b), = gv.handles
+    for handles, monos, orders in [
+        (gv.handles, list(gv.monodromies), list(gv.orders)),
+        (list(gv.handles), gv.monodromies, gv.orders),
+        (([a, b],), gv.monodromies, gv.orders),
+        (((a, b, a),), gv.monodromies, gv.orders),
+        (gv.handles, gv.monodromies, list(gv.orders)),
+    ]:
+        with pytest.raises(InvalidParameter, match="tuples"):
+            GeneratingVector(gv.group, handles, monos, orders)
+    # the tuple fields are checked before the declared orders
+    with pytest.raises(InvalidParameter):
+        GeneratingVector(gv.group, gv.handles, list(gv.monodromies), ())
+    assert hash(GeneratingVector(gv.group, gv.handles, gv.monodromies, gv.orders)) == hash(gv)
 
 
 def test_replace_checks_the_new_vector():

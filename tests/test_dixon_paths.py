@@ -33,7 +33,7 @@ from pqsurf.chars import (
 )
 from pqsurf.groups import group_from_generators, power_map
 from pqsurf.perms import parse_permutation
-from test_galois_sums import NAMES, group
+from test_galois_sums import NAMES, galois_average, group
 
 
 # -- the replaced paths ---------------------------------------------------------
@@ -278,7 +278,7 @@ def test_rational_characters_match_fraction_sums(name):
     for i in range(len(table.irreducibles)):
         assert frobenius_schur(table, i) == reference_frobenius_schur(table, i), (name, i)
         for v in table.irreducibles[i].values:
-            assert v.galois_average() == reference_galois_average(v)
+            assert galois_average(v) == reference_galois_average(v)
 
 
 # -- the characteristic polynomial ------------------------------------------------

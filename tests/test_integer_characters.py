@@ -3,8 +3,8 @@ they replace.
 
 ``surface.geometric_genus`` sums a1[i] * a2[dual[i]] over the Chevalley-Weil
 multiplicities, ``surface.chevalley_weil`` sums the stored exponents of
-zeta_e in integers scaled by e, and ``chars.inner_product`` sums
-rational-valued class functions in integers.  The references below are the
+zeta_e in integers scaled by e, and ``chars.inner_product`` sums class
+functions with int and Fraction values.  The references below are the
 earlier paths: p_g as the average over the classes of the product of the
 two holomorphic characters in Q(zeta_e), Chevalley-Weil in Fractions and in
 integers scaled by the lcm of the branching orders, both on the exponents
@@ -280,7 +280,8 @@ def test_isotypical_and_rank_z2_build_no_cyclotomic(monkeypatch):
     del gv1._memo[isotypical_dimensions.__wrapped__]
 
     def refuse(*args):
-        raise AssertionError("a trace-coordinate vector was built")
+        raise AssertionError("a character value was read as a number")
 
-    monkeypatch.setattr(chars, "_traces", refuse)
+    # every trace of a character value, galois_sum's too, goes through _trace
+    monkeypatch.setattr(chars, "_trace", refuse)
     assert (_rank_z2(gv1, gv2), isotypical_dimensions(gv1)) == expected

@@ -414,6 +414,13 @@ def test_non_integer_entries_are_invalid(gram):
         IntegralLattice(gram)
 
 
+@pytest.mark.parametrize("gram", [(1,), [[2]], ([2],), [(2,)], "2"])
+def test_gram_matrices_that_are_not_tuples_of_tuples_are_invalid(gram):
+    # a list would be accepted and then fail to hash
+    with pytest.raises(InvalidParameter, match="tuple of tuples"):
+        IntegralLattice(gram)
+
+
 # -- certificates of the discriminant group ---------------------------------------
 
 def test_broken_smith_form_is_internal_inconsistency(monkeypatch):

@@ -97,9 +97,9 @@ def test_chevalley_weil_v4_example():
     t10 = parse_permutation("(1,2)(3,4)", 4)
     expected = []
     for cf in ct.irreducibles:
-        if all(v == 1 for v in cf.values):
+        if all(value_cyc(cf, c) == 1 for c in range(len(G.classes))):
             expected.append(1)  # trivial
-        elif cf.at(t10) == 1:
+        elif value_cyc(cf, G.class_index(t10)) == 1:
             expected.append(0)  # annihilates the monodromy
         else:
             expected.append(1)

@@ -1,12 +1,14 @@
-"""Character values compared by trace coordinates against Q(zeta_e).
+"""Character values read through their traces, against Q(zeta_e).
 
-``CyclotomicValue`` decides ``==``, ``hash`` and ``as_rational`` from its
-integer trace coordinates t_k = Tr(x zeta_e^-k) (``chars._traces``), and
-``inner_product`` reads a sum of values that are not all rational off the
-same coordinates.  The reference is arithmetic in Q(zeta_e)
-(``cyclotomic_reference``).  Every stored value of the tables below is
-compared with every other, each also as a rebuilt copy, and its
-coordinates with traces taken in the field.
+A ``CyclotomicValue`` is its eigenvalue multiset, and pqsurf reads it as a
+number only through traces: ``galois_sum`` is Tr(x), which the orbit sums
+and the Frobenius-Schur indicators add up, and ``chars._trace`` is
+Tr(x zeta_e^-k), which the column-orthogonality certificate adds up.
+``inner_product`` takes only int and Fraction values.  The reference is
+arithmetic in Q(zeta_e) (``cyclotomic_reference``): every stored value of
+the tables below has its traces checked, the rows of every table are
+checked orthogonal in the field, and the inner products of the rational
+characters are checked against the same sums.
 """
 
 import random
@@ -16,11 +18,18 @@ from math import gcd
 
 import pytest
 
-from pqsurf.chars import ClassFunction, CyclotomicValue, character_table, inner_product
+from pqsurf import chars
+from pqsurf.chars import (
+    ClassFunction,
+    CyclotomicValue,
+    character_table,
+    inner_product,
+    rational_characters,
+)
 from pqsurf.groups import CATALOG_NAMES, catalog_group, group_from_generators
 from pqsurf.perms import parse_permutation
 
-from cyclotomic_reference import Cyclotomic, _root_power, as_cyclotomic, value_cyc
+from cyclotomic_reference import Cyclotomic, _root_power, as_cyclotomic, field_inner_product
 from test_galois_sums import group as galois_group
 
 # degree and generators, beside the groups of test_galois_sums
@@ -62,46 +71,29 @@ def field_traces(e):
     return tuple(out)
 
 
-def field_inner_product(a, b):
-    """<a, b> summed in Q(zeta_e); None when it is not rational."""
-    G = a.group
-    total = Cyclotomic.zero(G.exponent)
-    for c, size in enumerate(G.class_sizes):
-        total = total + (value_cyc(a, c) * value_cyc(b, c).conjugate()).scale(size)
-    return total.scale(Fraction(1, G.order)).as_rational()
-
-
 def check_trace_values(values):
-    """Raise AssertionError where the trace path disagrees with Q(zeta_e) on
-    values of one order: their coordinates, ``as_rational``, ``==`` between
-    rebuilt copies and the stored values, ``==`` and one hash bucket with
-    the rational each rational value equals, and hash bucketing.  The
-    checks raise explicitly, so they hold under ``python -O``."""
+    """Raise AssertionError where a trace that pqsurf reads disagrees with
+    Q(zeta_e) on values of one order: ``chars._trace`` at every shift k, and
+    ``galois_sum``.  A value whose field element is rational must read as
+    phi(e) times it.  The checks raise explicitly, so they hold under
+    ``python -O``."""
     e = values[0].order
-    # rebuilt copies: nothing is kept from an earlier comparison
-    fresh = [CyclotomicValue(v.order, v.multiplicities) for v in values]
-    field = [as_cyclotomic(v, e) for v in values]
     tr = field_traces(e)
+    phi_e = tr[0]
     problems = []
-    for v, x in zip(fresh, field):
+    for v in values:
         # Tr(x zeta^-k) = sum of m_a Tr(zeta^(a - k)), the trace being linear
         expected = tuple(sum(m * tr[(a - k) % e] for a, m in v.multiplicities) for k in range(e))
-        q = x.as_rational()
-        if v._t != expected:
-            problems.append(f"{v}: coordinates {v._t}, not {expected}")
-        elif v.as_rational() != q:
-            problems.append(f"{v}: as_rational {v.as_rational()}, not {q}")
-        elif q is not None and (v != q or len({v, q}) != 1):
-            problems.append(f"{v}: not one with the rational {q}")
-    for v, x in zip(fresh, field):
-        for w, y in zip(values, field):
-            if (v == w) != (x == y) or (v == w and hash(v) != hash(w)):
-                problems.append(f"{v} against {w}: == or hash")
-                break
-    if len(set(fresh)) != len(set(field)):
-        problems.append(f"{len(set(fresh))} hash buckets for {len(set(field))} numbers")
+        read = tuple(chars._trace(e, v.multiplicities, k) for k in range(e))
+        q = as_cyclotomic(v, e).as_rational()
+        if read != expected:
+            problems.append(f"{v}: traces {read}, not {expected}")
+        elif v.galois_sum() != expected[0]:
+            problems.append(f"{v}: galois_sum {v.galois_sum()}, not {expected[0]}")
+        elif q is not None and v.galois_sum() != phi_e * q:
+            problems.append(f"{v}: galois_sum {v.galois_sum()}, not phi(e) * {q}")
     if problems:
-        raise AssertionError("trace coordinates disagree with Q(zeta_e): " + "; ".join(problems[:3]))
+        raise AssertionError("traces disagree with Q(zeta_e): " + "; ".join(problems[:3]))
 
 
 # -- values ----------------------------------------------------------------------------
@@ -118,53 +110,76 @@ def test_extra_groups_have_their_orders():
 def test_field_identities():
     # 1 + zeta_3 + zeta_3^2 = 0
     value = CyclotomicValue.from_dict(3, {0: 1, 1: 1, 2: 1})
-    assert value == 0 and value.as_rational() == 0 and len({value, 0}) == 1
+    assert as_cyclotomic(value, 3).is_zero() and value.galois_sum() == 0
     total = Cyclotomic.from_rational(3, 1) + Cyclotomic.root(3, 1) + Cyclotomic.root(3, 2)
     assert total.is_zero()
-    # the primitive 15th roots of unity sum to mu(15) = 1
-    primitive = {a: 1 for a in range(15) if gcd(a, 15) == 1}
-    assert CyclotomicValue.from_dict(15, primitive) == 1
-    assert as_cyclotomic(CyclotomicValue.from_dict(15, primitive), 15) == 1
-    # zeta_15 alone is not rational
-    assert CyclotomicValue.from_dict(15, {1: 1}).as_rational() is None
-    check_trace_values([CyclotomicValue.from_dict(15, primitive), CyclotomicValue.from_dict(15, {1: 1})])
+    # the primitive 15th roots of unity sum to mu(15) = 1, phi(15) = 8 times
+    primitive = CyclotomicValue.from_dict(15, {a: 1 for a in range(15) if gcd(a, 15) == 1})
+    assert as_cyclotomic(primitive, 15) == 1 and primitive.galois_sum() == 8
+    # zeta_15 alone is not rational; its conjugates average to mu(15)/phi(15)
+    root = CyclotomicValue.from_dict(15, {1: 1})
+    assert as_cyclotomic(root, 15).as_rational() is None and root.galois_sum() == 1
+    check_trace_values([primitive, root])
 
 
-@pytest.mark.parametrize("e", (1, 2, 4, 12))
-def test_a_rational_value_and_its_int_are_one_set_member(e):
-    two = CyclotomicValue.from_dict(e, {0: 2})
-    assert two == 2 and hash(two) == hash(2) and len({two, 2}) == 1
-    rational = [two, CyclotomicValue.from_dict(e, {0: 1, e // 2: 1})]
-    if e % 2 == 0:
-        # 1 + (-1) = 0
-        assert rational[1] == 0 and len({rational[1], 0}) == 1
-    if e == 12:
-        # zeta_3 + zeta_3^2 = -1, and i + (-i) = 0
-        assert len({CyclotomicValue.from_dict(12, {4: 1, 8: 1}), -1}) == 1
-        assert len({CyclotomicValue.from_dict(12, {3: 1, 9: 1}), 0}) == 1
-    check_trace_values(rational)
+@pytest.mark.parametrize("e", (2, 4, 12))
+def test_a_value_is_its_eigenvalue_multiset(e):
+    # 1 + 1 and (-1) + (-1) are values of one degree and order, told apart
+    # by their multisets; a value is never one of the numbers it sums to
+    two, copy = CyclotomicValue.from_dict(e, {0: 2}), CyclotomicValue(e, ((0, 2),))
+    assert two != 2 and two == copy and len({two, copy}) == 1
+    assert two != CyclotomicValue.from_dict(e, {e // 2: 2})
+    zeros = [CyclotomicValue.from_dict(e, {0: 1, e // 2: 1})]
+    if e % 4 == 0:
+        # i + (-i) and 1 + (-1) are both 0 in Q(zeta_e)
+        zeros.append(CyclotomicValue.from_dict(e, {e // 4: 1, 3 * e // 4: 1}))
+        assert zeros[0] != zeros[1] and len(set(zeros)) == 2
+    assert all(as_cyclotomic(z, e).is_zero() and z.galois_sum() == 0 for z in zeros)
+    check_trace_values([two] + zeros)
 
 
-# -- inner products that are not rational-valued -----------------------------------
+@pytest.mark.parametrize("multiplicities", [
+    ((2, 1), (0, 1)),  # not ascending
+    ((0, 1), (0, 1)),  # a repeated residue
+    ((4, 1),),  # not reduced mod 4
+    ((-1, 1),),
+    ((1, 0),),  # an empty count
+    ((1, -1),),
+])
+def test_a_multiset_in_another_form_is_refused(multiplicities):
+    # each would compare unequal to the value from_dict builds of it
+    with pytest.raises(ValueError):
+        CyclotomicValue(4, multiplicities)
+
+
+# -- inner products ------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", NAMES)
 def test_inner_products_of_irreducibles_match_the_field(name):
-    irreducibles = character_table(group(name)).irreducibles
+    # row orthogonality, summed in Q(zeta_e); the rational characters, which
+    # inner_product reads, against the same sums
+    table = character_table(group(name))
+    irreducibles = table.irreducibles
     for i, a in enumerate(irreducibles):
         for j, b in enumerate(irreducibles):
-            assert inner_product(a, b) == field_inner_product(a, b) == int(i == j), (name, i, j)
+            assert field_inner_product(a, b) == int(i == j), (name, i, j)
+    rationals = rational_characters(table)
+    for r in rationals:
+        for s in rationals:
+            expected = r.schur_index ** 2 * len(r.orbit) if r is s else 0
+            assert inner_product(r.psi, s.psi) == field_inner_product(r.psi, s.psi) == expected
 
 
 @pytest.mark.parametrize("name", ("C4", "C6", "A4", "Q8", "C7semiC3", "C3xC5", "C12"))
 def test_random_class_functions_match_the_field(name):
     # seeded random multisets, and multisets closed under the Galois group
-    # (rational values), against each other, integer class functions and
-    # the irreducibles
+    # (rational values), read through their traces; int and Fraction class
+    # functions against each other and the rational characters
     G = group(name)
     e = G.exponent
     units = [u for u in range(1, e + 1) if gcd(u, e) == 1]
     rng = random.Random(f"trace {name}")
-    table = character_table(G)
+    rationals = rational_characters(character_table(G))
 
     def random_value():
         return CyclotomicValue.from_dict(e, {rng.randrange(e): rng.randint(1, 3) for _ in range(3)})
@@ -173,24 +188,23 @@ def test_random_class_functions_match_the_field(name):
         a, m = rng.randrange(e), rng.randint(1, 3)
         return CyclotomicValue.from_dict(e, {u * a % e: m for u in units})
 
-    checked = rational = 0
+    def number():
+        if rng.random() < 0.5:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    checked = 0
     for _ in range(20):
-        a = ClassFunction(G, tuple(random_value() for _ in G.classes))
-        r = ClassFunction(G, tuple(rational_value() for _ in G.classes))
-        assert all(v.as_rational() is not None for v in r.values)
-        ints = ClassFunction(G, tuple(rng.randint(-5, 5) for _ in G.classes))
-        chi = rng.choice(table.irreducibles)
-        for x, y in ((a, ints), (a, chi), (a, a), (r, ints), (r, a), (r, chi)):
-            q = field_inner_product(x, y)
-            if q is None:
-                with pytest.raises(ValueError, match="inner product is not rational"):
-                    inner_product(x, y)
-            else:
-                assert inner_product(x, y) == q
-                rational += 1
+        rational = [rational_value() for _ in G.classes]
+        assert all(as_cyclotomic(v, e).as_rational() is not None for v in rational)
+        check_trace_values([random_value() for _ in G.classes] + rational)
+        a = ClassFunction(G, tuple(number() for _ in G.classes))
+        b = ClassFunction(G, tuple(number() for _ in G.classes))
+        psi = rng.choice(rationals).psi
+        for x, y in ((a, b), (a, a), (a, psi), (psi, b)):
+            assert inner_product(x, y) == field_inner_product(x, y)
             checked += 1
-    # both branches are reached
-    assert checked == 120 and 0 < rational < checked
+    assert checked == 80
 
 
 def test_inner_product_with_a_root_of_unity_is_not_rational():
@@ -198,11 +212,8 @@ def test_inner_product_with_a_root_of_unity_is_not_rational():
     i = ClassFunction(G, (CyclotomicValue.from_dict(4, {1: 1}),) * 4)
     one = ClassFunction(G, (1,) * 4)
     # <zeta_4, 1> = zeta_4
-    assert field_inner_product(i, one) is None
-    with pytest.raises(ValueError, match="inner product is not rational"):
-        inner_product(i, one)
-    assert inner_product(i, i) == 1
-    # -1 as a value of order 2 is not read as a value of Q(zeta_4)
-    minus_one = ClassFunction(G, (CyclotomicValue.from_dict(2, {1: 1}),) * 4)
-    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
-        inner_product(minus_one, one)
+    assert field_inner_product(i, one) is None and field_inner_product(i, i) == 1
+    # inner_product reads no character value, whether the sum is rational or not
+    for a, b in ((i, one), (one, i), (i, i)):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            inner_product(a, b)
