@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
 from .groups import Group, _closure, permutation_character, power_map, stored
-from .perms import Permutation
+from .perms import Permutation, _times
 
 
 # -- values ------------------------------------------------------------------
@@ -272,18 +272,38 @@ def _charpoly(mat: list[list[int]], p: int) -> list[int]:
     return polys[-1]
 
 
+def _roots(poly: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a nonzero polynomial, coefficients
+    lowest degree first, ascending.
+
+    Each candidate is tried by synthetic division by x - lam.  A root is
+    divided out with its multiplicity, and the scan stops once the quotient
+    is a constant: a polynomial that splits is scanned up to its largest
+    root, and one that does not split at every element."""
+    poly = poly[::-1]
+    roots = []
+    for lam in range(p):
+        if len(poly) == 1:
+            break
+        while len(poly) > 1:
+            quotient = []
+            acc = 0
+            for a in poly:
+                acc = (acc * lam + a) % p
+                quotient.append(acc)
+            if acc:
+                break
+            # the remainder is 0: poly = (x - lam) * quotient
+            poly = quotient[:-1]
+            if not roots or roots[-1] != lam:
+                roots.append(lam)
+    return roots
+
+
 def _eigenvalues(mat: list[list[int]], p: int) -> list[int]:
     """The distinct eigenvalues in F_p of a square matrix, ascending: the
     roots of its characteristic polynomial."""
-    poly = _charpoly(mat, p)[::-1]
-    roots = []
-    for lam in range(p):
-        acc = 0
-        for a in poly:
-            acc = (acc * lam + a) % p
-        if acc == 0:
-            roots.append(lam)
-    return roots
+    return _roots(_charpoly(mat, p), p)
 
 
 # -- Dixon's method ------------------------------------------------------------
@@ -318,11 +338,9 @@ def _class_matrix(group: Group, i: int) -> list[list[int]]:
     class_of = group._class_of
     mat = [[0] * k for _ in range(k)]
     for l, z in enumerate(group.class_reps):
-        # y -> the images of y * z; a group with two classes has degree >= 2,
-        # so itemgetter returns a tuple
-        compose = itemgetter(*(t - 1 for t in z))
+        times_z = _times(z)
         for y in inverses:
-            mat[class_of[compose(y)]][l] += 1
+            mat[class_of[times_z(y)]][l] += 1
     return mat
 
 

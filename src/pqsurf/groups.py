@@ -3,6 +3,13 @@
 Conjugacy classes are ordered canonically (identity class first, then by
 element order and lexicographically smallest representative) so that every
 derived table and report is stable across runs.
+
+Each element is checked to be a bijection once, when the closure first
+builds it.  Closures and class walks compose plain image tuples
+(``perms._times``): the closure turns each new tuple into one
+``Permutation``, and the class walks, centralizers and power classes read
+each product back from the group's table of its own elements.  A product
+that the table lacks raises InternalInconsistency.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from functools import cached_property, lru_cache, wraps
 from math import lcm
 
 from .errors import InternalInconsistency, NonPermutation, NotInGroup, SizeLimit, UnknownName
-from .perms import Permutation, parse_permutation
+from .perms import Permutation, _inverse_images, _times, parse_permutation
 
 ORDER_CAP = 10_000
 _UNSET = object()
@@ -48,7 +55,10 @@ class Group:
         self.identity: Permutation = self.elements[0]
         self.degree: int = self.identity.degree
         self.order: int = len(self.elements)
-        classes, to_rep = _conjugacy_classes(self.elements, self.generators)
+        # each element keyed by its images, in sorted order: a product
+        # composed as a plain image tuple is read back as the element itself
+        self._element: dict[tuple[int, ...], Permutation] = {g: g for g in self.elements}
+        classes, to_rep = _conjugacy_classes(self._element, self.generators)
         self.classes: tuple[tuple[Permutation, ...], ...] = classes
         # g -> y with y g y^-1 the representative of g's class
         self._to_rep: dict[Permutation, Permutation] = to_rep
@@ -109,39 +119,65 @@ class Group:
     @cached_property
     def _power_classes(self) -> tuple[tuple[int, ...], ...]:
         """For each class c, the class index of rep_c^t for t < ord(rep_c);
-        built on first use."""
-        return tuple(tuple(self._class_of[x] for x in rep.powers()) for rep in self.class_reps)
+        built on first use.  The powers are walked as image tuples."""
+        class_of = self._class_of
+        rows = []
+        for rep in self.class_reps:
+            times_rep = _times(rep)
+            row = [0]  # the identity class comes first
+            x = rep
+            while x != self.identity:
+                row.append(_read(class_of, x, "power classes"))
+                x = times_rep(x)
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @stored
     def _centralizer(self, idx: int) -> tuple[tuple[Permutation, Permutation], ...]:
         """The pairs (c, c^-1) for one c per coset c Z(G) of the centre in
         the centralizer of class ``idx``'s representative, each c the
         smallest of its coset.  Central elements conjugate trivially, so
-        these c give every conjugate by the whole centralizer."""
+        these c give every conjugate by the whole centralizer.  Products are
+        composed as image tuples, and each c^-1 is read from the element
+        table."""
         rep = self.class_reps[idx]
+        times_rep = _times(rep)
+        times_centre = [_times(z) for z in self.centre]
         covered = set()
         pairs = []
         for c in self.elements:
-            if c not in covered and c * rep == rep * c:
-                covered.update(c * z for z in self.centre)
-                pairs.append((c, c.inverse()))
+            if c not in covered and times_rep(c) == _times(c)(rep):
+                covered.update(times_z(c) for times_z in times_centre)
+                pairs.append((c, _read(self._element, _inverse_images(c), "centralizer")))
         return tuple(pairs)
 
 
-def _conjugacy_classes(elements, generators):
+def _read(table, images, walk: str):
+    """table[images], for a product that exact arithmetic puts in the group;
+    a miss raises InternalInconsistency, also under ``python -O``."""
+    try:
+        return table[images]
+    except KeyError:
+        raise InternalInconsistency(
+            f"{walk}: the product {images} is not in the group's element table"
+        ) from None
+
+
+def _conjugacy_classes(table, generators):
     """Orbits of the conjugation action, enumerated deterministically, and
     for each element g a conjugator y with y g y^-1 the smallest element of
     g's class.
 
-    Each orbit's search starts at its smallest element, since ``elements``
-    is sorted; an element reached as z = s w s^-1 gets y_z = y_w s^-1.
-    Classes and conjugators hold the group's own element objects."""
-    own = {g: g for g in elements}
-    identity = elements[0]
-    inverses = [(s, s.inverse()) for s in generators]
+    ``table`` maps each element's images to the element, in sorted order,
+    so each orbit's search starts at its smallest element; an element
+    reached as z = s w s^-1 gets y_z = y_w s^-1.  Both products are composed
+    as image tuples and read from ``table``, so classes and conjugators hold
+    the group's own element objects."""
+    identity = next(iter(table))
+    steps = [(s, _times(_inverse_images(s))) for s in generators]
     classes = []
     to_rep = {}
-    for x in elements:
+    for x in table:
         if x in to_rep:
             continue
         to_rep[x] = identity
@@ -150,10 +186,12 @@ def _conjugacy_classes(elements, generators):
         while frontier:
             w = frontier.pop()
             yw = to_rep[w]
-            for s, si in inverses:
-                z = own[s * w * si]
-                if z not in to_rep:
-                    to_rep[z] = own[yw * si]
+            times_w = _times(w)
+            for s, times_si in steps:
+                images = times_si(times_w(s))
+                if images not in to_rep:
+                    z = _read(table, images, "conjugacy classes")
+                    to_rep[z] = _read(table, times_si(yw), "conjugacy classes")
                     orbit.append(z)
                     frontier.append(z)
         classes.append(tuple(sorted(orbit)))
@@ -163,15 +201,20 @@ def _conjugacy_classes(elements, generators):
 
 def _closure(gens, identity: Permutation, limit: int) -> set[Permutation]:
     """The elements generated by ``gens``, or the first ``limit`` > 1 of
-    them met, whichever is fewer."""
+    them met, whichever is fewer.
+
+    Each product s x is composed as an image tuple.  A tuple already in the
+    set equals an element that was checked; each new one becomes one
+    ``Permutation``, whose construction checks it."""
     gens = [s for s in gens if s != identity]
     elements = {identity}
     frontier = [identity]
     while frontier:
-        x = frontier.pop()
+        times_x = _times(frontier.pop())
         for s in gens:
-            y = s * x
+            y = times_x(s)
             if y not in elements:
+                y = Permutation(y)
                 elements.add(y)
                 if len(elements) >= limit:
                     return elements

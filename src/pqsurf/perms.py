@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 from .errors import NonPermutation
 
@@ -18,9 +19,12 @@ class Permutation(tuple):
     """A bijection of {1..n}: the tuple (p(1), ..., p(n)) of its images.
 
     Equality, hashing and ordering are the image tuple's, so a permutation
-    is a key of any table indexed by image tuples.  Every construction,
-    products and inverses included, checks that the images are a bijection.
-    Composition is functional: ``(a * b)(x) = a(b(x))``.
+    is a key of any table indexed by image tuples.  Every construction
+    checks that the images are a bijection, so ``*`` and ``inverse`` check
+    their results too.  A group checks each of its elements once, when its
+    closure first builds it: closures and class walks compose plain image
+    tuples (``_times``) and read each product back from a table of checked
+    elements.  Composition is functional: ``(a * b)(x) = a(b(x))``.
     """
 
     __slots__ = ()
@@ -55,10 +59,7 @@ class Permutation(tuple):
         return Permutation([self[i - 1] for i in other])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for i, img in enumerate(self, start=1):
-            inv[img - 1] = i
-        return Permutation(inv)
+        return Permutation(_inverse_images(self))
 
     def powers(self) -> tuple["Permutation", ...]:
         """(1, g, g^2, ..., g^(m-1)) for g = self of order m: g^k is the
@@ -107,6 +108,23 @@ class Permutation(tuple):
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}]"
+
+
+def _times(x):
+    """The map y -> y * x on image tuples of x's degree.  It returns the
+    product's images as a plain tuple, with no bijection check."""
+    if len(x) == 1:
+        # itemgetter of one index returns the entry, not a 1-tuple
+        return tuple
+    return itemgetter(*[t - 1 for t in x])
+
+
+def _inverse_images(x) -> tuple[int, ...]:
+    """The images of x^-1, as a plain tuple."""
+    inv = [0] * len(x)
+    for i, img in enumerate(x, start=1):
+        inv[img - 1] = i
+    return tuple(inv)
 
 
 def _point(token: str, text: str) -> int:

@@ -5,16 +5,19 @@ when the split reaches it, composing its products on image tuples, keeps
 each eigenspace as a reduced echelon basis and reads the restriction of a
 class matrix off its pivot rows, and takes each eigenspace's eigenvalues
 from one characteristic polynomial (``_charpoly``, read off a Hessenberg
-form mod p).  ``character_table`` lifts the values with a table of the
-powers of zeta mod p, and ``rational_characters`` and ``frobenius_schur``
-add up Galois averages in integers scaled by phi(e).  The references below
+form mod p) by synthetic division (``_roots``).  ``character_table`` lifts
+the values with a table of the powers of zeta mod p, and
+``rational_characters`` and ``frobenius_schur`` add up Galois averages in
+integers scaled by phi(e).  The references below
 are the earlier paths: all k class matrices built up front from
 ``Permutation`` products, the restriction solved for in the coordinates of
 each basis vector's image, eigenvalues from m + 1 determinants and Lagrange
-interpolation, a lift that calls ``pow`` for every term, and Galois sums in
-Fractions.  They are compared on the 22 groups of ``test_galois_sums`` (the
-central characters also on S6 and C4 x C4 x C2), and the characteristic
-polynomial on seeded random matrices mod p.
+interpolation with Horner evaluation at every element of F_p, a lift that
+calls ``pow`` for every term, and Galois sums in Fractions.  They are
+compared on the 22 groups of ``test_galois_sums`` (the central characters
+also on S6 and C4 x C4 x C2), the characteristic polynomial on seeded random
+matrices mod p, and the root scan on every restriction met while building
+tables and on seeded random polynomials.
 """
 
 import random
@@ -31,7 +34,7 @@ from pqsurf.chars import (
     frobenius_schur,
     rational_characters,
 )
-from pqsurf.groups import group_from_generators, power_map
+from pqsurf.groups import CATALOG_NAMES, group_from_generators, power_map
 from pqsurf.perms import parse_permutation
 from test_galois_sums import NAMES, galois_average, group
 
@@ -98,7 +101,11 @@ def reference_charpoly(mat, p):
 
 
 def reference_eigenvalues(mat, p):
-    poly = reference_charpoly(mat, p)
+    return reference_roots(reference_charpoly(mat, p), p)
+
+
+def reference_roots(poly, p):
+    """Horner evaluation at every element of F_p."""
     roots = []
     for lam in range(p):
         acc = 0
@@ -247,13 +254,16 @@ LARGER = {
 }
 
 
-@pytest.mark.parametrize("name", NAMES + tuple(LARGER))
-def test_central_characters_match_all_matrices_and_interpolation(name):
+def any_group(name):
     if name in LARGER:
         degree, gens = LARGER[name]
-        G = group_from_generators([parse_permutation(g, degree) for g in gens])
-    else:
-        G = group(name)
+        return group_from_generators([parse_permutation(g, degree) for g in gens])
+    return group(name)
+
+
+@pytest.mark.parametrize("name", NAMES + tuple(LARGER))
+def test_central_characters_match_all_matrices_and_interpolation(name):
+    G = any_group(name)
     p = chars._dixon_prime(G.order, G.exponent)
     assert chars._central_characters(G, p) == reference_central_characters(G, p)[0]
 
@@ -333,6 +343,58 @@ def test_charpoly_of_a_nilpotent_matrix_is_a_power_of_x():
         strict = [[rng.randrange(1, 97) if j > i else 0 for j in range(n)] for i in range(n)]
         assert chars._charpoly(_similar(rng, strict, 97), 97) == [0] * n + [1]
         assert chars._eigenvalues(strict, 97) == [0]
+
+
+# -- the root scan ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("S5", "C2xD8") + tuple(LARGER))
+def test_root_scan_matches_the_full_scan_on_every_restriction(monkeypatch, name):
+    met = []
+    real = chars._eigenvalues
+
+    def recording(mat, p):
+        met.append((mat, p))
+        return real(mat, p)
+
+    monkeypatch.setattr(chars, "_eigenvalues", recording)
+    character_table.__wrapped__(any_group(name))  # not kept on the group
+    assert met
+    for mat, p in met:
+        poly = chars._charpoly(mat, p)
+        assert chars._roots(poly, p) == reference_roots(poly, p), (mat, p)
+
+
+def _times_linear(poly, root, p):
+    """poly * (x - root), coefficients lowest degree first."""
+    out = [0] + poly
+    for d, a in enumerate(poly):
+        out[d] = (out[d] - root * a) % p
+    return out
+
+
+@pytest.mark.parametrize("p", (13, 97, 241))
+@pytest.mark.parametrize("seed", range(3))
+def test_root_scan_matches_the_full_scan_on_random_polynomials(seed, p):
+    rng = random.Random(seed)
+    non_residue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    kinds = set()
+    for _ in range(80):
+        # a nonzero constant times linear factors, roots repeated at times
+        roots = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))
+        poly = [rng.randrange(1, p)]
+        for r in roots:
+            poly = _times_linear(poly, r, p)
+        splits = rng.random() < 0.5
+        if not splits:
+            # times x^2 - n with n a non-residue, which has no root in F_p
+            poly = [(a - non_residue * b) % p for a, b in zip([0, 0] + poly, poly + [0, 0])]
+        kinds.add((splits, bool(roots)))
+        assert chars._roots(poly, p) == reference_roots(poly, p) == sorted(set(roots)), poly
+        # and a polynomial with random coefficients
+        poly = [rng.randrange(p) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, p)]
+        assert chars._roots(poly, p) == reference_roots(poly, p), poly
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- laziness: a class matrix only when the split needs it -------------------------

@@ -1,41 +1,50 @@
-"""Element powers, closure and Galois twists against the paths they replace.
+"""Element powers, closure, class walks and Galois twists against the paths
+they replace.
 
-``Permutation.powers`` now serves ``__pow__``, ``cyclic_subgroup``,
-``rotation_exponent`` and Dixon's power classes; ``groups._closure`` serves
-``group_from_generators`` and ``Group.generated_by``; ``chars._twist`` finds
-the complex duals and the Galois orbits.  The references below are the
-earlier implementations: a walk g, g^2, ... for the cyclic subgroup and the
-discrete log, square-and-multiply powers, a closure that counts until it
-holds |G| elements, and an orbit search keyed by tuples of ``Cyclotomic``
-values.  They are compared on the catalog groups and on the permutation
-groups the benchmark analyses.
+``Permutation.powers`` now serves ``__pow__``, ``cyclic_subgroup`` and
+``rotation_exponent``; ``groups._closure`` serves ``group_from_generators``
+and ``Group.generated_by``; ``chars._twist`` finds the complex duals and the
+Galois orbits.  The closure, the conjugacy classes, the centralizers and the
+power classes compose image tuples, so each element is constructed, and
+checked to be a bijection, once.  The references below are the earlier
+implementations: a walk g, g^2, ... for the cyclic subgroup and the discrete
+log, square-and-multiply powers, a closure that counts until it holds |G|
+elements, class walks on ``Permutation`` products, and an orbit search keyed
+by tuples of ``Cyclotomic`` values.  They are compared on the catalog groups
+and on the permutation groups the benchmark builds from generators.
 """
 
 import random
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from pqsurf import groups
 from pqsurf.chars import character_table, rational_characters
+from pqsurf.cli import main
 from pqsurf.covering import rotation_exponent
-from pqsurf.errors import SizeLimit
+from pqsurf.errors import InternalInconsistency, SizeLimit
 from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
 from pqsurf.perms import Permutation, parse_permutation
 
 from cyclotomic_reference import value_cyc
+from planted import planted
 
-# degree and generators of the benchmark's scale-analyze groups
+# degree and generators of the benchmark's scale groups
 GENERATED = {
     "S4": (4, ("(1,2)", "(1,2,3,4)")),
     "D16": (8, ("(1,2,3,4,5,6,7,8)", "(2,8)(3,7)(4,6)")),
+    "C4xC4": (8, ("(1,2,3,4)", "(5,6,7,8)")),
+    "C2xD4": (6, ("(1,2)", "(3,4,5,6)", "(4,6)")),
     "C2xD8": (10, ("(1,2)", "(3,4,5,6,7,8,9,10)", "(4,10)(5,9)(6,8)")),
     "S5": (5, ("(1,2)", "(1,2,3,4,5)")),
     "A5": (5, ("(1,2,3)", "(1,2,3,4,5)")),
 }
 
 NAMES = CATALOG_NAMES + tuple(GENERATED)
+REPO = Path(__file__).resolve().parents[1]
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +106,49 @@ def reference_closure_size(elements, G):
                 if len(seen) == G.order:
                     return G.order
     return len(seen)
+
+
+def reference_conjugacy_classes(elements, generators):
+    """Classes and conjugators from ``Permutation`` products, each product
+    looked up in a table of the group's own elements."""
+    own = {g: g for g in elements}
+    identity = elements[0]
+    inverses = [(s, s.inverse()) for s in generators]
+    classes = []
+    to_rep = {}
+    for x in elements:
+        if x in to_rep:
+            continue
+        to_rep[x] = identity
+        orbit = [x]
+        frontier = [x]
+        while frontier:
+            w = frontier.pop()
+            yw = to_rep[w]
+            for s, si in inverses:
+                z = own[s * w * si]
+                if z not in to_rep:
+                    to_rep[z] = own[yw * si]
+                    orbit.append(z)
+                    frontier.append(z)
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (c[0].order(), c[0]))
+    return tuple(classes), to_rep
+
+
+def reference_centralizer(G, idx):
+    rep = G.class_reps[idx]
+    covered = set()
+    pairs = []
+    for c in G.elements:
+        if c not in covered and c * rep == rep * c:
+            covered.update(c * z for z in G.centre)
+            pairs.append((c, c.inverse()))
+    return tuple(pairs)
+
+
+def reference_power_classes(G):
+    return tuple(tuple(G._class_of[x] for x in rep.powers()) for rep in G.class_reps)
 
 
 def reference_power_map(G, k):
@@ -212,6 +264,112 @@ def test_order_cap_is_exact(monkeypatch, name):
     monkeypatch.setattr(groups, "ORDER_CAP", G.order - 1)
     with pytest.raises(SizeLimit):
         group_from_generators(G.generators)
+
+
+# -- class walks ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", NAMES)
+def test_class_walks_match_permutation_products(name):
+    G = group(name)
+    classes, to_rep = reference_conjugacy_classes(G.elements, G.generators)
+    assert G.classes == classes
+    assert G._to_rep == to_rep
+    assert G.centre == tuple(c[0] for c in classes if len(c) == 1)
+    centralizers = [G._centralizer(idx) for idx in range(len(classes))]
+    assert centralizers == [reference_centralizer(G, idx) for idx in range(len(classes))]
+    assert G._power_classes == reference_power_classes(G)
+    # every stored element is a Permutation, as ``Group.__contains__``
+    # requires, and is the group's own element object
+    stored = [
+        *G.elements, *(g for c in G.classes for g in c), *G.class_reps, *G.centre,
+        *G._to_rep, *G._to_rep.values(), *(x for pairs in centralizers for pair in pairs for x in pair),
+    ]
+    assert all(type(x) is Permutation for x in stored)
+    assert all(G._element[x] is x for x in stored)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The number of ``Permutation.__new__`` calls made so far."""
+    count = [0]
+    real = Permutation.__new__
+
+    def counting(cls, images):
+        count[0] += 1
+        return real(cls, images)
+
+    monkeypatch.setattr(Permutation, "__new__", counting)
+    return count
+
+
+def constructions_of(count, fn, *args):
+    """The value of fn(*args) and the constructions it made."""
+    before = count[0]
+    value = fn(*args)
+    return value, count[0] - before
+
+
+# one construction per product would make 240 in the closure of S5 alone
+@pytest.mark.parametrize("degree, gens", [(5, ("(1,2)", "(1,2,3,4,5)")), (6, ("(1,2)", "(1,2,3,4,5,6)"))])
+def test_each_element_is_constructed_once(constructions, degree, gens):
+    gens = [parse_permutation(g, degree) for g in gens]
+    built = [constructions_of(constructions, group_from_generators, gens) for _ in range(3)]
+    G, count = built[0]
+    assert count <= G.order + len(gens) + 1
+    # the identity and one per other element; the generators' inverses are
+    # read from the element table
+    assert count == G.order
+    assert [c for _, c in built] == [count] * 3
+    for elements in (G.generators, G.class_reps[1:3]):
+        counts = {constructions_of(constructions, G.generated_by, elements)[1] for _ in range(3)}
+        assert len(counts) == 1 and counts.pop() <= G.order + len(elements) + 1
+
+
+# -- a product missing from the element table ----------------------------------------
+
+def lacking(monkeypatch):
+    """Patch ``groups._closure`` to drop the largest element, a non-central
+    element of every group used below, from each closure it returns."""
+    real = groups._closure
+
+    def closure(gens, identity, limit):
+        elements = real(gens, identity, limit)
+        return elements - {max(elements)}
+
+    monkeypatch.setattr(groups, "_closure", closure)
+
+
+@planted
+def test_planted_missing_element_stops_the_class_walk(monkeypatch, capsys, tmp_path):
+    A4 = group("A4")
+    assert max(A4.elements) not in A4.centre
+    lacking(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="conjugacy classes: the product .* is not in"):
+        group_from_generators(A4.generators)
+    # the same group named by its generators reaches the walk through the CLI
+    path = tmp_path / "a4.surface"
+    path.write_text(
+        (REPO / "surfaces" / "a4.surface").read_text().replace("name = A4", "generators = (1,2)(3,4) ; (1,2,3)")
+    )
+    assert main(["analyze", str(path)]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InternalInconsistency: conjugacy classes: the product ")
+
+
+@planted
+def test_planted_missing_element_stops_centralizers_and_power_classes(monkeypatch):
+    G = group_from_generators(group("S4").generators)
+    # a 4-cycle: its centralizer is the cyclic group it generates
+    idx = len(G.classes) - 1
+    c = G.class_reps[idx]
+    assert c.order() == 4
+    monkeypatch.delitem(G._element, c.inverse())
+    with pytest.raises(InternalInconsistency, match="centralizer: the product"):
+        G._centralizer(idx)
+    monkeypatch.delitem(G._class_of, c * c)
+    with pytest.raises(InternalInconsistency, match="power classes: the product"):
+        G._power_classes
 
 
 # -- Galois twists ------------------------------------------------------------------
