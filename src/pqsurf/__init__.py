@@ -18,14 +18,11 @@ from .chars import (
     RationalCharacter,
     character_table,
     frobenius_schur,
-    induced_trivial,
     inner_product,
     rational_characters,
 )
 from .covering import (
-    FixedPoint,
     GeneratingVector,
-    fixed_point_data,
     genus,
     hurwitz_character,
     search_generating_vectors,
@@ -34,7 +31,6 @@ from .covering import (
 from .groups import (
     Group,
     catalog_group,
-    cyclic_subgroup,
     group_from_generators,
     power_map,
 )
@@ -85,19 +81,15 @@ __all__ = [
     "RationalCharacter",
     "character_table",
     "frobenius_schur",
-    "induced_trivial",
     "inner_product",
     "rational_characters",
-    "FixedPoint",
     "GeneratingVector",
-    "fixed_point_data",
     "genus",
     "hurwitz_character",
     "search_generating_vectors",
     "validate",
     "Group",
     "catalog_group",
-    "cyclic_subgroup",
     "group_from_generators",
     "power_map",
     "MotiveDecomposition",

@@ -175,10 +175,6 @@ class RationalCharacter:
     schur_index_unverified: bool = False
 
     @property
-    def constituent_degree(self) -> int:
-        return self.schur_index * self.multiplicity_n
-
-    @property
     def quaternionic(self) -> bool:
         return self.schur_index == 2
 
@@ -557,7 +553,7 @@ def induced_trivial(group: Group, subgroup) -> ClassFunction:
         raise NotASubgroup("subgroup elements must belong to the group")
     if _closure(sub, group.identity, len(sub) + 1) != sub:
         raise NotASubgroup("set is not closed under the group operations")
-    values = permutation_character(group, [group._class_of[x] for x in sub], len(sub))
+    values = permutation_character(group, [group._class_of[x] for x in sub])
     return ClassFunction(group, values)
 
 

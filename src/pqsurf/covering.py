@@ -37,7 +37,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TrivialMonodromy,
 )
-from .groups import Group, cyclic_subgroup, permutation_character, stored
+from .groups import Group, permutation_character, stored
 from .perms import Permutation
 
 # largest scan ``search_generating_vectors`` runs: the scan checks about
@@ -146,7 +146,7 @@ def fixed_point_counts(gv: GeneratingVector) -> tuple[int, ...]:
     counts = [0] * len(group.classes)
     for k in monodromy_classes(gv):
         row = group._power_classes[k]
-        induced = permutation_character(group, row, len(row))
+        induced = permutation_character(group, row)
         counts = [a + b for a, b in zip(counts, induced)]
     return tuple(counts)
 
@@ -159,7 +159,7 @@ def hurwitz_character(gv: GeneratingVector) -> ClassFunction:
     regular character is the ``permutation_character`` of the trivial
     subgroup, whose one element lies in the identity class."""
     group = gv.group
-    regular = permutation_character(group, (0,), 1)
+    regular = permutation_character(group, (0,))
     weight = 2 * gv.base_genus - 2 + gv.num_branch_points
     values = tuple(
         2 + weight * reg - fixed
@@ -185,49 +185,32 @@ class FixedPoint:
     rotation_exponent: int
 
 
-def _cosets(group: Group, subgroup: frozenset[Permutation]):
-    seen: set[frozenset] = set()
-    out = []
-    for x in group.elements:
-        coset = frozenset(x * h for h in subgroup)
-        if coset not in seen:
-            seen.add(coset)
-            out.append(coset)
-    return out
-
-
-def rotation_exponent(generator: Permutation, m: int, t: Permutation) -> int:
-    """Exponent u with t acting by zeta_n^u, n = ord(t), at a point whose
-    distinguished stabilizer generator, of order m, rotates by zeta_m.
-
-    t = generator^s, s the index of t in ``generator.powers()``, so
-    zeta_m^s = zeta_n^u with u = s / gcd(s, m).  The inverse rotation
-    zeta_n^-u is the twist by the unit -1 that takes a character to its
-    complex conjugate, so a rational character, the sum over a whole Galois
-    orbit, is its own dual."""
-    try:
-        s = generator.powers().index(t)
-    except ValueError:
-        raise ValueError("element does not stabilize the point") from None
-    return s // gcd(s, m)
-
-
 def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, ...]:
-    """All fixed points of g on the covering curve, organised by branch fiber."""
+    """All fixed points of g on the covering curve, organised by branch fiber:
+    the cosets x<c_j>, each listed by its smallest element x, with
+    x^-1 g x = c_j^s.  One walk of the powers of c_j gives the cosets and the
+    exponent s, and g rotates the point by zeta_m^s = zeta_n^u, m = m_j,
+    n = ord(g), u = s / gcd(s, m)."""
     group = gv.group
     group.require(g)
     if g.is_identity():
         raise IdentityElement("fixed points are only reported for nontrivial elements")
     out = []
     for j, (c, m) in enumerate(zip(gv.monodromies, gv.orders), start=1):
-        sub = cyclic_subgroup(group, c)
-        for coset in _cosets(group, sub):
-            x = min(coset)
-            conj = x.inverse() * g * x
-            if conj not in sub:
+        # c^s -> s for s < m
+        log = {}
+        power = group.identity
+        for s in range(m):
+            log[power] = s
+            power = power * c
+        covered = set()
+        for x in group.elements:
+            if x in covered:
                 continue
-            t = rotation_exponent(c, m, conj)
-            out.append(FixedPoint(branch_index=j, coset_rep=x, rotation_exponent=t))
+            covered.update(x * h for h in log)
+            s = log.get(x.inverse() * g * x)
+            if s is not None:
+                out.append(FixedPoint(branch_index=j, coset_rep=x, rotation_exponent=s // gcd(s, m)))
     return tuple(out)
 
 

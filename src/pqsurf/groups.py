@@ -99,9 +99,6 @@ class Group:
         order, so it would fail only later, in the code it was passed to."""
         return isinstance(g, Permutation) and g in self._class_of
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def require(self, g: Permutation) -> Permutation:
         if g not in self:
             raise NotInGroup(f"{g!r} is not an element of this group")
@@ -240,19 +237,15 @@ def group_from_generators(gens) -> Group:
     return Group(gens, elements)
 
 
-def cyclic_subgroup(group: Group, g: Permutation) -> frozenset[Permutation]:
-    group.require(g)
-    return frozenset(g.powers())
-
-
-def permutation_character(group: Group, classes, h: int) -> tuple[int, ...]:
-    """Ind_H^G 1 on each class of G, for a subgroup H of order h given by the
-    class index of each of its elements (repeats allowed).
+def permutation_character(group: Group, classes) -> tuple[int, ...]:
+    """Ind_H^G 1 on each class of G, for a subgroup H given by the class
+    index of each of its elements (repeats allowed), so |H| = h = len(classes).
 
     At an element g of class c it is #{x : x^-1 g x in H} / h
     = |C_G(g)| |c & H| / h with |C_G(g)| = |G| / |c|, so it needs only the
     number of elements of H in each class.  A division that is not exact
     raises InternalInconsistency."""
+    h = len(classes)
     hits = [0] * len(group.classes)
     for c in classes:
         hits[c] += 1

@@ -318,11 +318,10 @@ def k3_signature_guaranteed(sig) -> bool:
 
 
 def k3_embeddable(m_lattice: IntegralLattice) -> str:
-    """Unique primitive embedding into the K3 lattice: guaranteed outright
-    by ``k3_signature_guaranteed``, otherwise the full criterion is
-    evaluated against ``K3_SIGNATURE`` and ``K3_RANK``."""
+    """Unique primitive embedding into the K3 lattice: the criterion against
+    ``K3_SIGNATURE`` and ``K3_RANK``.  On every signature that
+    ``k3_signature_guaranteed`` accepts, (2, n) with n <= 8, it holds, since
+    ell <= rank = n + 2 <= 18 - n."""
     if not is_even(m_lattice):
         raise NotEven("lattice must be even")
-    if k3_signature_guaranteed(signature(m_lattice)):
-        return GUARANTEED
     return _criterion(m_lattice, K3_SIGNATURE, K3_RANK)

@@ -61,20 +61,12 @@ class Permutation(tuple):
     def inverse(self) -> "Permutation":
         return Permutation(_inverse_images(self))
 
-    def powers(self) -> tuple["Permutation", ...]:
-        """(1, g, g^2, ..., g^(m-1)) for g = self of order m: g^k is the
-        entry k mod m, and the index of an element is its discrete log."""
-        one = Permutation.identity(self.degree)
-        out = [one]
-        x = self
-        while x != one:
-            out.append(x)
-            x = x * self
-        return tuple(out)
-
     def __pow__(self, k: int) -> "Permutation":
-        powers = self.powers()
-        return powers[k % len(powers)]
+        """The product of k mod ord(self) copies of self."""
+        out = Permutation.identity(self.degree)
+        for _ in range(k % self.order()):
+            out = out * self
+        return out
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self, start=1))

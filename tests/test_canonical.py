@@ -25,18 +25,8 @@ from pqsurf.cli import EXIT_INTERNAL, main
 from pqsurf.covering import _canonical, search_generating_vectors
 from pqsurf.errors import InternalInconsistency
 from pqsurf.groups import catalog_group, group_from_generators
-from pqsurf.perms import parse_permutation
 
-# degree and generators of the permutation groups the benchmark searches
-GENERATED = {
-    "S4": (4, ("(1,2)", "(1,2,3,4)")),
-    "D16": (8, ("(1,2,3,4,5,6,7,8)", "(2,8)(3,7)(4,6)")),
-    "C4xC4": (8, ("(1,2,3,4)", "(5,6,7,8)")),
-    "C2xD4": (6, ("(1,2)", "(3,4,5,6)", "(4,6)")),
-    "S5": (5, ("(1,2)", "(1,2,3,4,5)")),
-    "A5": (5, ("(1,2,3)", "(1,2,3,4,5)")),
-    "A4": (4, ("(1,2)(3,4)", "(1,2,3)")),
-}
+from scale_groups import group
 
 # the searches of the benchmark's scale-search workload (bench/workloads.py)
 SCALE_SEARCHES = [
@@ -64,14 +54,6 @@ SIGNATURES = (
 # S3 over a genus-2 base with no branch points: the scan's closing check
 # with no monodromies, where the handle commutators alone must close up
 DIFFERENTIAL = SCALE_SEARCHES + CATALOG_SIGNATURES + [("S3", 2, ())]
-
-
-@lru_cache(maxsize=None)
-def group(name):
-    if name in GENERATED:
-        degree, gens = GENERATED[name]
-        return group_from_generators([parse_permutation(g, degree) for g in gens])
-    return catalog_group(name)
 
 
 @lru_cache(maxsize=None)

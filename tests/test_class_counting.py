@@ -19,25 +19,14 @@ import pytest
 
 from pqsurf import surface
 from pqsurf.chars import induced_trivial
-from pqsurf.covering import fixed_point_counts, rotation_exponent, search_generating_vectors, validate
+from pqsurf.covering import fixed_point_counts, search_generating_vectors, validate
 from pqsurf.errors import InternalInconsistency
-from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
-from pqsurf.perms import parse_permutation
+from pqsurf.groups import catalog_group, group_from_generators
 
 from planted import planted
+from scale_groups import NAMES, group as build, reference_cyclic_subgroup, reference_rotation_exponent
 
 REPO = Path(__file__).resolve().parents[1]
-
-# the scale-set groups, from the benchmark's generators: degree, generators
-SCALE_GROUPS = {
-    "S4": (4, ("(1,2)", "(1,2,3,4)")),
-    "D16": (8, ("(1,2,3,4,5,6,7,8)", "(2,8)(3,7)(4,6)")),
-    "C4xC4": (8, ("(1,2,3,4)", "(5,6,7,8)")),
-    "C2xD4": (6, ("(1,2)", "(3,4,5,6)", "(4,6)")),
-    "C2xD8": (10, ("(1,2)", "(3,4,5,6,7,8,9,10)", "(4,10)(5,9)(6,8)")),
-    "S5": (5, ("(1,2)", "(1,2,3,4,5)")),
-    "A5": (5, ("(1,2,3)", "(1,2,3,4,5)")),
-}
 
 # group -> the signatures whose vectors are paired: for the catalog groups,
 # elliptic bases and small signatures over the line (the order-16 group's
@@ -61,13 +50,6 @@ SIGNATURES = {
 PER_SIGNATURE = 3
 
 
-def build(name):
-    if name in SCALE_GROUPS:
-        degree, gens = SCALE_GROUPS[name]
-        return group_from_generators([parse_permutation(g, degree) for g in gens])
-    return catalog_group(name)
-
-
 def sampled_vectors(group, name):
     """Up to PER_SIGNATURE vectors of each signature, spread over the search
     order."""
@@ -89,9 +71,9 @@ def reference_singularities(gv1, gv2):
     validate(gv2)
     out = []
     for c, m1 in zip(gv1.monodromies, gv1.orders):
-        sub1 = cyclic_subgroup(group, c)
+        sub1 = reference_cyclic_subgroup(group, c)
         for d, m2 in zip(gv2.monodromies, gv2.orders):
-            sub2 = cyclic_subgroup(group, d)
+            sub2 = reference_cyclic_subgroup(group, d)
             seen = set()
             for g in group.elements:
                 if g in seen:
@@ -102,7 +84,7 @@ def reference_singularities(gv1, gv2):
                 if n <= 1:
                     continue
                 t0 = c ** (m1 // n)
-                out.append((n, rotation_exponent(g * d * g.inverse(), m2, t0)))
+                out.append((n, reference_rotation_exponent(g * d * g.inverse(), m2, t0)))
     return sorted(out)
 
 
@@ -112,7 +94,7 @@ def reference_fixed_point_counts(gv):
     group = gv.group
     counts = [0] * len(group.classes)
     for c in gv.monodromies:
-        ind = induced_trivial(group, cyclic_subgroup(group, c)).values
+        ind = induced_trivial(group, reference_cyclic_subgroup(group, c)).values
         counts = [a + b for a, b in zip(counts, ind)]
     return tuple(counts)
 
@@ -128,7 +110,7 @@ def test_basket_and_fixed_points_match_the_element_walk(name):
         assert [(s.n, s.q) for s in computed] == reference_singularities(gv1, gv2)
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES + tuple(SCALE_GROUPS))
+@pytest.mark.parametrize("name", NAMES)
 def test_exponent_from_class_representatives(name):
     group = build(name)
     assert group.exponent == lcm(*(g.order() for g in group.elements))

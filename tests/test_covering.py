@@ -194,7 +194,9 @@ def test_planted_hurwitz_degree_fault_is_internal_inconsistency(monkeypatch):
     gv = dataclasses.replace(s3_branch3())
     real = covering.permutation_character
     monkeypatch.setattr(
-        covering, "permutation_character", lambda group, classes, h: real(group, classes, 1)
+        covering,
+        "permutation_character",
+        lambda group, classes: tuple(len(classes) * v for v in real(group, classes)),
     )
     with pytest.raises(InternalInconsistency, match="degree must be 2g"):
         hurwitz_character(gv)

@@ -1,21 +1,23 @@
-"""Element powers, closure, class walks and Galois twists against the paths
-they replace.
+"""Element powers, fixed points, closure, class walks and Galois twists
+against the paths they replace.
 
-``Permutation.powers`` now serves ``__pow__``, ``cyclic_subgroup`` and
-``rotation_exponent``; ``groups._closure`` serves ``group_from_generators``
-and ``Group.generated_by``; ``chars._twist`` finds the complex duals and the
-Galois orbits.  The closure, the conjugacy classes, the centralizers and the
-power classes compose image tuples, so each element is constructed, and
-checked to be a bijection, once.  The references below are the earlier
-implementations: a walk g, g^2, ... for the cyclic subgroup and the discrete
-log, square-and-multiply powers, a closure that counts until it holds |G|
-elements, class walks on ``Permutation`` products, and an orbit search keyed
-by tuples of ``Cyclotomic`` values.  They are compared on the catalog groups
-and on the permutation groups the benchmark builds from generators.
+``Permutation.__pow__`` multiplies k mod ord(g) copies of g;
+``covering.fixed_point_data`` walks the powers of each c_j once for both
+the cosets of <c_j> and the discrete log; ``groups._closure`` serves
+``group_from_generators`` and ``Group.generated_by``; ``chars._twist``
+finds the complex duals and the Galois orbits.  The closure, the conjugacy
+classes, the centralizers and the power classes compose image tuples, so
+each element is constructed, and checked to be a bijection, once.  The
+references are the earlier implementations: square-and-multiply powers,
+the cyclic subgroup and the discrete log by a walk g, g^2, ..., the cosets
+built as sets of products (``scale_groups``), a closure that counts until
+it holds |G| elements, class walks on ``Permutation`` products, and an
+orbit search keyed by tuples of ``Cyclotomic`` values.  They are compared on
+the catalog groups and on the permutation groups the benchmark builds from
+generators.
 """
 
 import random
-from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -24,71 +26,52 @@ import pytest
 from pqsurf import groups
 from pqsurf.chars import character_table, rational_characters
 from pqsurf.cli import main
-from pqsurf.covering import rotation_exponent
+from pqsurf.covering import fixed_point_data, search_generating_vectors
 from pqsurf.errors import InternalInconsistency, SizeLimit
-from pqsurf.groups import CATALOG_NAMES, catalog_group, cyclic_subgroup, group_from_generators
+from pqsurf.groups import group_from_generators
 from pqsurf.perms import Permutation, parse_permutation
 
 from cyclotomic_reference import value_cyc
 from planted import planted
+from scale_groups import (
+    NAMES,
+    group,
+    reference_cyclic_subgroup,
+    reference_fixed_point_data,
+    reference_pow,
+)
 
-# degree and generators of the benchmark's scale groups
-GENERATED = {
-    "S4": (4, ("(1,2)", "(1,2,3,4)")),
-    "D16": (8, ("(1,2,3,4,5,6,7,8)", "(2,8)(3,7)(4,6)")),
-    "C4xC4": (8, ("(1,2,3,4)", "(5,6,7,8)")),
-    "C2xD4": (6, ("(1,2)", "(3,4,5,6)", "(4,6)")),
-    "C2xD8": (10, ("(1,2)", "(3,4,5,6,7,8,9,10)", "(4,10)(5,9)(6,8)")),
-    "S5": (5, ("(1,2)", "(1,2,3,4,5)")),
-    "A5": (5, ("(1,2,3)", "(1,2,3,4,5)")),
-}
-
-NAMES = CATALOG_NAMES + tuple(GENERATED)
 REPO = Path(__file__).resolve().parents[1]
 
+# one signature per group whose first vectors the fixed-point tests walk
+FIXED_POINT_SIGNATURES = {
+    "C2": (1, (2, 2)),
+    "C4": (0, (2, 4, 4)),
+    "C6": (0, (2, 3, 6)),
+    "V4": (1, (2, 2)),
+    "S3": (1, (2, 2)),
+    "D4": (1, (2, 2)),
+    "Q8": (1, (2,)),
+    "A4": (1, (2,)),
+    "C4xC2semiC2": (0, (2, 2, 2, 4)),
+    "S4": (1, (2, 2)),
+    "D16": (1, (2, 2)),
+    "C4xC4": (1, (2, 2)),
+    "C2xD4": (1, (2, 2)),
+    "C2xD8": (0, (2, 2, 2, 8)),
+    "S5": (0, (2, 4, 5)),
+    "A5": (0, (2, 5, 5)),
+}
 
-@lru_cache(maxsize=None)
-def group(name):
-    if name in GENERATED:
-        degree, gens = GENERATED[name]
-        return group_from_generators([parse_permutation(g, degree) for g in gens])
-    return catalog_group(name)
+
+def fixed_point_vectors(name):
+    g0, orders = FIXED_POINT_SIGNATURES[name]
+    vectors = search_generating_vectors(group(name), g0, orders)[:4]
+    assert vectors, name
+    return vectors
 
 
 # -- the replaced paths ---------------------------------------------------------
-
-def reference_pow(g, k):
-    """Square-and-multiply, the exponent reduced mod the order."""
-    k %= g.order()
-    result = Permutation.identity(g.degree)
-    base = g
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
-
-
-def reference_cyclic_subgroup(G, g):
-    out = set()
-    x = Permutation.identity(G.degree)
-    while True:
-        out.add(x)
-        x = x * g
-        if x in out:
-            break
-    return frozenset(out)
-
-
-def reference_rotation_exponent(generator, m, t):
-    x = Permutation.identity(generator.degree)
-    for s in range(m):
-        if x == t:
-            return s // gcd(s, m)
-        x = x * generator
-    raise ValueError("element does not stabilize the point")
-
 
 def reference_closure_size(elements, G):
     """Size of the closure, counted until it holds |G| elements."""
@@ -148,7 +131,9 @@ def reference_centralizer(G, idx):
 
 
 def reference_power_classes(G):
-    return tuple(tuple(G._class_of[x] for x in rep.powers()) for rep in G.class_reps)
+    return tuple(
+        tuple(G._class_of[reference_pow(rep, t)] for t in range(rep.order())) for rep in G.class_reps
+    )
 
 
 def reference_power_map(G, k):
@@ -187,40 +172,46 @@ def reference_dual(table):
     )
 
 
-# -- powers -------------------------------------------------------------------------
+# -- powers and fixed points --------------------------------------------------------
 
 @pytest.mark.parametrize("name", NAMES)
 def test_powers_match_square_and_multiply(name):
     for g in group(name).elements:
         m = g.order()
-        powers = g.powers()
-        assert len(powers) == m and powers[0].is_identity()
         for k in range(-m, m + 1):
             assert g ** k == reference_pow(g, k), (g, k)
-            assert powers[k % m] == reference_pow(g, k)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_cyclic_subgroups_match_the_walk(name):
+    """The elements that fix the point x<c_j>, with the identity, are its
+    stabilizer x<c_j>x^-1, the cyclic subgroup walked from x c_j x^-1."""
     G = group(name)
-    for g in G.elements:
-        assert cyclic_subgroup(G, g) == reference_cyclic_subgroup(G, g)
+    for gv in fixed_point_vectors(name):
+        stabilizers = {}
+        for g in G.elements[1:]:
+            for fp in fixed_point_data(gv, g):
+                stabilizers.setdefault((fp.branch_index, fp.coset_rep), {G.identity}).add(g)
+        points = 0
+        for j, (c, m) in enumerate(zip(gv.monodromies, gv.orders), start=1):
+            reps = sorted(x for i, x in stabilizers if i == j)
+            assert len(reps) == G.order // m
+            for x in reps:
+                walked = reference_cyclic_subgroup(G, x * c * x.inverse())
+                assert stabilizers[j, x] == walked, (j, x)
+            points += len(reps)
+        assert len(stabilizers) == points
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_rotation_exponents_match_the_walk(name):
+    """``fixed_point_data`` against the coset walk it replaced, on every
+    nontrivial element: the same points, in the same order, with the same
+    rotation exponents."""
     G = group(name)
-    for c in G.elements:
-        if c.is_identity():
-            continue
-        m = c.order()
-        sub = reference_cyclic_subgroup(G, c)
-        for t in G.elements:
-            if t in sub:
-                assert rotation_exponent(c, m, t) == reference_rotation_exponent(c, m, t)
-            else:
-                with pytest.raises(ValueError, match="does not stabilize the point"):
-                    rotation_exponent(c, m, t)
+    for gv in fixed_point_vectors(name):
+        for g in G.elements[1:]:
+            assert fixed_point_data(gv, g) == reference_fixed_point_data(gv, g), (gv, g)
 
 
 # -- closure ----------------------------------------------------------------------
@@ -234,7 +225,7 @@ def subsets(G, rng, count=40):
         g = rng.choice(G.elements)
         centralizer = [x for x in G.elements if x * g == g * x]
         out.append(tuple(rng.choice(centralizer) for _ in range(rng.randint(1, 3))))
-        out.append(tuple(rng.sample(sorted(cyclic_subgroup(G, g)), 1)))
+        out.append(tuple(rng.sample(sorted(reference_cyclic_subgroup(G, g)), 1)))
     return out
 
 

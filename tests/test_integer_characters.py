@@ -16,7 +16,6 @@ functions.
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -37,6 +36,7 @@ from pqsurf.perms import parse_permutation
 from pqsurf.surface import chevalley_weil, geometric_genus
 
 from cyclotomic_reference import Cyclotomic, value_cyc
+from scale_groups import group as generated_group
 from test_consistency import _basket_pairs
 
 
@@ -179,15 +179,7 @@ def test_mixed_branching_orders_match_the_fraction_chevalley_weil(name, g0, orde
 
 # -- sampled vectors over the benchmark's permutation groups ------------------------
 
-# degree and generators of the groups the benchmark analyzes, and one class
-# representative per monodromy of each sampled curve
-GENERATED = {
-    "S4": (4, ("(1,2)", "(1,2,3,4)")),
-    "D16": (8, ("(1,2,3,4,5,6,7,8)", "(2,8)(3,7)(4,6)")),
-    "C2xD8": (10, ("(1,2)", "(3,4,5,6,7,8,9,10)", "(4,10)(5,9)(6,8)")),
-    "S5": (5, ("(1,2)", "(1,2,3,4,5)")),
-    "A5": (5, ("(1,2,3)", "(1,2,3,4,5)")),
-}
+# one class representative per monodromy of each sampled curve
 SAMPLED = [
     ("S4", 1, ("(1,2)", "(1,2)")),
     ("D16", 1, ("(2,8)(3,7)(4,6)", "(2,8)(3,7)(4,6)")),
@@ -196,12 +188,6 @@ SAMPLED = [
     ("S5", 0, ("(1,2)", "(1,2,3,4)", "(1,2,3,4,5)")),
     ("A5", 0, ("(1,2)(3,4)", "(1,2,3,4,5)", "(1,3,5,2,4)")),
 ]
-
-
-@lru_cache(maxsize=None)
-def generated_group(name):
-    degree, gens = GENERATED[name]
-    return group_from_generators([parse_permutation(g, degree) for g in gens])
 
 
 def sample_vectors(name, g0, reps, count, seed):

@@ -32,7 +32,7 @@ def by_kernel_element(group, dims, element):
 
     ct = character_table(group)
     for i, (d, rc) in enumerate(zip(dims, rats_of(group))):
-        if i == 0 or rc.constituent_degree != 1:
+        if i == 0 or rc.schur_index * rc.multiplicity_n != 1:
             continue
         cf = ct.irreducibles[rc.orbit[0]]
         if value_cyc(cf, group.class_index(element)) == 1:
