@@ -42,25 +42,7 @@ from .jacobian import (
     k3_pairing,
     motive_h2_decomposition,
 )
-from .lattice import (
-    CRITERION_NOT_SATISFIED,
-    GUARANTEED,
-    DiscriminantGroup,
-    IntegralLattice,
-    determinant,
-    direct_sum,
-    discriminant_group,
-    e8_minus,
-    hyperbolic_plane,
-    is_even,
-    k3_embeddable,
-    k3_lattice,
-    lambda_d,
-    nikulin_embeds,
-    rank1,
-    rescale,
-    signature,
-)
+from .lattice import CRITERION_NOT_SATISFIED, GUARANTEED
 from .perms import Permutation, parse_permutation
 from .surface import (
     QuotientSingularity,
@@ -100,21 +82,6 @@ __all__ = [
     "motive_h2_decomposition",
     "CRITERION_NOT_SATISFIED",
     "GUARANTEED",
-    "DiscriminantGroup",
-    "IntegralLattice",
-    "determinant",
-    "direct_sum",
-    "discriminant_group",
-    "e8_minus",
-    "hyperbolic_plane",
-    "is_even",
-    "k3_embeddable",
-    "k3_lattice",
-    "lambda_d",
-    "nikulin_embeds",
-    "rank1",
-    "rescale",
-    "signature",
     "Permutation",
     "parse_permutation",
     "QuotientSingularity",

@@ -35,7 +35,7 @@ from operator import mul
 
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
 from .groups import Group, _closure, permutation_character, power_map, stored
-from .perms import Permutation, _times
+from .perms import _times
 
 
 # -- values ------------------------------------------------------------------
@@ -146,9 +146,6 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != len(self.group.classes):
             raise ValueError("one value per conjugacy class required")
-
-    def at(self, g: Permutation):
-        return self.values[self.group.class_index(g)]
 
 
 @dataclass(frozen=True, eq=False)

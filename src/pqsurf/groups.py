@@ -104,10 +104,6 @@ class Group:
             raise NotInGroup(f"{g!r} is not an element of this group")
         return g
 
-    def class_index(self, g: Permutation) -> int:
-        self.require(g)
-        return self._class_of[g]
-
     def generated_by(self, elements) -> bool:
         """Whether the elements generate the whole group; the closure stops
         as soon as it holds |G| elements."""

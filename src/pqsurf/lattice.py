@@ -122,12 +122,6 @@ def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
     return _as_lattice(gram)
 
 
-def rescale(lattice: IntegralLattice, c: int) -> IntegralLattice:
-    if c == 0:
-        raise InvalidParameter("rescaling by zero")
-    return _as_lattice([[c * x for x in row] for row in lattice.gram])
-
-
 def k3_lattice() -> IntegralLattice:
     """The even unimodular lattice of signature (3,19)."""
     u = hyperbolic_plane()

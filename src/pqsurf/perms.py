@@ -61,13 +61,6 @@ class Permutation(tuple):
     def inverse(self) -> "Permutation":
         return Permutation(_inverse_images(self))
 
-    def __pow__(self, k: int) -> "Permutation":
-        """The product of k mod ord(self) copies of self."""
-        out = Permutation.identity(self.degree)
-        for _ in range(k % self.order()):
-            out = out * self
-        return out
-
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self, start=1))
 

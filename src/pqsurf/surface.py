@@ -244,12 +244,10 @@ def _basket_formulas(order: int, g1: int, g2: int, singularities) -> tuple[Fract
 
 
 def _family_dimension(gv: GeneratingVector) -> int:
+    """dim M_{g0,r}: a P^1 base with at most two branch points has no
+    moduli, and an unramified elliptic base has one."""
     g0, r = gv.base_genus, gv.num_branch_points
-    if g0 >= 2:
-        return 3 * g0 - 3 + r
-    if g0 == 1:
-        return r
-    return r - 3
+    return 3 * g0 - 3 + r if 2 * g0 - 2 + r > 0 else g0
 
 
 def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
@@ -273,7 +271,7 @@ def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
     b2 = e_res - 2 + 4 * q
     dual = character_table(group).dual
     h1, h2 = ([n + a[j] for n, j in zip(a, dual)] for a in (chevalley_weil(gv1), chevalley_weil(gv2)))
-    b2_from_h1 = 2 + sum(n * h2[j] for n, j in zip(h1, dual)) + eta
+    b2_from_h1 = 2 + _dual_pairing(h1, h2, dual) + eta
     basket = _basket_formulas(group.order, genus(gv1), genus(gv2), sing)
     failed = []
     if basket != (k2, e_res):

@@ -35,12 +35,12 @@ from pqsurf.lattice import (
     k3_lattice,
     lambda_d,
     rank1,
-    rescale,
     signature,
 )
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import chevalley_weil, invariants
 
+from conveniences import class_index, rescale
 from cyclotomic_reference import Cyclotomic, field_inner_product, value_cyc
 
 
@@ -132,12 +132,12 @@ def test_criterion_3_worked_example():
             cf = ct.irreducibles[rc.orbit[0]]
             if i == 0:
                 dims["triv"] = d
-            elif value_cyc(cf, G.class_index(t01)) == 1:
+            elif value_cyc(cf, class_index(G, t01)) == 1:
                 dims["chi01"] = d
-            elif value_cyc(cf, G.class_index(t10)) == 1:
+            elif value_cyc(cf, class_index(G, t10)) == 1:
                 dims["chi10"] = d
             else:
-                assert value_cyc(cf, G.class_index(t11)) == 1
+                assert value_cyc(cf, class_index(G, t11)) == 1
                 dims["chi11"] = d
         return (dims["triv"], dims["chi01"], dims["chi10"], dims["chi11"])
 

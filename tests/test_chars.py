@@ -25,9 +25,10 @@ from pqsurf.groups import (
 )
 from pqsurf.perms import parse_permutation
 
+from conveniences import class_index, value_at
 from cyclotomic_reference import Cyclotomic, field_inner_product, value_cyc
 from planted import PLANTED, all_test_modules, planted
-from scale_groups import reference_cyclic_subgroup
+from scale_groups import reference_cyclic_subgroup, reference_pow
 
 ABELIAN = ("C2", "C4", "C6", "V4")
 
@@ -142,8 +143,8 @@ def test_inner_product_element_wise_oracle():
     (psi,) = (rc.psi for rc in rational_characters(ct) if rc.orbit == (2,))
     raw = Cyclotomic.zero(G.exponent)
     for g in G.elements:
-        c = G.class_index(g)
-        raw = raw + value_cyc(chi, c) * value_cyc(chi, G.class_index(g.inverse()))
+        c = class_index(G, g)
+        raw = raw + value_cyc(chi, c) * value_cyc(chi, class_index(G, g.inverse()))
     assert raw.scale(Fraction(1, G.order)).as_rational() == inner_product(psi, psi) == 1
 
 
@@ -157,7 +158,7 @@ def test_inner_product_examples():
     chi_01 = next(
         rc.psi
         for rc in rational_characters(ct)
-        if rc.psi.at(t10) == -1 and rc.psi.at(parse_permutation("(1,3)(2,4)", 4)) == 1
+        if value_at(rc.psi, t10) == -1 and value_at(rc.psi, parse_permutation("(1,3)(2,4)", 4)) == 1
     )
     assert inner_product(chi_01, chi_v) == 2
 
@@ -241,17 +242,17 @@ def test_eigenvalue_multiplicities_examples():
     ct = character_table(q8)
     minus_one = next(g for g in q8.elements if g.order() == 2)
     # trivial character: single eigenvalue 1
-    assert ct.irreducibles[0].at(minus_one).multiplicities == ((0, 1),)
+    assert value_at(ct.irreducibles[0], minus_one).multiplicities == ((0, 1),)
     # degree-2 character at the central involution: both eigenvalues -1 = zeta_4^2
-    assert ct.irreducibles[ct.degrees.index(2)].at(minus_one).multiplicities == ((2, 2),)
+    assert value_at(ct.irreducibles[ct.degrees.index(2)], minus_one).multiplicities == ((2, 2),)
 
     v4 = catalog_group("V4")
     ctv = character_table(v4)
     t10 = parse_permutation("(1,2)(3,4)", 4)
     chi = next(
-        i for i, cf in enumerate(ctv.irreducibles) if value_cyc(cf, v4.class_index(t10)) == -1
+        i for i, cf in enumerate(ctv.irreducibles) if value_cyc(cf, class_index(v4, t10)) == -1
     )
-    assert ctv.irreducibles[chi].at(t10).multiplicities == ((1, 1),)
+    assert value_at(ctv.irreducibles[chi], t10).multiplicities == ((1, 1),)
 
 
 def test_eigenvalue_multiplicities_reconstruct_values():
@@ -262,7 +263,7 @@ def test_eigenvalue_multiplicities_reconstruct_values():
         for i in range(len(ct.irreducibles)):
             for rep in G.class_reps:
                 n = rep.order()
-                value = ct.irreducibles[i].at(rep)
+                value = value_at(ct.irreducibles[i], rep)
                 assert value.order == e and value.degree() == ct.degrees[i]
                 # the eigenvalues of rep are n-th roots of unity
                 assert all(a % (e // n) == 0 for a, _ in value.multiplicities)
@@ -271,7 +272,7 @@ def test_eigenvalue_multiplicities_reconstruct_values():
                     total = Cyclotomic.zero(e)
                     for a, m in value.multiplicities:
                         total = total + Cyclotomic.root(e, a * t).scale(m)
-                    assert total == value_cyc(ct.irreducibles[i], G.class_index(rep ** t))
+                    assert total == value_cyc(ct.irreducibles[i], class_index(G, reference_pow(rep, t)))
 
 
 def _induced_by_conjugation(G, sub):

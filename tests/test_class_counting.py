@@ -24,7 +24,13 @@ from pqsurf.errors import InternalInconsistency
 from pqsurf.groups import catalog_group, group_from_generators
 
 from planted import planted
-from scale_groups import NAMES, group as build, reference_cyclic_subgroup, reference_rotation_exponent
+from scale_groups import (
+    NAMES,
+    group as build,
+    reference_cyclic_subgroup,
+    reference_pow,
+    reference_rotation_exponent,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -83,7 +89,7 @@ def reference_singularities(gv1, gv2):
                 n = m1 * m2 // len(double_coset)
                 if n <= 1:
                     continue
-                t0 = c ** (m1 // n)
+                t0 = reference_pow(c, m1 // n)
                 out.append((n, reference_rotation_exponent(g * d * g.inverse(), m2, t0)))
     return sorted(out)
 

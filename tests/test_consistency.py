@@ -15,6 +15,7 @@ from pqsurf.lattice import IntegralLattice, determinant, signature
 from pqsurf.perms import Permutation
 from pqsurf.surface import euler_characteristic, hirzebruch_jung, invariants, quotient_singularities
 
+from conveniences import value_at
 from cyclotomic_reference import value_cyc
 
 
@@ -146,7 +147,7 @@ def test_a4_degree3_eigenvalues_at_a_3cycle():
     three_cycle = next(g for g in G.elements if g.order() == 3)
     # trace 0 on a 3-cycle: eigenvalues are the three cube roots of unity,
     # stored as powers of zeta_6 (A4 has exponent 6)
-    value = ct.irreducibles[std].at(three_cycle)
+    value = value_at(ct.irreducibles[std], three_cycle)
     assert (value.order, value.multiplicities) == (6, ((0, 1), (2, 1), (4, 1)))
 
 

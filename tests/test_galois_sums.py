@@ -6,10 +6,10 @@ group's power-class table, and ``chars._class_matrix`` builds one class
 matrix when Dixon's split reaches it, composing image tuples of the
 elements of the inverse class.  The references below are the paths they
 replace: orbit sums and indicators added up in Q(zeta_e), a power map from
-``rep ** k`` and class constants with one inverse per class representative
-and element.  They are compared on the catalog groups and on thirteen
-permutation groups built from generators.  A last test checks that the
-field arithmetic is not shipped.
+square-and-multiply powers and class constants with one inverse per class
+representative and element.  They are compared on the catalog groups and
+on thirteen permutation groups built from generators.  A last test checks
+that the field arithmetic is not shipped.
 """
 
 import importlib.util
@@ -19,7 +19,7 @@ from math import gcd
 
 import pytest
 
-from pqsurf import chars
+from pqsurf import chars, groups
 from pqsurf.chars import (
     ClassFunction,
     RationalCharacter,
@@ -30,8 +30,9 @@ from pqsurf.chars import (
 from pqsurf.groups import CATALOG_NAMES, group_from_generators, power_map
 from pqsurf.perms import Permutation, parse_permutation
 
+from conveniences import class_index
 from cyclotomic_reference import Cyclotomic, as_cyclotomic, value_cyc
-from scale_groups import NAMES as SCALE_NAMES, from_generators, group as scale_group
+from scale_groups import NAMES as SCALE_NAMES, from_generators, group as scale_group, reference_pow
 
 # groups from generators beyond the benchmark's, of other orders and
 # exponents: degree and generators
@@ -63,7 +64,7 @@ def group(name):
 # -- the replaced paths ---------------------------------------------------------
 
 def reference_power_map(G, k):
-    return tuple(G.class_index(rep ** k) for rep in G.class_reps)
+    return tuple(class_index(G, reference_pow(rep, k)) for rep in G.class_reps)
 
 
 def reference_frobenius_schur(table, index):
@@ -122,7 +123,7 @@ def reference_class_constants(G):
     for l, z in enumerate(G.class_reps):
         for i in range(k):
             for x in G.classes[i]:
-                mats[i][G.class_index(x.inverse() * z)][l] += 1
+                mats[i][class_index(G, x.inverse() * z)][l] += 1
     return mats
 
 
@@ -194,11 +195,13 @@ def test_power_class_table_is_built_once(monkeypatch):
     assert G._power_classes is table
     assert [len(row) for row in table] == [G.class_reps[c].order() for c in range(len(G.classes))]
 
-    def refuse(self, k):
+    def refuse(*args):
         raise AssertionError("an element's powers were recomputed")
 
-    # power maps and a fresh Dixon table read the stored table
-    monkeypatch.setattr(Permutation, "__pow__", refuse)
+    # power maps and a fresh Dixon table read the stored table: they compose
+    # no group elements, neither as image tuples nor as Permutation products
+    monkeypatch.setattr(groups, "_times", refuse)
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
     for k in (-1, 2, 5, 13):
         power_map(G, k)
     character_table.__wrapped__(G)

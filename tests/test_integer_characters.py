@@ -35,6 +35,7 @@ from pqsurf.jacobian import _rank_z2, isotypical_dimensions
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import chevalley_weil, geometric_genus
 
+from conveniences import class_index, value_at
 from cyclotomic_reference import Cyclotomic, value_cyc
 from scale_groups import group as generated_group
 from test_consistency import _basket_pairs
@@ -49,7 +50,7 @@ def eigenvalue_exponents(table, i, c):
     m = c.order()
     step = table.group.exponent // m
     out = {}
-    for a, count in table.irreducibles[i].at(c).multiplicities:
+    for a, count in value_at(table.irreducibles[i], c).multiplicities:
         assert a % step == 0  # an eigenvalue of c is an m-th root of unity
         out[a // step] = out.get(a // step, 0) + count
     return out
@@ -197,7 +198,7 @@ def sample_vectors(name, g0, reps, count, seed):
     group = generated_group(name)
     rng = random.Random(seed)
     reps = [parse_permutation(r, group.degree) for r in reps]
-    classes = [group.classes[group.class_index(r)] for r in reps]
+    classes = [group.classes[class_index(group, r)] for r in reps]
     orders = tuple(r.order() for r in reps)
     out = []
     while len(out) < count:

@@ -14,6 +14,7 @@ from pqsurf.jacobian import (
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import invariants
 
+from conveniences import class_index
 from cyclotomic_reference import value_cyc
 from planted import planted
 from test_covering import s3_branch3, v4_example_pair
@@ -35,7 +36,7 @@ def by_kernel_element(group, dims, element):
         if i == 0 or rc.schur_index * rc.multiplicity_n != 1:
             continue
         cf = ct.irreducibles[rc.orbit[0]]
-        if value_cyc(cf, group.class_index(element)) == 1:
+        if value_cyc(cf, class_index(group, element)) == 1:
             return d
     raise AssertionError("no such factor")
 
@@ -186,7 +187,7 @@ def test_k3_pairing_v4():
 
     cf = character_table(G).irreducibles[rc.orbit[0]]
     t11 = parse_permutation("(1,4)(2,3)", 4)
-    assert value_cyc(cf, G.class_index(t11)) == 1
+    assert value_cyc(cf, class_index(G, t11)) == 1
 
 
 def test_k3_pairing_q8_is_quaternionic():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conveniences import rescale
 from planted import planted
 from pqsurf import lattice
 from pqsurf.errors import (
@@ -38,7 +39,6 @@ from pqsurf.lattice import (
     lambda_d,
     nikulin_embeds,
     rank1,
-    rescale,
     signature,
 )
 

@@ -9,8 +9,11 @@ through ``signature``, ``discriminant_group`` and ``k3_embeddable``.  The
 functions and methods defined in ``src/pqsurf`` that were never called must
 be exactly the pinned ones, each kept for the reason given.  A function
 that no command calls and no reason keeps belongs in the tests, or nowhere.
+Every function in ``pqsurf.__all__`` must be called by the commands alone,
+before the lattice batch: the public surface is what the commands reach.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -26,11 +29,6 @@ UNREACHED = {
     "lattice.nikulin_embeds": "the lattice.embed layer",
     # read by the benchmark's JSON form of a search result (bench/child.py)
     "perms.Permutation.images": "bench/child.py",
-    # conveniences the tests use
-    "groups.Group.class_index": "tests",
-    "chars.ClassFunction.at": "tests",
-    "lattice.rescale": "tests",
-    "perms.Permutation.__pow__": "tests",
     # for a reader at the prompt
     "groups.Group.__repr__": "repr",
     "chars.CyclotomicValue.__repr__": "repr",
@@ -57,6 +55,7 @@ commands += [["search", "V4", "1", "2,2"]]
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in commands:
         assert cli.main(argv) == 0, argv
+by_commands = set(called)
 u = lattice.hyperbolic_plane()
 for lat in (lattice.k3_lattice(), lattice.lambda_d(1), lattice.direct_sum(u, u)):
     lattice.signature(lat)
@@ -88,11 +87,18 @@ for info in pkgutil.iter_modules(pqsurf.__path__):
             if code is not None:
                 defined[".".join(filter(None, (info.name, name, attr)))] = code
 
-print(json.dumps(sorted(name for name, code in defined.items() if code not in called)))
+public = {name: code_of(getattr(pqsurf, name)) for name in pqsurf.__all__}
+print(json.dumps({
+    "unreached": sorted(name for name, code in defined.items() if code not in called),
+    "public_unreached": sorted(
+        name for name, code in public.items() if code is not None and code not in by_commands
+    ),
+}))
 """
 
 
-def test_unreached_functions_are_the_pinned_ones():
+@functools.cache
+def traffic():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -100,4 +106,12 @@ def test_unreached_functions_are_the_pinned_ones():
         cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == set(UNREACHED)
+    return json.loads(proc.stdout)
+
+
+def test_unreached_functions_are_the_pinned_ones():
+    assert set(traffic()["unreached"]) == set(UNREACHED)
+
+
+def test_every_public_function_is_reached_by_the_commands():
+    assert traffic()["public_unreached"] == []

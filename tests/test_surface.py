@@ -11,7 +11,7 @@ from pqsurf.chars import ClassFunction, CyclotomicValue, character_table
 from pqsurf.covering import GeneratingVector, hurwitz_character, genus, search_generating_vectors
 from pqsurf import surface
 from pqsurf.errors import InternalInconsistency, NotCoprime, OutOfRange
-from pqsurf.groups import catalog_group
+from pqsurf.groups import catalog_group, group_from_generators
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import (
     QuotientSingularity,
@@ -22,6 +22,7 @@ from pqsurf.surface import (
     invariants,
     quotient_singularities,
 )
+from conveniences import class_index
 from cyclotomic_reference import Cyclotomic, value_cyc
 from planted import planted
 from test_covering import s3_branch3, v4_example_pair
@@ -99,7 +100,7 @@ def test_chevalley_weil_v4_example():
     for cf in ct.irreducibles:
         if all(value_cyc(cf, c) == 1 for c in range(len(G.classes))):
             expected.append(1)  # trivial
-        elif value_cyc(cf, G.class_index(t10)) == 1:
+        elif value_cyc(cf, class_index(G, t10)) == 1:
             expected.append(0)  # annihilates the monodromy
         else:
             expected.append(1)
@@ -179,6 +180,25 @@ def test_invariants_a4():
     assert rep.family_dim == 2
 
 
+@pytest.mark.parametrize(
+    "generators, degree, curve1, curve2, family_dim",
+    [
+        # P^1 with two branch points has no moduli: 0 + (3*0 - 3 + 3)
+        (["(1,2,3)"], 3, (0, (3, 3)), (0, (3, 3, 3)), 0),
+        # an unramified elliptic base has one modulus: 1 + (3*1 - 3 + 2)
+        (["(1,2)"], 2, (1, ()), (1, (2, 2)), 3),
+        # the trivial group: 0 + (3*2 - 3)
+        (["()"], 1, (0, ()), (2, ()), 3),
+    ],
+    ids=["C3-rational", "C2-elliptic", "trivial"],
+)
+def test_family_dimension_on_rational_and_elliptic_bases(generators, degree, curve1, curve2, family_dim):
+    """dim M_{g0,r} per curve, also where 2 g0 - 2 + r <= 0."""
+    G = group_from_generators([parse_permutation(g, degree) for g in generators])
+    gv1, gv2 = (search_generating_vectors(G, g0, orders)[0] for g0, orders in (curve1, curve2))
+    assert invariants(gv1, gv2).family_dim == family_dim
+
+
 def test_noether_formula_holds_for_arbitrary_pairs():
     # e + K^2 = 12 chi by construction must stay consistent with b2
     G = catalog_group("D4")
@@ -225,13 +245,13 @@ def test_planted_chevalley_weil_faults_are_internal_inconsistency(monkeypatch):
     s3 = catalog_group("S3")
     elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
     rational = dataclasses.replace(search_generating_vectors(s3, 0, (2, 2, 3))[0])
-    three_cycles = {s3.class_index(elliptic.monodromies[0])}
+    three_cycles = {class_index(s3, elliptic.monodromies[0])}
     # a single eigenvalue zeta_3 = zeta_6^2 at the branch point of order 3 adds 1/3: not an integer
     planted_table(monkeypatch, s3, three_cycles, lambda d: CyclotomicValue(6, ((2, 1),)))
     with pytest.raises(InternalInconsistency, match="must be an integer"):
         surface.chevalley_weil(elliptic)
     # no eigenvalues at all leaves d (g0 - 1) = -d for a nontrivial character
-    branch_classes = {s3.class_index(c) for c in rational.monodromies}
+    branch_classes = {class_index(s3, c) for c in rational.monodromies}
     planted_table(monkeypatch, s3, branch_classes, lambda d: CyclotomicValue(6, ()))
     with pytest.raises(InternalInconsistency, match="nonnegative"):
         surface.chevalley_weil(rational)
@@ -245,7 +265,7 @@ def test_planted_chevalley_weil_genus_fault_is_internal_inconsistency(monkeypatc
     s3 = catalog_group("S3")
     elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
     assert genus(elliptic) == 3
-    three_cycles = {s3.class_index(elliptic.monodromies[0])}
+    three_cycles = {class_index(s3, elliptic.monodromies[0])}
     planted_table(monkeypatch, s3, three_cycles, lambda d: CyclotomicValue(6, ((0, d),)))
     with pytest.raises(InternalInconsistency, match="must sum to the genus"):
         surface.chevalley_weil(elliptic)
