@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .chars import (
     CharacterTable,
     ClassFunction,
-    CyclotomicValue,
     RationalCharacter,
     character_table,
     frobenius_schur,
@@ -59,7 +58,6 @@ __all__ = [
     "__version__",
     "CharacterTable",
     "ClassFunction",
-    "CyclotomicValue",
     "RationalCharacter",
     "character_table",
     "frobenius_schur",

@@ -74,11 +74,13 @@ def analyze_pair(
     group = gv1.group
     surf = invariants(gv1, gv2)
     pairing = k3_pairing(gv1, gv2)
-    motive = None
-    if gv1.base_genus == 1 and gv2.base_genus == 1:
-        motive = motive_h2_decomposition(gv1, gv2)
+    # with q = 2 the Albanese map is surjective exactly when both base
+    # curves are elliptic: H^1(S) is H^1(C1/G) + H^1(C2/G)
+    surjective = gv1.base_genus == 1 and gv2.base_genus == 1
+    motive = motive_h2_decomposition(gv1, gv2) if surjective else None
     rank_new = signature = embedding = None
-    if surf.q == 2:
+    # the K3-type piece is the paper's, for p_g = q = 2 and a surjective map
+    if (surf.p_g, surf.q) == (2, 2) and surjective:
         rank_new = surf.b2 - 6
         signature = [2, rank_new - 2]
         embedding = GUARANTEED if k3_signature_guaranteed(signature) else CRITERION_NOT_SATISFIED
@@ -86,6 +88,8 @@ def analyze_pair(
     table = character_table(group)
     rats = rational_characters(table)
     warnings = [] if (surf.p_g, surf.q) == (2, 2) else ["NotPgQ2"]
+    if surf.q == 2 and not surjective:
+        warnings.append("AlbaneseNotSurjective")
     warnings.append("rank_new_convention")
     if any(rc.schur_index_unverified for rc in rats):
         warnings.append("schur_index_unverified")
@@ -106,7 +110,7 @@ def analyze_pair(
                 "exponent": group.exponent,
                 "degrees": list(table.degrees),
                 "values": [
-                    [{str(a): m for a, m in v.multiplicities} for v in cf.values]
+                    [{str(a): m for a, m in v} for v in cf.values]
                     for cf in table.irreducibles
                 ],
             },

@@ -20,8 +20,10 @@ quantity built from the values (orbit sums, Frobenius-Schur indicators) is
 a sum of Galois averages, added up in integers scaled by phi(e): a rational
 sum of roots of unity equals its Galois average, and zeta_e^a averages to
 mu(n)/phi(n) with n = e/gcd(a, e), so phi(e) mu(n)/phi(n) is an integer.
-A value is its multiset: two values are equal when their orders and
-multisets are, and ``inner_product`` takes only int or Fraction values.
+A value is its multiset, stored as the tuple of its (a, count) pairs for
+the eigenvalues zeta_e^a, e the group exponent: residues ascending in
+[0, e), each with a positive count, so two values are equal exactly when
+their multisets are.  ``inner_product`` takes only int or Fraction values.
 """
 
 from __future__ import annotations
@@ -38,51 +40,7 @@ from .groups import Group, _closure, permutation_character, power_map, stored
 from .perms import _times
 
 
-# -- values ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CyclotomicValue:
-    """A character value stored as the eigenvalue multiset of a group element:
-    ``multiplicities`` records, for each residue a mod ``order``, how many
-    eigenvalues zeta_order^a occur.
-
-    Two values are equal when their orders and multisets are, so the
-    multiset is kept in one form: residues ascending and reduced, each with
-    a positive count (``from_dict`` builds it from any mapping).
-    Rational quantities are read off the multiset by ``galois_sum``.
-    """
-
-    order: int
-    multiplicities: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        residues = [a for a, _ in self.multiplicities]
-        if residues != sorted(set(residues)) or any(
-            not 0 <= a < self.order or count <= 0 for a, count in self.multiplicities
-        ):
-            raise ValueError(
-                "eigenvalue residues must be strictly ascending and reduced, "
-                "each with a positive count"
-            )
-
-    @classmethod
-    def from_dict(cls, order: int, mapping) -> "CyclotomicValue":
-        items = tuple(sorted((int(a) % order, int(m)) for a, m in mapping.items() if m))
-        return cls(order, items)
-
-    def degree(self) -> int:
-        return sum(m for _, m in self.multiplicities)
-
-    def galois_sum(self) -> int:
-        """phi(order) times the mean of the value's Galois conjugates: its
-        trace Tr(x), an integer (``_trace`` with k = 0).  A sum of values that
-        is rational equals the sum of their averages."""
-        return _trace(self.order, self.multiplicities, 0)
-
-    def __repr__(self) -> str:
-        body = ",".join(f"{a}:{m}" for a, m in self.multiplicities)
-        return f"CyclotomicValue(e={self.order}, {{{body}}})"
-
+# -- traces ------------------------------------------------------------------
 
 def _prime_factors(n: int) -> dict[int, int]:
     """{prime: exponent} of n >= 1, by trial division."""
@@ -136,8 +94,9 @@ def _trace(e: int, terms, k: int):
 class ClassFunction:
     """Values indexed by conjugacy class, in the group's canonical class order.
 
-    Values are ints or Fractions, or the CyclotomicValue eigenvalue
-    multisets of a character table.
+    Values are ints or Fractions, or the eigenvalue multisets of a
+    character table: the tuple of (a, count) pairs for the eigenvalues
+    zeta_e^a, e the group exponent.
     """
 
     group: Group
@@ -451,19 +410,17 @@ def character_table(group: Group) -> CharacterTable:
                 raise InternalInconsistency(
                     "Dixon: the eigenvalue multiplicities do not sum to the degree"
                 )
-            values.append(CyclotomicValue.from_dict(e, mult))
-        characters.append(ClassFunction(group, tuple(values)))
+            values.append(tuple(sorted(mult.items())))
+        characters.append((d, ClassFunction(group, tuple(values))))
 
-    characters.sort(
-        key=lambda cf: (cf.values[0].degree(), tuple(v.multiplicities for v in cf.values))
-    )
+    characters.sort(key=lambda row: (row[0], row[1].values))
+    degrees, characters = zip(*characters)
     # the trivial character, eigenvalue 1 on every class, sorts first
-    if any(v.multiplicities != ((0, 1),) for v in characters[0].values):
+    if any(v != ((0, 1),) for v in characters[0].values):
         raise InternalInconsistency("the first character of the table is not the trivial one")
     _check_column_orthogonality(group, characters)
-    degrees = tuple(cf.values[0].degree() for cf in characters)
     dual = _dual_map(characters, degrees, inverse_class)
-    return CharacterTable(group, tuple(characters), degrees, dual)
+    return CharacterTable(group, characters, degrees, dual)
 
 
 def _check_column_orthogonality(group: Group, characters) -> None:
@@ -476,9 +433,9 @@ def _check_column_orthogonality(group: Group, characters) -> None:
     phi_e = _galois_weights(e)[0]
     for c, size in enumerate(group.class_sizes):
         total = sum(
-            m_b * _trace(e, cf.values[c].multiplicities, b)
+            m_b * _trace(e, cf.values[c], b)
             for cf in characters
-            for b, m_b in cf.values[c].multiplicities
+            for b, m_b in cf.values[c]
         )
         if total != phi_e * group.order // size:
             raise InternalInconsistency(
@@ -495,10 +452,10 @@ def _twist(characters, *power_maps) -> tuple[tuple[int, ...], ...]:
     The twist by -1 is complex conjugation, and the twists by the units
     mod e make up a Galois orbit, so a rational character and its dual are
     the same orbit."""
-    index = {tuple(v.multiplicities for v in cf.values): i for i, cf in enumerate(characters)}
+    index = {cf.values: i for i, cf in enumerate(characters)}
     try:
         return tuple(
-            tuple(index[tuple(cf.values[c].multiplicities for c in classes)] for cf in characters)
+            tuple(index[tuple(cf.values[c] for c in classes)] for cf in characters)
             for classes in power_maps
         )
     except KeyError:
@@ -528,8 +485,9 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     """<a, b> = (1/|G|) sum over classes of size * a * b, exact, for class
     functions with int or Fraction values, which are their own conjugates.
 
-    Any other value raises ValueError: a character enters through its
-    rational character, and its eigenvalue multisets through ``galois_sum``."""
+    Any other value raises ValueError, an eigenvalue multiset too: a
+    character enters through its rational character, and its multisets
+    through their traces (``_trace``)."""
     if a.group != b.group:
         raise GroupMismatch("class functions live over different groups")
     if not all(isinstance(v, (int, Fraction)) for v in a.values + b.values):
@@ -559,14 +517,15 @@ def frobenius_schur(table: CharacterTable, index: int) -> int:
 
     The sum is rational, so it is summed as (1/|G|) sum over classes c of
     |c| times the Galois average of chi at the class of rep_c^2, in integers
-    scaled by phi(e) (``galois_sum``)."""
+    scaled by phi(e): the trace Tr(x), ``_trace`` with k = 0."""
     group = table.group
+    e = group.exponent
     squares = power_map(group, 2)
     values = table.irreducibles[index].values
     total = sum(
-        size * values[squares[c]].galois_sum() for c, size in enumerate(group.class_sizes)
+        size * _trace(e, values[squares[c]], 0) for c, size in enumerate(group.class_sizes)
     )
-    scale = _galois_weights(group.exponent)[0] * group.order
+    scale = _galois_weights(e)[0] * group.order
     if total not in (-scale, 0, scale):
         q = Fraction(total, scale)
         raise InternalInconsistency(f"Frobenius-Schur indicator must be -1, 0 or 1, not {q}")
@@ -585,9 +544,9 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
 
     The orbit members are Galois conjugates with equal Galois averages, so
     psi(c) = |orbit| * m * (the average of chi(c)), summed in integers
-    scaled by phi(e) (``galois_sum``).  Two certificates check it: every
-    value is an integer, and sum |c| psi(c)^2 = |G| m^2 |orbit|, which
-    fails for a sum over part of an orbit.
+    scaled by phi(e): the trace, ``_trace`` with k = 0.  Two certificates
+    check it: every value is an integer, and sum |c| psi(c)^2 =
+    |G| m^2 |orbit|, which fails for a sum over part of an orbit.
     """
     group = table.group
     e = group.exponent
@@ -608,7 +567,7 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
         degree = table.degrees[i]
         unverified = fs == 0 and degree > 1
         scale = len(orbit) * schur
-        sums = [scale * v.galois_sum() for v in table.irreducibles[i].values]
+        sums = [scale * _trace(e, v, 0) for v in table.irreducibles[i].values]
         values = [s // phi_e for s in sums]
         norm = sum(size * q * q for size, q in zip(group.class_sizes, values))
         if any(s % phi_e for s in sums) or norm != group.order * schur * scale:

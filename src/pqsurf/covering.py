@@ -40,8 +40,9 @@ from .errors import (
 from .groups import Group, permutation_character, stored
 from .perms import Permutation
 
-# largest scan ``search_generating_vectors`` runs: the scan checks about
-# 5,000 to 23,000 tuples a second (see the README), so at most three minutes
+# largest scan ``search_generating_vectors`` runs, in tuples, not time: the
+# work per tuple depends on the group, from about 230 to 27,000 tuples a
+# second (see the README)
 SEARCH_SPACE_LIMIT = 10 ** 6
 
 

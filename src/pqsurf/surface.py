@@ -162,7 +162,7 @@ def chevalley_weil(gv: GeneratingVector) -> tuple[int, ...]:
     for i, (cf, d) in enumerate(zip(table.irreducibles, table.degrees)):
         total = e * (d * (gv.base_genus - 1) + (i == 0))  # i == 0: the trivial character
         for k in classes:
-            total += sum(a * count for a, count in cf.values[k].multiplicities)
+            total += sum(a * count for a, count in cf.values[k])
         n, rest = divmod(total, e)
         if rest:
             raise InternalInconsistency("Chevalley-Weil multiplicity must be an integer")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from pqsurf.chars import CyclotomicValue
 from pqsurf.errors import InternalInconsistency
 
 
@@ -167,15 +166,15 @@ class Cyclotomic:
 
 def as_cyclotomic(value, order: int) -> Cyclotomic:
     """A class-function value as an element of Q(zeta_order): an int or a
-    Fraction as itself, a ``CyclotomicValue`` as the sum of its eigenvalue
-    multiset."""
-    if not isinstance(value, CyclotomicValue):
+    Fraction as itself, an eigenvalue multiset, the (a, count) pairs of a
+    character value, as the sum of count * zeta_order^a."""
+    if not isinstance(value, tuple):
         return Cyclotomic.from_rational(order, value)
-    coords = [0] * len(_root_power(value.order, 0))
-    for exp, count in value.multiplicities:
-        for i, c in enumerate(_root_power(value.order, exp)):
+    coords = [0] * len(_root_power(order, 0))
+    for exp, count in value:
+        for i, c in enumerate(_root_power(order, exp)):
             coords[i] += count * c
-    return Cyclotomic(value.order, coords)
+    return Cyclotomic(order, coords)
 
 
 def value_cyc(cf, class_index: int) -> Cyclotomic:

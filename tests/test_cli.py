@@ -113,6 +113,39 @@ def test_q8_aux_decomposition(capsys):
     assert "schur_index_unverified" in out
 
 
+# two C2 inputs outside the paper's hypothesis, p_g = q = 2 with a
+# surjective Albanese map: the curve-1 base genus, the curve-2 branch
+# orders, and the report's p_g and warning
+OUTSIDE_THE_HYPOTHESIS = {
+    # a pencil: q = 2 from one base curve of genus 2
+    "pencil": (2, "2,2,2,2,2,2", 2, "AlbaneseNotSurjective"),
+    # both bases elliptic, but p_g = 1
+    "pg1": (1, "2,2", 1, "NotPgQ2"),
+}
+
+
+@pytest.mark.parametrize("name", OUTSIDE_THE_HYPOTHESIS)
+def test_no_k3_lattice_outside_the_hypothesis(tmp_path, capsys, name):
+    genus0, orders, p_g, warning = OUTSIDE_THE_HYPOTHESIS[name]
+    path = tmp_path / f"{name}.surface"
+    path.write_text(
+        "[group]\ngenerators = (1,2)\n"
+        f"[curve1]\ngenus0 = {genus0}\nsearch =\n"
+        f"[curve2]\ngenus0 = {2 - genus0}\nsearch = {orders}\n"
+    )
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (doc["surface"]["p_g"], doc["surface"]["q"]) == (p_g, 2)
+    assert set(doc["lattice"].values()) == {None}
+    assert warning in doc["warnings"]
+    assert ("AlbaneseNotSurjective" in doc["warnings"]) == (genus0 != 1)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert "H2_new" not in out and "lattice:" not in out
+    assert f"  - {warning}\n" in out
+
+
 def test_exit_3_trivial_monodromy(tmp_path, capsys):
     bad = tmp_path / "bad.surface"
     bad.write_text(

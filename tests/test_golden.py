@@ -2,7 +2,7 @@
 
 The files under ``tests/golden/`` are the CLI's output for the surfaces in
 ``surfaces/``, for the inputs in ``tests/golden/inputs/`` and for
-``reproduce-tables``, in text and JSON.  Refactors must leave every byte of
+``reproduce-tables``, in text and JSON, and for two ``search`` commands.  Refactors must leave every byte of
 them unchanged; a deliberate change to a report updates the file in the
 same commit.
 """
@@ -32,6 +32,8 @@ CASES = [
 ] + [
     ("reproduce-tables.text", ["reproduce-tables"]),
     ("reproduce-tables.json", ["reproduce-tables", "--format", "json"]),
+    ("search-v4.text", ["search", "V4", "1", "2,2"]),
+    ("search-q8.text", ["search", "Q8", "1", "2"]),
 ]
 
 

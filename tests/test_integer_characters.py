@@ -50,7 +50,7 @@ def eigenvalue_exponents(table, i, c):
     m = c.order()
     step = table.group.exponent // m
     out = {}
-    for a, count in value_at(table.irreducibles[i], c).multiplicities:
+    for a, count in value_at(table.irreducibles[i], c):
         assert a % step == 0  # an eigenvalue of c is an m-th root of unity
         out[a // step] = out.get(a // step, 0) + count
     return out
@@ -269,6 +269,6 @@ def test_isotypical_and_rank_z2_build_no_cyclotomic(monkeypatch):
     def refuse(*args):
         raise AssertionError("a character value was read as a number")
 
-    # every trace of a character value, galois_sum's too, goes through _trace
+    # every trace of a character value goes through _trace
     monkeypatch.setattr(chars, "_trace", refuse)
     assert (_rank_z2(gv1, gv2), isotypical_dimensions(gv1)) == expected

@@ -31,7 +31,6 @@ UNREACHED = {
     "perms.Permutation.images": "bench/child.py",
     # for a reader at the prompt
     "groups.Group.__repr__": "repr",
-    "chars.CyclotomicValue.__repr__": "repr",
     "perms.Permutation.__repr__": "repr",
 }
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsurf.analysis import analyze_pair
-from pqsurf.chars import ClassFunction, CyclotomicValue, character_table
+from pqsurf.chars import ClassFunction, character_table
 from pqsurf.covering import GeneratingVector, hurwitz_character, genus, search_generating_vectors
 from pqsurf import surface
 from pqsurf.errors import InternalInconsistency, NotCoprime, OutOfRange
@@ -247,12 +247,12 @@ def test_planted_chevalley_weil_faults_are_internal_inconsistency(monkeypatch):
     rational = dataclasses.replace(search_generating_vectors(s3, 0, (2, 2, 3))[0])
     three_cycles = {class_index(s3, elliptic.monodromies[0])}
     # a single eigenvalue zeta_3 = zeta_6^2 at the branch point of order 3 adds 1/3: not an integer
-    planted_table(monkeypatch, s3, three_cycles, lambda d: CyclotomicValue(6, ((2, 1),)))
+    planted_table(monkeypatch, s3, three_cycles, lambda d: ((2, 1),))
     with pytest.raises(InternalInconsistency, match="must be an integer"):
         surface.chevalley_weil(elliptic)
     # no eigenvalues at all leaves d (g0 - 1) = -d for a nontrivial character
     branch_classes = {class_index(s3, c) for c in rational.monodromies}
-    planted_table(monkeypatch, s3, branch_classes, lambda d: CyclotomicValue(6, ()))
+    planted_table(monkeypatch, s3, branch_classes, lambda d: ())
     with pytest.raises(InternalInconsistency, match="nonnegative"):
         surface.chevalley_weil(rational)
     assert surface.chevalley_weil.__wrapped__ not in elliptic._memo
@@ -266,7 +266,7 @@ def test_planted_chevalley_weil_genus_fault_is_internal_inconsistency(monkeypatc
     elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
     assert genus(elliptic) == 3
     three_cycles = {class_index(s3, elliptic.monodromies[0])}
-    planted_table(monkeypatch, s3, three_cycles, lambda d: CyclotomicValue(6, ((0, d),)))
+    planted_table(monkeypatch, s3, three_cycles, lambda d: ((0, d),))
     with pytest.raises(InternalInconsistency, match="must sum to the genus"):
         surface.chevalley_weil(elliptic)
 
