@@ -34,7 +34,6 @@ from .groups import (
     power_map,
 )
 from .jacobian import (
-    MotiveDecomposition,
     PairingReport,
     decomposition_label,
     isotypical_dimensions,
@@ -72,7 +71,6 @@ __all__ = [
     "catalog_group",
     "group_from_generators",
     "power_map",
-    "MotiveDecomposition",
     "PairingReport",
     "decomposition_label",
     "isotypical_dimensions",

@@ -12,7 +12,6 @@ the tool version)."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -56,7 +55,7 @@ def _curve(gv: GeneratingVector) -> dict:
         "hurwitz_character": [int(v) for v in hurwitz_character(gv).values],
         "chevalley_weil": list(chevalley_weil(gv)),
         "isotypical_factors": _factors(gv),
-        "label": decomposition_label(gv) if gv.base_genus == 1 else None,
+        "label": decomposition_label(gv),
     }
 
 
@@ -77,7 +76,6 @@ def analyze_pair(
     # with q = 2 the Albanese map is surjective exactly when both base
     # curves are elliptic: H^1(S) is H^1(C1/G) + H^1(C2/G)
     surjective = gv1.base_genus == 1 and gv2.base_genus == 1
-    motive = motive_h2_decomposition(gv1, gv2) if surjective else None
     rank_new = signature = embedding = None
     # the K3-type piece is the paper's, for p_g = q = 2 and a surjective map
     if (surf.p_g, surf.q) == (2, 2) and surjective:
@@ -141,8 +139,7 @@ def analyze_pair(
                 for s in surf.singularities
             ],
         },
-        # the keys are MotiveDecomposition's field names
-        "motive": asdict(motive) if motive is not None else None,
+        "motive": motive_h2_decomposition(gv1, gv2),
         "pairing": {
             "status": pairing.status,
             "rank_z2": pairing.rank_z2,
@@ -179,7 +176,7 @@ def analyze_pair(
     return doc
 
 
-def to_json(doc: dict) -> str:
+def to_json(doc: dict | list) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -71,18 +71,15 @@ def row_by_name(name: str) -> TableRow:
 
 
 def select_pair(vectors1, vectors2):
-    """First pair in search order; when both curves have an elliptic base,
-    the first pair with p_g = 2 if there is one."""
-    first_valid = None
+    """The first pair in search order with a base genus other than 1 or
+    with p_g = 2, or else the first pair; NoWitness when a side is empty."""
+    if not vectors1 or not vectors2:
+        raise NoWitness("search directive produced no generating vector")
     for gv1 in vectors1:
         for gv2 in vectors2:
-            if first_valid is None:
-                first_valid = (gv1, gv2)
             if gv1.base_genus != 1 or gv2.base_genus != 1 or geometric_genus(gv1, gv2) == 2:
                 return gv1, gv2
-    if first_valid is not None:
-        return first_valid
-    raise NoWitness("search produced no generating vector pair")
+    return vectors1[0], vectors2[0]
 
 
 def row_witnesses(name: str) -> tuple[GeneratingVector, GeneratingVector]:
@@ -91,7 +88,4 @@ def row_witnesses(name: str) -> tuple[GeneratingVector, GeneratingVector]:
     group = catalog_group(row.group_name)
     vectors1 = search_generating_vectors(group, 1, row.branch1)
     vectors2 = search_generating_vectors(group, 1, row.branch2)
-    if not vectors1 or not vectors2:
-        raise NoWitness(f"no generating vectors for row {row.name}")
     return select_pair(vectors1, vectors2)
-

@@ -14,7 +14,6 @@ a call captures its output, usage and error messages included.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -64,8 +63,6 @@ def _analysis_from_description(desc: SurfaceDescription) -> dict:
     group = resolve_group(desc.group)
     vectors1 = _curve_vectors(desc.curve1, group)
     vectors2 = _curve_vectors(desc.curve2, group)
-    if not vectors1 or not vectors2:
-        raise NoWitness("search directive produced no generating vector")
     gv1, gv2 = select_pair(vectors1, vectors2)
     aux = None
     if desc.aux is not None:
@@ -145,19 +142,14 @@ def _check_row(row: TableRow) -> dict:
     }
 
 
-def reproduce_tables(rows=None) -> list[dict]:
-    rows = list(rows if rows is not None else ROWS)
+def reproduce_tables(rows=ROWS) -> list[dict]:
     return [_check_row(row) for row in rows]
 
 
 def cmd_reproduce_tables(args) -> int:
-    if args.row:
-        rows = [row_by_name(args.row)]
-    else:
-        rows = list(ROWS)
-    results = reproduce_tables(rows)
+    results = reproduce_tables([row_by_name(args.row)] if args.row else ROWS)
     if args.format == "json":
-        sys.stdout.write(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(to_json(results))
     else:
         for res in results:
             sing = " + ".join(res["singularities"]) if res["singularities"] else "-"

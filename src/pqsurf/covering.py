@@ -275,6 +275,12 @@ def search_generating_vectors(
 
     if not all(_of_order(group, m) for m in orders):
         return ()
+    # past this genus the handles alone exceed the bound, and the count may
+    # be too long to build or to print
+    if group.order > 1 and 2 * base_genus > SEARCH_SPACE_LIMIT.bit_length():
+        raise SearchSpaceTooLarge(
+            f"|G|^(2g0) = {group.order}^{2 * base_genus} tuples exceeds {SEARCH_SPACE_LIMIT}"
+        )
     space = group.order ** (2 * base_genus) * prod(len(_of_order(group, m)) for m in orders[:-1])
     if space > SEARCH_SPACE_LIMIT:
         raise SearchSpaceTooLarge(

@@ -163,7 +163,7 @@ def parse_description(path) -> SurfaceDescription:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
         return _from_mappings(payload, text)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

@@ -1,5 +1,7 @@
 """Exception types.  Class names carry the name of the violated invariant,
-so error messages and CLI diagnostics can quote them directly."""
+so error messages and CLI diagnostics can quote them directly.  An error
+marks bad input or a failed certificate; a value that valid input leaves
+undefined, such as a Jacobian label off an elliptic base, is None."""
 
 
 class PqsurfError(Exception):
@@ -67,12 +69,6 @@ class IdentityElement(PqsurfError):
 
 class NoWitness(PqsurfError):
     """A search directive produced no valid generating vector."""
-
-
-# -- jacobian decompositions ----------------------------------------------
-
-class BaseGenusUnsupported(PqsurfError):
-    """Decomposition labels are only produced over an elliptic base."""
 
 
 # -- singularities ----------------------------------------------------------

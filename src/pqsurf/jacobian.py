@@ -6,6 +6,10 @@ representations; dim B_i = (1/2) <psi_i, chi_V> with chi_V the Hurwitz
 character.  Pairing the decompositions of two curves locates the isogeny
 factor whose Kummer surface carries the transcendental cohomology of the
 quotient surface.
+
+The decomposition label and the motive block are the paper's, for q = 2
+with a surjective Albanese map, that is both base curves elliptic; off that
+domain ``decomposition_label`` and ``motive_h2_decomposition`` return None.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .chars import (
     rational_characters,
 )
 from .covering import GeneratingVector, hurwitz_character, genus, require_same_group
-from .errors import BaseGenusUnsupported, InternalInconsistency
+from .errors import InternalInconsistency
 from .groups import stored
 
 
@@ -46,12 +50,13 @@ def _prime_marks(count: int) -> str:
     return "'" * count
 
 
-def decomposition_label(gv: GeneratingVector) -> str:
+def decomposition_label(gv: GeneratingVector) -> Optional[str]:
     """Symbolic shape of the isogeny decomposition of J(C) over an elliptic
     base: one E per trivial-factor dimension, then L (1-dim), A (2-dim
-    quaternionic) or B(d) per nontrivial factor, with multiplicities."""
+    quaternionic) or B(d) per nontrivial factor, with multiplicities;
+    None over any other base."""
     if gv.base_genus != 1:
-        raise BaseGenusUnsupported("labels are defined for base genus 1 only")
+        return None
     dims = isotypical_dimensions(gv)
     rats = rational_characters(character_table(gv.group))
     parts = ["E"] * dims[0]
@@ -165,27 +170,19 @@ def k3_pairing(gv1: GeneratingVector, gv2: GeneratingVector) -> PairingReport:
     )
 
 
-@dataclass(frozen=True)
-class MotiveDecomposition:
-    """Ranks of the Albanese pieces of the second cohomology motive
-    h^2 = U + Z1 + Z2 + (exceptional classes), and the shape of Z2.  The
-    rank of Z2 is ``k3_pairing(...).rank_z2`` and the exceptional rank is
-    the surface's eta; each value has one home."""
-
-    rank_U: int
-    rank_Z1: int
-    z2_label: Optional[str]
-
-
-def motive_h2_decomposition(gv1: GeneratingVector, gv2: GeneratingVector) -> MotiveDecomposition:
-    """Decompose h^2 of the resolved quotient: the Albanese part U + Z1 and
-    the isotypical cross terms Z2, one h1(L1) x h1(L2) per pairing match."""
+def motive_h2_decomposition(gv1: GeneratingVector, gv2: GeneratingVector) -> Optional[dict]:
+    """Decompose h^2 = U + Z1 + Z2 + (exceptional classes) of the resolved
+    quotient over elliptic bases, as the report's ``motive`` block: the ranks
+    of the Albanese part U + Z1, and Z2 as one h1(L1) x h1(L2) per pairing
+    match.  The rank of Z2 is ``k3_pairing(...).rank_z2`` and the exceptional
+    rank is the surface's eta; each value has one home.  None unless both
+    base genera are 1."""
     require_same_group(gv1, gv2)
     if gv1.base_genus != 1 or gv2.base_genus != 1:
-        raise BaseGenusUnsupported("motive decomposition requires elliptic bases")
+        return None
     matches = k3_pairing(gv1, gv2).matches
-    return MotiveDecomposition(
-        rank_U=2,
-        rank_Z1=4 * gv1.base_genus * gv2.base_genus,
-        z2_label=" + ".join("h1(L1) x h1(L2)" for _ in matches) or None,
-    )
+    return {
+        "rank_U": 2,
+        "rank_Z1": 4 * gv1.base_genus * gv2.base_genus,
+        "z2_label": " + ".join("h1(L1) x h1(L2)" for _ in matches) or None,
+    }

@@ -258,7 +258,7 @@ def test_criterion_7_covering_hodge_consistency():
         ok = ok and rep.e + rep.k2 == 12 * rep.chi
         dec = motive_h2_decomposition(gv1, gv2)
         rank_z2 = k3_pairing(gv1, gv2).rank_z2
-        ok = ok and dec.rank_U + dec.rank_Z1 + rank_z2 + rep.eta == rep.b2
+        ok = ok and dec["rank_U"] + dec["rank_Z1"] + rank_z2 + rep.eta == rep.b2
     _report("7 (covering/Hodge suite)", ok, f"{len(vectors)} vectors")
 
 

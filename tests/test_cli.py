@@ -497,8 +497,23 @@ def test_exit_4_no_witness(tmp_path, capsys):
         "[curve1]\ngenus0 = 0\nsearch = 2, 2\n"
         "[curve2]\ngenus0 = 0\nsearch = 2, 2\n"
     )
-    code, _, err = run(capsys, "analyze", str(impossible))
-    assert code == EXIT_NO_WITNESS
+    code, out, err = run(capsys, "analyze", str(impossible))
+    assert (code, out) == (EXIT_NO_WITNESS, "")
+    assert err == "NoWitness: search directive produced no generating vector\n"
+
+
+def test_exit_4_an_aux_search_without_a_vector(tmp_path, capsys):
+    # an S3 cover of P^1 branched at two points would need two equal
+    # involutions, which generate only C2
+    path = tmp_path / "aux.surface"
+    path.write_text(
+        (SURFACES / "v4.surface").read_text(encoding="utf-8")
+        + "\n[aux]\nname = S3\ngenus0 = 0\nsearch = 2, 2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_NO_WITNESS, "")
+    assert err == "NoWitness: aux search produced no generating vector\n"
 
 
 def test_exit_6_search_space(tmp_path, capsys):
@@ -520,6 +535,48 @@ def test_exit_6_names_the_search_space_limit(capsys):
         "SearchSpaceTooLarge: |G|^(2g0) * prod_(i<r) #{g : ord g = m_i} = "
         "26873856 tuples exceeds 1000000\n"
     )
+
+
+@pytest.mark.parametrize("genus0", [3572, 4000])
+def test_exit_6_a_large_base_genus_names_the_power(genus0, capsys):
+    # |G|^(2g0) has over 4300 decimal digits, past what Python will print
+    code, out, err = run(capsys, "search", "V4", str(genus0), "2")
+    assert (code, out) == (EXIT_SEARCH_SPACE, "")
+    assert err == f"SearchSpaceTooLarge: |G|^(2g0) = 4^{2 * genus0} tuples exceeds 1000000\n"
+
+
+def test_exit_6_a_large_base_genus_in_a_description(tmp_path, capsys):
+    path = tmp_path / "huge.surface"
+    path.write_text(
+        "[group]\nname = V4\n"
+        "[curve1]\ngenus0 = 4000\nsearch = 2\n"
+        "[curve2]\ngenus0 = 1\nsearch = 2, 2\n"
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_SEARCH_SPACE, "")
+    assert err == "SearchSpaceTooLarge: |G|^(2g0) = 4^8000 tuples exceeds 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "name, search, code, message",
+    [
+        ("V4%", "2, 2", EXIT_VALIDATION,
+         "UnknownName: unknown catalog group 'V4%'; "
+         "known: C2, C4, C6, V4, S3, D4, Q8, A4, C4xC2semiC2"),
+        ("V4", "2,%(genus0)s", EXIT_PARSE,
+         "ParseError: [curve2] search must be an integer, not '%(genus0)s'"),
+    ],
+    ids=["name", "search"],
+)
+def test_a_percent_sign_is_read_literally(tmp_path, capsys, name, search, code, message):
+    # no INI interpolation: "%" is neither a syntax error nor a reference
+    path = tmp_path / "percent.surface"
+    path.write_text(
+        f"[group]\nname = {name}\n"
+        "[curve1]\ngenus0 = 1\nsearch = 2, 2\n"
+        f"[curve2]\ngenus0 = 1\nsearch = {search}\n"
+    )
+    assert run(capsys, "analyze", str(path)) == (code, "", message + "\n")
 
 
 def test_reproduce_tables_cli(capsys):

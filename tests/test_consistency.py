@@ -33,7 +33,7 @@ def test_c4_pair_with_order_4_singularities():
     assert (rep.p_g, rep.q, rep.k2, rep.e) == (4, 2, 16, 20)
     assert "NotPgQ2" in analyze_pair(gv1, gv2)["warnings"]
     dec = motive_h2_decomposition(gv1, gv2)
-    assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2 == 26
+    assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2 == 26
 
 
 def test_c6_pair_with_order_6_singularities():
@@ -46,7 +46,7 @@ def test_c6_pair_with_order_6_singularities():
     assert rep.eta == 2 * 1 + 2 * 5
     assert rep.e + rep.k2 == 12 * rep.chi
     dec = motive_h2_decomposition(gv1, gv2)
-    assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
+    assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
 
 
 def test_identities_hold_across_cross_pairs():
@@ -59,7 +59,7 @@ def test_identities_hold_across_cross_pairs():
         assert rep.e + rep.k2 == 12 * rep.chi
         assert rep.b2 == rep.e - 2 + 4 * rep.q
         dec = motive_h2_decomposition(gv1, gv2)
-        assert dec.rank_U + dec.rank_Z1 + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
+        assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
         rats = rational_characters(character_table(G))
         for gv in (gv1, gv2):
             assert sum(

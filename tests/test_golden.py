@@ -14,7 +14,10 @@ import pytest
 
 from pqsurf.analysis import render_text, to_json
 from pqsurf.cli import _analysis_from_description, main
-from pqsurf.descfile import parse_description
+from pqsurf.covering import GeneratingVector
+from pqsurf.descfile import parse_description, resolve_group
+from pqsurf.jacobian import motive_h2_decomposition
+from pqsurf.perms import parse_permutation
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -96,3 +99,31 @@ def test_golden_n_and_m_are_the_rational_characters(path):
         pins(match["curve1"], match["rational_char"])
         pins(match["curve2"], match["rational_char"])
         assert match["quaternionic"] == (match["curve1"]["m"] == 2)
+
+
+def golden_pair(path, doc):
+    """The pair of generating vectors a JSON golden reports, rebuilt from
+    its curves over the group its input names."""
+    group = resolve_group(parse_description(path).group)
+
+    def perm(text):
+        return parse_permutation(text, group.degree)
+
+    return tuple(
+        GeneratingVector(
+            group,
+            tuple((perm(a), perm(b)) for a, b in curve["handles"]),
+            tuple(perm(c) for c in curve["monodromies"]),
+            tuple(curve["orders"]),
+        )
+        for curve in doc["curves"]
+    )
+
+
+@pytest.mark.parametrize("path", INPUTS, ids=[path.name for path in INPUTS])
+def test_golden_motive_is_the_motive_stage_on_its_pair(path):
+    # the report copies the stage's block as it is, null off elliptic bases
+    doc = json.loads((GOLDEN / f"{path.name}.json").read_text(encoding="utf-8"))
+    gv1, gv2 = golden_pair(path, doc)
+    assert doc["motive"] == motive_h2_decomposition(gv1, gv2)
+    assert (doc["motive"] is None) == (gv1.base_genus != 1 or gv2.base_genus != 1)

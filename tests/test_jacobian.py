@@ -3,7 +3,7 @@ import pytest
 from pqsurf import jacobian
 from pqsurf.chars import ClassFunction
 from pqsurf.covering import genus, search_generating_vectors
-from pqsurf.errors import BaseGenusUnsupported, InternalInconsistency
+from pqsurf.errors import InternalInconsistency
 from pqsurf.groups import catalog_group
 from pqsurf.jacobian import (
     decomposition_label,
@@ -96,8 +96,21 @@ def test_decomposition_labels():
     assert decomposition_label(gv) == "E x A"
 
     g0_zero = search_generating_vectors(catalog_group("C4xC2semiC2"), 0, (2, 2, 2, 4))[0]
-    with pytest.raises(BaseGenusUnsupported):
-        decomposition_label(g0_zero)
+    assert decomposition_label(g0_zero) is None
+
+
+def test_label_and_motive_are_null_off_an_elliptic_base():
+    v4 = catalog_group("V4")
+    elliptic = search_generating_vectors(v4, 1, (2, 2))[0]
+    rational = search_generating_vectors(v4, 0, (2, 2, 2, 2))[0]
+    genus_two = search_generating_vectors(v4, 2, ())[0]
+    assert decomposition_label(elliptic) == "E x L x L'"
+    assert motive_h2_decomposition(elliptic, elliptic) is not None
+    for gv in (rational, genus_two):
+        assert decomposition_label(gv) is None
+        assert motive_h2_decomposition(gv, elliptic) is None
+        assert motive_h2_decomposition(elliptic, gv) is None
+        assert motive_h2_decomposition(gv, gv) is None
 
 
 def test_each_rational_character_is_its_own_dual():
@@ -121,24 +134,27 @@ def test_motive_decomposition_v4():
     gv1, gv2 = v4_example_pair()
     dec = motive_h2_decomposition(gv1, gv2)
     pairing, rep = k3_pairing(gv1, gv2), invariants(gv1, gv2)
-    assert (dec.rank_U, dec.rank_Z1, pairing.rank_z2, rep.eta) == (2, 4, 4, 0)
-    assert dec.rank_U + dec.rank_Z1 + pairing.rank_z2 + rep.eta == rep.b2 == 10
+    assert (dec["rank_U"], dec["rank_Z1"], pairing.rank_z2, rep.eta) == (2, 4, 4, 0)
+    assert dec["rank_U"] + dec["rank_Z1"] + pairing.rank_z2 + rep.eta == rep.b2 == 10
     assert pairing.generic_k == 0
     assert "generic_k assumes Hom(L1, L2) = 0 (no isogenies between the factors)" in pairing.notes
-    assert dec.z2_label == "h1(L1) x h1(L2)"
+    assert dec["z2_label"] == "h1(L1) x h1(L2)"
+    # not stored: each call builds its own block
+    assert motive_h2_decomposition(gv1, gv2) == dec
+    assert motive_h2_decomposition(gv1, gv2) is not dec
     assert pairing.status == "unique"
     assert pairing.matches[0].partner_label == "Km(L1 x L2)"
 
 
 def test_motive_decomposition_s3_and_a4():
     gv = s3_branch3()
-    assert motive_h2_decomposition(gv, gv).z2_label == "h1(L1) x h1(L2)"
+    assert motive_h2_decomposition(gv, gv)["z2_label"] == "h1(L1) x h1(L2)"
     assert k3_pairing(gv, gv).rank_z2 == 4
     assert invariants(gv, gv).eta == 3
 
     G = catalog_group("A4")
     vectors = search_generating_vectors(G, 1, (2,))
-    assert motive_h2_decomposition(vectors[0], vectors[1]).z2_label == "h1(L1) x h1(L2)"
+    assert motive_h2_decomposition(vectors[0], vectors[1])["z2_label"] == "h1(L1) x h1(L2)"
     assert k3_pairing(vectors[0], vectors[1]).rank_z2 == 4
     assert invariants(vectors[0], vectors[1]).eta == 2
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pqsurf
 
-PUBLIC_NAMES = 35
+PUBLIC_NAMES = 34
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
