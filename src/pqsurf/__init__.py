@@ -43,8 +43,6 @@ from .jacobian import (
 from .lattice import CRITERION_NOT_SATISFIED, GUARANTEED
 from .perms import Permutation, parse_permutation
 from .surface import (
-    QuotientSingularity,
-    SurfaceReport,
     chevalley_weil,
     euler_characteristic,
     geometric_genus,
@@ -80,8 +78,6 @@ __all__ = [
     "GUARANTEED",
     "Permutation",
     "parse_permutation",
-    "QuotientSingularity",
-    "SurfaceReport",
     "chevalley_weil",
     "euler_characteristic",
     "geometric_genus",

@@ -78,15 +78,15 @@ def analyze_pair(
     surjective = gv1.base_genus == 1 and gv2.base_genus == 1
     rank_new = signature = embedding = None
     # the K3-type piece is the paper's, for p_g = q = 2 and a surjective map
-    if (surf.p_g, surf.q) == (2, 2) and surjective:
-        rank_new = surf.b2 - 6
+    if (surf["p_g"], surf["q"]) == (2, 2) and surjective:
+        rank_new = surf["b2"] - 6
         signature = [2, rank_new - 2]
         embedding = GUARANTEED if k3_signature_guaranteed(signature) else CRITERION_NOT_SATISFIED
 
     table = character_table(group)
     rats = rational_characters(table)
-    warnings = [] if (surf.p_g, surf.q) == (2, 2) else ["NotPgQ2"]
-    if surf.q == 2 and not surjective:
+    warnings = [] if (surf["p_g"], surf["q"]) == (2, 2) else ["NotPgQ2"]
+    if surf["q"] == 2 and not surjective:
         warnings.append("AlbaneseNotSurjective")
     warnings.append("rank_new_convention")
     if any(rc.schur_index_unverified for rc in rats):
@@ -124,21 +124,7 @@ def analyze_pair(
             ],
         },
         "curves": [_curve(gv1), _curve(gv2)],
-        "surface": {
-            "p_g": surf.p_g,
-            "q": surf.q,
-            "chi": surf.chi,
-            "e_quotient": surf.e_quotient,
-            "e": surf.e,
-            "K2": surf.k2,
-            "b2": surf.b2,
-            "eta": surf.eta,
-            "family_dim": surf.family_dim,
-            "singularities": [
-                {"n": s.n, "q": s.q, "chain": list(s.hj_chain), "type": str(s)}
-                for s in surf.singularities
-            ],
-        },
+        "surface": surf,
         "motive": motive_h2_decomposition(gv1, gv2),
         "pairing": {
             "status": pairing.status,

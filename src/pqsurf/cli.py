@@ -99,7 +99,7 @@ def _check_row(row: TableRow) -> dict:
     gv1, gv2 = row_witnesses(row.name)
     doc = analyze_pair(gv1, gv2, group_label=row.group_name)
     surf, curves, pairing = doc["surface"], doc["curves"], doc["pairing"]
-    computed_sing = tuple(sorted((s["n"], s["q"]) for s in surf["singularities"]))
+    computed_sing = tuple((s["n"], s["q"]) for s in surf["singularities"])
     jac1, jac2 = (_nontrivial_dn(c) for c in curves)
 
     mismatches = []
@@ -132,7 +132,7 @@ def _check_row(row: TableRow) -> dict:
         "K2": surf["K2"],
         "eta": surf["eta"],
         "family_dim": surf["family_dim"],
-        "singularities": [f"1/{n}({1},{q})" for n, q in computed_sing],
+        "singularities": [s["type"] for s in surf["singularities"]],
         "jacobian1": [list(p) for p in jac1],
         "jacobian2": [list(p) for p in jac2],
         "paired_dn": list(paired_dn) if paired_dn else None,

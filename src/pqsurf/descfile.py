@@ -218,7 +218,13 @@ def resolve_group(spec: GroupSpec) -> Group:
 
 
 def _max_point(perm_text: str) -> int:
-    digits = [int(tok) for tok in re.findall(r"\d+", perm_text)]
+    digits = []
+    for tok in re.findall(r"\d+", perm_text):
+        # a longer run is past the cap, and int() refuses one of over 4300 digits
+        tok = tok.lstrip("0") or "0"
+        if len(tok) > len(str(ORDER_CAP)):
+            raise SizeLimit(f"point of {len(tok)} digits in the generators exceeds the limit {ORDER_CAP}")
+        digits.append(int(tok))
     if not digits:
         return 1
     if perm_text.strip().startswith("["):

@@ -18,8 +18,9 @@ stabilizer of order N with n | N and exponent q' = q mod n, so going down
 the divisors, E(n, q) = A(n, q) - sum E(N, q') over N > n, n | N, q' = q
 mod n counts the g whose stabilizer has order exactly n and exponent q.
 Each double coset holds m_i m'_j / n such g, so 1/n(1,q) occurs
-E(n, q) n / (m_i m'_j) times.  Each singularity is resolved by a
-Hirzebruch-Jung chain, and eta counts the exceptional curves.  The
+E(n, q) n / (m_i m'_j) times.  A singularity is its pair (n, q), resolved
+by the Hirzebruch-Jung chain of n/q, and eta counts the exceptional
+curves; ``invariants`` returns the report's ``surface`` block.  The
 holomorphic invariants come from the Chevalley-Weil decomposition of
 H^0(C, Omega^1): with a_i(chi) the multiplicity of the irreducible chi in
 H^0(C_i, Omega^1),
@@ -34,7 +35,6 @@ characteristic comes from the Lefschetz average over the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -67,21 +67,6 @@ def hirzebruch_jung(n: int, q: int) -> tuple[int, ...]:
     if not chain or any(s < 2 for s in chain):
         raise InternalInconsistency(f"Hirzebruch-Jung chain of {n}/{q} has an entry below 2")
     return tuple(chain)
-
-
-@dataclass(frozen=True)
-class QuotientSingularity:
-    """Cyclic quotient singularity of type 1/n(1,q)."""
-
-    n: int
-    q: int
-    hj_chain: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hj_chain", hirzebruch_jung(self.n, self.q))
-
-    def __str__(self) -> str:
-        return f"1/{self.n}(1,{self.q})"
 
 
 def _basket(group: Group, k1: int, k2: int) -> dict[tuple[int, int], int]:
@@ -119,10 +104,11 @@ def _basket(group: Group, k1: int, k2: int) -> dict[tuple[int, int], int]:
 
 
 @stored
-def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[QuotientSingularity, ...]:
-    """Singularity types of (C1 x C2)/G: one per G-orbit of point pairs with
-    nontrivial common stabilizer, normalised so the generator acting by
-    zeta_n on the first factor acts by zeta_n^q on the second.
+def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[tuple[int, int], ...]:
+    """Singularity types (n, q) of (C1 x C2)/G, sorted: one per G-orbit of
+    point pairs with nontrivial common stabilizer, of type 1/n(1,q),
+    normalised so the generator acting by zeta_n on the first factor acts by
+    zeta_n^q on the second.
 
     For each pair of monodromies c_i, d_j, the type 1/n(1,q) occurs
     E(n, q) n / (m_i m'_j) times, E(n, q) being the number of g in G with
@@ -134,12 +120,12 @@ def quotient_singularities(gv1: GeneratingVector, gv2: GeneratingVector) -> tupl
     for k1 in monodromy_classes(gv1):
         for k2 in monodromy_classes(gv2):
             for (n, q), count in _basket(group, k1, k2).items():
-                out += [QuotientSingularity(n, q)] * count
-    return tuple(sorted(out, key=lambda s: (s.n, s.q)))
+                out += [(n, q)] * count
+    return tuple(sorted(out))
 
 
 def eta_of(singularities) -> int:
-    return sum(len(s.hj_chain) for s in singularities)
+    return sum(len(hirzebruch_jung(n, q)) for n, q in singularities)
 
 
 @stored
@@ -179,7 +165,6 @@ def _dual_pairing(a1: tuple[int, ...], a2: tuple[int, ...], dual: tuple[int, ...
     return sum(n * a2[j] for n, j in zip(a1, dual))
 
 
-@stored
 def geometric_genus(gv1: GeneratingVector, gv2: GeneratingVector) -> int:
     """p_g of the quotient surface: dim of the G-invariants of
     H^0(Omega^1_{C1}) (x) H^0(Omega^1_{C2}), that is
@@ -211,20 +196,6 @@ def euler_characteristic(gv1: GeneratingVector, gv2: GeneratingVector) -> tuple[
     return e_quot, e_quot + eta
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    p_g: int
-    q: int
-    chi: int
-    e_quotient: int
-    e: int
-    k2: int
-    b2: int
-    singularities: tuple[QuotientSingularity, ...]
-    eta: int
-    family_dim: int
-
-
 def _basket_formulas(order: int, g1: int, g2: int, singularities) -> tuple[Fraction, Fraction]:
     """(K^2, e) of the minimal resolution by the basket formulas of
     Bauer-Catanese-Grunewald-Pignatelli, from |G|, the genera and the
@@ -236,10 +207,10 @@ def _basket_formulas(order: int, g1: int, g2: int, singularities) -> tuple[Fract
     with q q' = 1 mod n and b_1..b_l the Hirzebruch-Jung chain of 1/n(1,q)."""
     base = Fraction((g1 - 1) * (g2 - 1), order)
     k2, e = 8 * base, 4 * base
-    for s in singularities:
-        chain = s.hj_chain
-        k2 += 2 - Fraction(2 + s.q + pow(s.q, -1, s.n), s.n) - sum(b - 2 for b in chain)
-        e += len(chain) + 1 - Fraction(1, s.n)
+    for n, q in singularities:
+        chain = hirzebruch_jung(n, q)
+        k2 += 2 - Fraction(2 + q + pow(q, -1, n), n) - sum(b - 2 for b in chain)
+        e += len(chain) + 1 - Fraction(1, n)
     return k2, e
 
 
@@ -250,8 +221,10 @@ def _family_dimension(gv: GeneratingVector) -> int:
     return 3 * g0 - 3 + r if 2 * g0 - 2 + r > 0 else g0
 
 
-def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
-    """Full numerical invariant set of the resolved quotient surface.
+def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> dict:
+    """The report's ``surface`` block, a new dict on each call: the
+    numerical invariants of the resolved quotient surface and its
+    singularities, each with its Hirzebruch-Jung chain and its type.
 
     Certificates: K^2 = 12 chi - e, with chi from the Chevalley-Weil p_g and
     e from the Lefschetz average, must equal the basket formulas' K^2 and e;
@@ -283,16 +256,18 @@ def invariants(gv1: GeneratingVector, gv2: GeneratingVector) -> SurfaceReport:
         failed.append(f"the H^1 characters give b2 = 2 + D + eta = {b2_from_h1}, not {b2}")
     if failed:
         raise InternalInconsistency("; ".join(failed))
-    family_dim = _family_dimension(gv1) + _family_dimension(gv2)
-    return SurfaceReport(
-        p_g=p_g,
-        q=q,
-        chi=chi,
-        e_quotient=e_quot,
-        e=e_res,
-        k2=k2,
-        b2=b2,
-        singularities=sing,
-        eta=eta,
-        family_dim=family_dim,
-    )
+    return {
+        "p_g": p_g,
+        "q": q,
+        "chi": chi,
+        "e_quotient": e_quot,
+        "e": e_res,
+        "K2": k2,
+        "b2": b2,
+        "eta": eta,
+        "family_dim": _family_dimension(gv1) + _family_dimension(gv2),
+        "singularities": [
+            {"n": n, "q": sq, "chain": list(hirzebruch_jung(n, sq)), "type": f"1/{n}(1,{sq})"}
+            for n, sq in sing
+        ],
+    }

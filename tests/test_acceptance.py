@@ -66,14 +66,14 @@ def test_criterion_1_surface_table_reproduction():
         gv1, gv2 = row_witnesses(row.name)
         rep = invariants(gv1, gv2)
         expected_k2.append(row.k2)
-        computed_k2.append(rep.k2)
-        sing = tuple(sorted((s.n, s.q) for s in rep.singularities))
-        ok = ok and rep.k2 == row.k2
+        computed_k2.append(rep["K2"])
+        sing = tuple((s["n"], s["q"]) for s in rep["singularities"])
+        ok = ok and rep["K2"] == row.k2
         ok = ok and sing == row.singularities
-        ok = ok and rep.eta == row.eta
-        ok = ok and rep.family_dim == row.family_dim
+        ok = ok and rep["eta"] == row.eta
+        ok = ok and rep["family_dim"] == row.family_dim
         ok = ok and (genus(gv1), genus(gv2)) == row.genera
-        ok = ok and rep.p_g == 2 and rep.q == 2
+        ok = ok and rep["p_g"] == 2 and rep["q"] == 2
     elapsed = time.monotonic() - start
     ok = ok and computed_k2 == expected_k2 == [8, 8, 8, 6, 5, 4, 4, 4]
     ok = ok and [row.eta for row in ROWS] == [0, 0, 0, 2, 3, 4, 4, 4]
@@ -255,10 +255,10 @@ def test_criterion_7_covering_hodge_consistency():
     for row in ROWS:
         gv1, gv2 = row_witnesses(row.name)
         rep = invariants(gv1, gv2)
-        ok = ok and rep.e + rep.k2 == 12 * rep.chi
+        ok = ok and rep["e"] + rep["K2"] == 12 * rep["chi"]
         dec = motive_h2_decomposition(gv1, gv2)
         rank_z2 = k3_pairing(gv1, gv2).rank_z2
-        ok = ok and dec["rank_U"] + dec["rank_Z1"] + rank_z2 + rep.eta == rep.b2
+        ok = ok and dec["rank_U"] + dec["rank_Z1"] + rank_z2 + rep["eta"] == rep["b2"]
     _report("7 (covering/Hodge suite)", ok, f"{len(vectors)} vectors")
 
 

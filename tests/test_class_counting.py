@@ -113,7 +113,7 @@ def test_basket_and_fixed_points_match_the_element_walk(name):
         assert fixed_point_counts(gv) == reference_fixed_point_counts(gv)
     for gv1, gv2 in product(vectors, repeat=2):
         computed = surface.quotient_singularities(gv1, gv2)
-        assert [(s.n, s.q) for s in computed] == reference_singularities(gv1, gv2)
+        assert list(computed) == reference_singularities(gv1, gv2)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -156,7 +156,7 @@ def doubled_size(group, c):
 @planted
 def test_planted_rotated_power_row_breaks_the_partition(monkeypatch):
     group, gv1, gv2 = a4_pair()
-    assert [str(s) for s in surface.quotient_singularities(gv1, gv2)] == ["1/2(1,1)"] * 2
+    assert surface.quotient_singularities(gv1, gv2) == ((2, 1),) * 2
     group, gv1, gv2 = a4_pair()
     monkeypatch.setattr(group, "_power_classes", rotated_row(group, gv1.monodromies[0]))
     with pytest.raises(InternalInconsistency, match="double cosets"):

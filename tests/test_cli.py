@@ -361,6 +361,26 @@ def test_the_largest_generator_point_is_the_order_cap():
         resolve_group(GroupSpec(None, ("(1,2)", "(3,10001)")))
 
 
+@pytest.mark.parametrize("generator", ["({},2)", "[2,1,{}]"], ids=["cycle", "array"])
+def test_exit_3_a_generator_point_too_long_to_convert(tmp_path, capsys, generator):
+    # int() refuses a run of more than 4300 digits; the run is refused first
+    path = tmp_path / "long.surface"
+    path.write_text(
+        f"[group]\ngenerators = {generator.format('1' * 5000)}\n"
+        "[curve1]\ngenus0 = 1\nsearch = 2\n[curve2]\ngenus0 = 1\nsearch = 2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "SizeLimit: point of 5000 digits in the generators exceeds the limit 10000\n"
+
+
+def test_leading_zeros_do_not_count_toward_a_point():
+    assert resolve_group(GroupSpec(None, ("(1,000000002)",))).degree == 2
+    with pytest.raises(SizeLimit, match="point of 6 digits"):
+        resolve_group(GroupSpec(None, ("(1,0100000)",)))
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -26,14 +26,14 @@ def test_c4_pair_with_order_4_singularities():
     assert genus(vecs[0]) == 4
     gv1, gv2 = vecs[0], vecs[1]
     sing = quotient_singularities(gv1, gv2)
-    assert sorted((s.n, s.q) for s in sing) == [(4, 1), (4, 1), (4, 3), (4, 3)]
-    assert sorted(s.hj_chain for s in sing) == [(2, 2, 2), (2, 2, 2), (4,), (4,)]
+    assert sing == ((4, 1), (4, 1), (4, 3), (4, 3))
+    assert sorted(hirzebruch_jung(n, q) for n, q in sing) == [(2, 2, 2), (2, 2, 2), (4,), (4,)]
     rep = invariants(gv1, gv2)
-    assert rep.eta == 8
-    assert (rep.p_g, rep.q, rep.k2, rep.e) == (4, 2, 16, 20)
+    assert rep["eta"] == 8
+    assert (rep["p_g"], rep["q"], rep["K2"], rep["e"]) == (4, 2, 16, 20)
     assert "NotPgQ2" in analyze_pair(gv1, gv2)["warnings"]
     dec = motive_h2_decomposition(gv1, gv2)
-    assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2 == 26
+    assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep["eta"] == rep["b2"] == 26
 
 
 def test_c6_pair_with_order_6_singularities():
@@ -41,12 +41,12 @@ def test_c6_pair_with_order_6_singularities():
     vecs = search_generating_vectors(G, 1, (6, 6))
     gv1, gv2 = vecs[0], vecs[1]
     sing = quotient_singularities(gv1, gv2)
-    assert sorted((s.n, s.q) for s in sing) == [(6, 1), (6, 1), (6, 5), (6, 5)]
+    assert sing == ((6, 1), (6, 1), (6, 5), (6, 5))
     rep = invariants(gv1, gv2)
-    assert rep.eta == 2 * 1 + 2 * 5
-    assert rep.e + rep.k2 == 12 * rep.chi
+    assert rep["eta"] == 2 * 1 + 2 * 5
+    assert rep["e"] + rep["K2"] == 12 * rep["chi"]
     dec = motive_h2_decomposition(gv1, gv2)
-    assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
+    assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep["eta"] == rep["b2"]
 
 
 def test_identities_hold_across_cross_pairs():
@@ -56,10 +56,10 @@ def test_identities_hold_across_cross_pairs():
     pairs = [(a, b) for a in vecs2[:2] for b in vecs22[:4]]
     for gv1, gv2 in pairs:
         rep = invariants(gv1, gv2)
-        assert rep.e + rep.k2 == 12 * rep.chi
-        assert rep.b2 == rep.e - 2 + 4 * rep.q
+        assert rep["e"] + rep["K2"] == 12 * rep["chi"]
+        assert rep["b2"] == rep["e"] - 2 + 4 * rep["q"]
         dec = motive_h2_decomposition(gv1, gv2)
-        assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep.eta == rep.b2
+        assert dec["rank_U"] + dec["rank_Z1"] + k3_pairing(gv1, gv2).rank_z2 + rep["eta"] == rep["b2"]
         rats = rational_characters(character_table(G))
         for gv in (gv1, gv2):
             assert sum(
@@ -100,18 +100,18 @@ def test_basket_formulas_match_singularities():
     types_seen = set()
     for gv1, gv2 in _basket_pairs():
         rep = invariants(gv1, gv2)
-        types = [(s.n, s.q) for s in rep.singularities]
+        types = [(s["n"], s["q"]) for s in rep["singularities"]]
         types_seen.update(types)
-        assert _basket(gv1, gv2, types) == (rep.k2, rep.e)
+        assert _basket(gv1, gv2, types) == (rep["K2"], rep["e"])
     assert {(4, 1), (4, 3), (5, 2), (5, 3), (6, 1), (6, 5)} <= types_seen
 
 
 def test_basket_formulas_reject_a_wrong_rotation():
     vecs = search_generating_vectors(catalog_group("C4"), 1, (4, 4))
     rep = invariants(vecs[0], vecs[1])
-    (n, q), *rest = [(s.n, s.q) for s in rep.singularities]
-    assert _basket(vecs[0], vecs[1], [(n, q)] + rest) == (rep.k2, rep.e)
-    assert _basket(vecs[0], vecs[1], [(n, n - q)] + rest) != (rep.k2, rep.e)
+    (n, q), *rest = [(s["n"], s["q"]) for s in rep["singularities"]]
+    assert _basket(vecs[0], vecs[1], [(n, q)] + rest) == (rep["K2"], rep["e"])
+    assert _basket(vecs[0], vecs[1], [(n, n - q)] + rest) != (rep["K2"], rep["e"])
 
 
 def test_fixed_point_counts_match_the_coset_walk():

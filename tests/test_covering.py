@@ -6,6 +6,7 @@ import pytest
 
 from pqsurf import covering, jacobian, surface
 from pqsurf.analysis import analyze_pair
+from pqsurf.catalog import select_pair
 from pqsurf.cli import main
 from pqsurf.covering import (
     GeneratingVector,
@@ -435,9 +436,10 @@ def test_analyze_searches_a_shared_directive_once(scans, monkeypatch, capsys):
 
 # -- pair stages kept on the first vector -----------------------------------------
 
-PAIR_STAGES = (surface.quotient_singularities, surface.geometric_genus, jacobian.k3_pairing)
-# the helper calls of one ``invariants`` call beyond its stored stages
-INVARIANTS_ONCE = collections.Counter(_dual_pairing=1)
+PAIR_STAGES = (surface.quotient_singularities, jacobian.k3_pairing)
+# the helper calls of one ``invariants`` call beyond its stored stages: it
+# sums p_g (``geometric_genus``, which keeps nothing) and D
+INVARIANTS_ONCE = collections.Counter(_dual_pairing=2)
 
 
 @pytest.fixture
@@ -445,8 +447,8 @@ def bodies(monkeypatch):
     """Counts calls of helpers that only one pair stage's body makes:
     ``_rank_z2`` (``k3_pairing``),
     ``_basket``, once per pair of monodromies (``quotient_singularities``)
-    and ``_dual_pairing`` (``geometric_genus``, and once in each call of
-    ``invariants``, which is no stored stage and sums D with it)."""
+    and ``_dual_pairing``, which no stored stage calls: ``geometric_genus``
+    and ``invariants`` sum p_g and D with it on every call."""
     count = collections.Counter()
     for module, name in (
         (jacobian, "_rank_z2"),
@@ -477,9 +479,9 @@ def test_analyze_pair_runs_each_pair_stage_once(bodies):
     gv1, gv2 = search_generating_vectors(fresh("A4"), 1, (2,))[:2]
     expected = one_pass(bodies, gv1, gv2)
     assert expected["_rank_z2"] == 1 and expected["_basket"] == 1
-    assert expected["_dual_pairing"] == 1
+    assert expected["_dual_pairing"] == 0
     doc = analyze_pair(gv1, gv2)
-    assert bodies == expected + INVARIANTS_ONCE
+    assert bodies == expected + INVARIANTS_ONCE and bodies["_dual_pairing"] == 2
     # h^2 = U + Z1 + Z2 + exceptional, each rank read from its one home
     surf, motive = doc["surface"], doc["motive"]
     assert motive["rank_U"] + motive["rank_Z1"] + doc["pairing"]["rank_z2"] + surf["eta"] == surf["b2"]
@@ -489,12 +491,13 @@ def test_analyze_pair_runs_each_pair_stage_once(bodies):
 
 def test_cli_analyze_runs_each_pair_stage_once(bodies, capsys):
     # v4.surface lists its vectors, so the CLI builds them anew; select_pair
-    # asks for p_g before invariants does
+    # sums p_g once before invariants does
     gv1, gv2 = v4_example_pair()
     expected = one_pass(bodies, gv1, gv2)
     assert main(["analyze", str(REPO / "surfaces" / "v4.surface")]) == 0
     capsys.readouterr()
-    assert bodies == expected + INVARIANTS_ONCE and bodies["_rank_z2"] == 1
+    assert bodies == expected + INVARIANTS_ONCE + collections.Counter(_dual_pairing=1)
+    assert bodies["_rank_z2"] == 1 and bodies["_dual_pairing"] == 3
 
 
 def test_pair_values_are_kept_per_ordered_pair(bodies):
@@ -517,3 +520,13 @@ def test_pair_over_different_groups_keeps_nothing():
         with pytest.raises(GroupMismatch):
             stage(gv1, other)
     assert not any(isinstance(key, tuple) for key in gv1._memo)
+
+
+def test_select_pair_keeps_nothing_per_pair_it_tries():
+    # no pair of A4 (1; 2,2) vectors has p_g = 2, so select_pair sums p_g on
+    # every pair before it falls back to the first; p_g is not stored, so the
+    # vectors' memos hold only their own stages, whatever the pairs tried
+    vectors = search_generating_vectors(fresh("A4"), 1, (2, 2))
+    assert select_pair(vectors, vectors) == (vectors[0], vectors[0])
+    assert len(vectors) > 1
+    assert not any(isinstance(key, tuple) for gv in vectors for key in gv._memo)

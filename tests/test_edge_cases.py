@@ -60,9 +60,9 @@ def test_not_pg_q2_flag_still_produces_report():
         gv for gv in search_generating_vectors(G, 1, (2, 2)) if gv.monodromies[0] == t
     ]
     rep = invariants(vectors[0], vectors[0])
-    assert rep.p_g == 3
+    assert rep["p_g"] == 3
     assert "NotPgQ2" in analyze_pair(vectors[0], vectors[0])["warnings"]
-    assert rep.e + rep.k2 == 12 * rep.chi
+    assert rep["e"] + rep["K2"] == 12 * rep["chi"]
 
 
 def test_description_with_custom_generators(tmp_path, capsys):

@@ -8,6 +8,8 @@ same commit.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from pqsurf.covering import GeneratingVector
 from pqsurf.descfile import parse_description, resolve_group
 from pqsurf.jacobian import motive_h2_decomposition
 from pqsurf.perms import parse_permutation
+from pqsurf.surface import hirzebruch_jung, invariants, quotient_singularities
+from test_cli import subprocess_env
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -46,6 +50,33 @@ def test_output_matches_golden_file(golden, argv, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+# every case in one interpreter: stdout bytes, empty stderr and exit 0, with
+# the program's own assert statements stripped
+UNDER_O = """
+import contextlib, io, json, sys
+from pathlib import Path
+from pqsurf.cli import main
+assert sys.flags.optimize == 1
+golden_dir, cases = Path(sys.argv[1]), json.loads(sys.argv[2])
+for golden, argv in cases:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if (code, err.getvalue()) != (0, "") or out.getvalue().encode() != (golden_dir / golden).read_bytes():
+        print(golden)
+print("ran", len(cases))
+"""
+
+
+def test_output_matches_golden_files_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", UNDER_O, str(GOLDEN), json.dumps(CASES)],
+        cwd=REPO, env=subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"ran {len(CASES)}\n"
 
 
 def _leaf_types(node):
@@ -127,3 +158,23 @@ def test_golden_motive_is_the_motive_stage_on_its_pair(path):
     gv1, gv2 = golden_pair(path, doc)
     assert doc["motive"] == motive_h2_decomposition(gv1, gv2)
     assert (doc["motive"] is None) == (gv1.base_genus != 1 or gv2.base_genus != 1)
+
+
+@pytest.mark.parametrize("path", INPUTS, ids=[path.name for path in INPUTS])
+def test_golden_surface_is_the_surface_stage_on_its_pair(path):
+    # the report's surface block is invariants' dict as it is; each entry is
+    # one (n, q) of the singularity stage, with its Hirzebruch-Jung chain
+    doc = json.loads((GOLDEN / f"{path.name}.json").read_text(encoding="utf-8"))
+    gv1, gv2 = golden_pair(path, doc)
+    assert doc["surface"] == invariants(gv1, gv2)
+    sing = doc["surface"]["singularities"]
+    assert [(s["n"], s["q"]) for s in sing] == list(quotient_singularities(gv1, gv2))
+    assert all(s["chain"] == list(hirzebruch_jung(s["n"], s["q"])) for s in sing)
+
+
+def test_each_call_of_invariants_builds_its_own_block():
+    path = GOLDEN / "inputs" / "c4-rational.surface"
+    gv1, gv2 = golden_pair(path, json.loads((GOLDEN / f"{path.name}.json").read_text(encoding="utf-8")))
+    first, second = invariants(gv1, gv2), invariants(gv1, gv2)
+    assert first == second and first is not second
+    assert first["singularities"] is not second["singularities"]

@@ -58,9 +58,9 @@ def braided(gv, i):
 
 def summary(report, swapped=False):
     basket = sorted(
-        (s.n, pow(s.q, -1, s.n) if swapped else s.q) for s in report.singularities
+        (s["n"], pow(s["q"], -1, s["n"]) if swapped else s["q"]) for s in report["singularities"]
     )
-    return report.k2, report.e, report.p_g, report.eta, basket
+    return report["K2"], report["e"], report["p_g"], report["eta"], basket
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))

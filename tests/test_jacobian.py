@@ -134,8 +134,8 @@ def test_motive_decomposition_v4():
     gv1, gv2 = v4_example_pair()
     dec = motive_h2_decomposition(gv1, gv2)
     pairing, rep = k3_pairing(gv1, gv2), invariants(gv1, gv2)
-    assert (dec["rank_U"], dec["rank_Z1"], pairing.rank_z2, rep.eta) == (2, 4, 4, 0)
-    assert dec["rank_U"] + dec["rank_Z1"] + pairing.rank_z2 + rep.eta == rep.b2 == 10
+    assert (dec["rank_U"], dec["rank_Z1"], pairing.rank_z2, rep["eta"]) == (2, 4, 4, 0)
+    assert dec["rank_U"] + dec["rank_Z1"] + pairing.rank_z2 + rep["eta"] == rep["b2"] == 10
     assert pairing.generic_k == 0
     assert "generic_k assumes Hom(L1, L2) = 0 (no isogenies between the factors)" in pairing.notes
     assert dec["z2_label"] == "h1(L1) x h1(L2)"
@@ -150,13 +150,13 @@ def test_motive_decomposition_s3_and_a4():
     gv = s3_branch3()
     assert motive_h2_decomposition(gv, gv)["z2_label"] == "h1(L1) x h1(L2)"
     assert k3_pairing(gv, gv).rank_z2 == 4
-    assert invariants(gv, gv).eta == 3
+    assert invariants(gv, gv)["eta"] == 3
 
     G = catalog_group("A4")
     vectors = search_generating_vectors(G, 1, (2,))
     assert motive_h2_decomposition(vectors[0], vectors[1])["z2_label"] == "h1(L1) x h1(L2)"
     assert k3_pairing(vectors[0], vectors[1]).rank_z2 == 4
-    assert invariants(vectors[0], vectors[1]).eta == 2
+    assert invariants(vectors[0], vectors[1])["eta"] == 2
 
 
 def test_rank_z2_is_even_and_nonnegative():

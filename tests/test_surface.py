@@ -14,7 +14,6 @@ from pqsurf.errors import InternalInconsistency, NotCoprime, OutOfRange
 from pqsurf.groups import catalog_group, group_from_generators
 from pqsurf.perms import parse_permutation
 from pqsurf.surface import (
-    QuotientSingularity,
     chevalley_weil,
     euler_characteristic,
     geometric_genus,
@@ -65,17 +64,16 @@ def test_quotient_singularities_v4_free():
 def test_quotient_singularities_s3_pair():
     gv = s3_branch3()
     sing = quotient_singularities(gv, gv)
-    assert [(s.n, s.q) for s in sing] == [(3, 1), (3, 2)]
-    assert [s.hj_chain for s in sing] == [(3,), (2, 2)]
-    assert str(sing[0]) == "1/3(1,1)"
+    assert sing == ((3, 1), (3, 2))
+    assert [hirzebruch_jung(n, q) for n, q in sing] == [(3,), (2, 2)]
+    assert [s["type"] for s in invariants(gv, gv)["singularities"]] == ["1/3(1,1)", "1/3(1,2)"]
 
 
 def test_quotient_singularities_a4_pair():
     G = catalog_group("A4")
     vectors = search_generating_vectors(G, 1, (2,))
     gv1, gv2 = vectors[0], vectors[1]
-    sing = quotient_singularities(gv1, gv2)
-    assert [(s.n, s.q) for s in sing] == [(2, 1), (2, 1)]
+    assert quotient_singularities(gv1, gv2) == ((2, 1), (2, 1))
 
 
 def test_chevalley_weil_unbranched():
@@ -150,11 +148,11 @@ def test_euler_characteristic_examples():
 def test_invariants_v4():
     gv1, gv2 = v4_example_pair()
     rep = invariants(gv1, gv2)
-    assert (rep.p_g, rep.q, rep.chi) == (2, 2, 1)
-    assert rep.k2 == 8
-    assert rep.eta == 0
-    assert rep.family_dim == 4
-    assert rep.b2 == 10
+    assert (rep["p_g"], rep["q"], rep["chi"]) == (2, 2, 1)
+    assert rep["K2"] == 8
+    assert rep["eta"] == 0
+    assert rep["family_dim"] == 4
+    assert rep["b2"] == 10
     doc = analyze_pair(gv1, gv2)
     assert doc["lattice"]["rank_new"] == 4
     assert doc["lattice"]["transcendental_signature_bound"] == [2, 2]
@@ -165,9 +163,9 @@ def test_invariants_v4():
 def test_invariants_s3_k2_5():
     gv = s3_branch3()
     rep = invariants(gv, gv)
-    assert rep.k2 == 5
-    assert rep.eta == 3
-    assert rep.family_dim == 2
+    assert rep["K2"] == 5
+    assert rep["eta"] == 3
+    assert rep["family_dim"] == 2
     assert geometric_genus(gv, gv) == 2
 
 
@@ -175,9 +173,9 @@ def test_invariants_a4():
     G = catalog_group("A4")
     vectors = search_generating_vectors(G, 1, (2,))
     rep = invariants(vectors[0], vectors[1])
-    assert rep.k2 == 6
-    assert rep.eta == 2
-    assert rep.family_dim == 2
+    assert rep["K2"] == 6
+    assert rep["eta"] == 2
+    assert rep["family_dim"] == 2
 
 
 @pytest.mark.parametrize(
@@ -196,7 +194,7 @@ def test_family_dimension_on_rational_and_elliptic_bases(generators, degree, cur
     """dim M_{g0,r} per curve, also where 2 g0 - 2 + r <= 0."""
     G = group_from_generators([parse_permutation(g, degree) for g in generators])
     gv1, gv2 = (search_generating_vectors(G, g0, orders)[0] for g0, orders in (curve1, curve2))
-    assert invariants(gv1, gv2).family_dim == family_dim
+    assert invariants(gv1, gv2)["family_dim"] == family_dim
 
 
 def test_noether_formula_holds_for_arbitrary_pairs():
@@ -206,15 +204,15 @@ def test_noether_formula_holds_for_arbitrary_pairs():
     pairs = [(vectors[0], vectors[0]), (vectors[0], vectors[-1])]
     for gv1, gv2 in pairs:
         rep = invariants(gv1, gv2)
-        assert rep.e + rep.k2 == 12 * rep.chi
-        assert rep.b2 == rep.e - 2 + 4 * rep.q
-        assert rep.eta == sum(len(s.hj_chain) for s in rep.singularities)
+        assert rep["e"] + rep["K2"] == 12 * rep["chi"]
+        assert rep["b2"] == rep["e"] - 2 + 4 * rep["q"]
+        assert rep["eta"] == sum(len(s["chain"]) for s in rep["singularities"])
 
 
 def test_singularity_chain_reconstruction():
-    s = QuotientSingularity(7, 3)
-    value = Fraction(s.hj_chain[-1])
-    for b in reversed(s.hj_chain[:-1]):
+    chain = hirzebruch_jung(7, 3)
+    value = Fraction(chain[-1])
+    for b in reversed(chain[:-1]):
         value = b - Fraction(1, value)
     assert value == Fraction(7, 3)
 
@@ -282,9 +280,10 @@ def c4_rational_vector():
 def test_c4_rational_pair_meets_the_basket_formulas():
     gv = c4_rational_vector()
     rep = invariants(gv, gv)
-    assert [(s.n, s.q) for s in rep.singularities] == [(2, 1)] * 6 + [(4, 1)] * 4
-    assert (rep.p_g, rep.q, rep.k2, rep.e) == (0, 0, -4, 16)
-    assert surface._basket_formulas(4, genus(gv), genus(gv), rep.singularities) == (-4, 16)
+    sing = quotient_singularities(gv, gv)
+    assert sing == ((2, 1),) * 6 + ((4, 1),) * 4
+    assert (rep["p_g"], rep["q"], rep["K2"], rep["e"]) == (0, 0, -4, 16)
+    assert surface._basket_formulas(4, genus(gv), genus(gv), sing) == (-4, 16)
 
 
 @planted
