@@ -19,28 +19,45 @@ for V4, the three linear characters that ``Aut(V4)`` permutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .covering import GeneratingVector, search_generating_vectors
 from .errors import NoWitness, UnknownName
-from .groups import catalog_group
+from .groups import Record, catalog_group
 from .surface import geometric_genus
 
 
-@dataclass(frozen=True)
-class TableRow:
-    name: str
-    group_name: str
-    genera: tuple[int, int]
-    branch1: tuple[int, ...]
-    branch2: tuple[int, ...]
-    k2: int
-    singularities: tuple[tuple[int, int], ...]  # sorted (n, q) pairs
-    eta: int
-    family_dim: int
-    jac1: tuple[tuple[int, int], ...]           # sorted (d, n) pairs, nontrivial factors
-    jac2: tuple[tuple[int, int], ...]
-    paired: tuple[int, int, int]                # (d, n, m) of the matched character
+class TableRow(Record):
+    __slots__ = (
+        "name", "group_name", "genera", "branch1", "branch2", "k2", "singularities",
+        "eta", "family_dim", "jac1", "jac2", "paired",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        group_name: str,
+        genera: tuple[int, int],
+        branch1: tuple[int, ...],
+        branch2: tuple[int, ...],
+        k2: int,
+        singularities: tuple[tuple[int, int], ...],  # sorted (n, q) pairs
+        eta: int,
+        family_dim: int,
+        jac1: tuple[tuple[int, int], ...],  # sorted (d, n) pairs, nontrivial factors
+        jac2: tuple[tuple[int, int], ...],
+        paired: tuple[int, int, int],  # (d, n, m) of the matched character
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "group_name", group_name)
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "branch1", branch1)
+        object.__setattr__(self, "branch2", branch2)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "singularities", singularities)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "family_dim", family_dim)
+        object.__setattr__(self, "jac1", jac1)
+        object.__setattr__(self, "jac2", jac2)
+        object.__setattr__(self, "paired", paired)
 
 
 ROWS: tuple[TableRow, ...] = (

@@ -29,14 +29,13 @@ their multisets are.  ``inner_product`` takes only int or Fraction values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
 from .errors import GroupMismatch, InternalInconsistency, NotASubgroup
-from .groups import Group, _closure, permutation_character, power_map, stored
+from .groups import Group, Record, _closure, permutation_character, power_map, stored
 from .perms import _times
 
 
@@ -90,8 +89,7 @@ def _trace(e: int, terms, k: int):
 
 # -- class functions -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Record):
     """Values indexed by conjugacy class, in the group's canonical class order.
 
     Values are ints or Fractions, or the eigenvalue multisets of a
@@ -99,36 +97,56 @@ class ClassFunction:
     zeta_e^a, e the group exponent.
     """
 
-    group: Group
-    values: tuple
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.classes):
+    def __init__(self, group: Group, values: tuple) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
+        if len(values) != len(group.classes):
             raise ValueError("one value per conjugacy class required")
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
+class CharacterTable(Record):
     """Compared and hashed by identity, one per group object: ``character_table``
     keeps it on the group, and ``rational_characters`` keeps its value on it."""
 
-    group: Group
-    irreducibles: tuple[ClassFunction, ...]
-    degrees: tuple[int, ...]
     # dual[i] is the index of the complex conjugate of irreducible i
-    dual: tuple[int, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("group", "irreducibles", "degrees", "dual", "_memo")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        group: Group,
+        irreducibles: tuple[ClassFunction, ...],
+        degrees: tuple[int, ...],
+        dual: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "irreducibles", irreducibles)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "_memo", {})
 
 
-@dataclass(frozen=True)
-class RationalCharacter:
+class RationalCharacter(Record):
     """A Galois orbit of complex irreducibles: psi = m * (sum of the orbit)."""
 
-    psi: ClassFunction
-    orbit: tuple[int, ...]
-    schur_index: int
-    multiplicity_n: int
-    schur_index_unverified: bool = False
+    __slots__ = ("psi", "orbit", "schur_index", "multiplicity_n", "schur_index_unverified")
+
+    def __init__(
+        self,
+        psi: ClassFunction,
+        orbit: tuple[int, ...],
+        schur_index: int,
+        multiplicity_n: int,
+        schur_index_unverified: bool = False,
+    ) -> None:
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "schur_index", schur_index)
+        object.__setattr__(self, "multiplicity_n", multiplicity_n)
+        object.__setattr__(self, "schur_index_unverified", schur_index_unverified)
 
     @property
     def quaternionic(self) -> bool:

@@ -22,7 +22,6 @@ way on its group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd, prod
 
 from .chars import ClassFunction
@@ -37,7 +36,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TrivialMonodromy,
 )
-from .groups import Group, permutation_character, stored
+from .groups import Group, Record, permutation_character, stored
 from .perms import Permutation
 
 # largest scan ``search_generating_vectors`` runs, in tuples, not time: the
@@ -46,15 +45,21 @@ from .perms import Permutation
 SEARCH_SPACE_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
-    group: Group
-    handles: tuple[tuple[Permutation, Permutation], ...]
-    monodromies: tuple[Permutation, ...]
-    orders: tuple[int, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class GeneratingVector(Record):
+    __slots__ = ("group", "handles", "monodromies", "orders", "_memo")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        group: Group,
+        handles: tuple[tuple[Permutation, Permutation], ...],
+        monodromies: tuple[Permutation, ...],
+        orders: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "handles", handles)
+        object.__setattr__(self, "monodromies", monodromies)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "_memo", {})
         validate(self)
 
     @property
@@ -174,16 +179,18 @@ def hurwitz_character(gv: GeneratingVector) -> ClassFunction:
 
 # -- fixed points ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Record):
     """A point of the covering curve fixed by a queried element: the coset
     x<c_j> above branch point j, with the local rotation exponent of the
     element (the distinguished stabilizer generator x c_j x^-1 rotates by
     the primitive root of unity of order m_j)."""
 
-    branch_index: int
-    coset_rep: Permutation
-    rotation_exponent: int
+    __slots__ = ("branch_index", "coset_rep", "rotation_exponent")
+
+    def __init__(self, branch_index: int, coset_rep: Permutation, rotation_exponent: int) -> None:
+        object.__setattr__(self, "branch_index", branch_index)
+        object.__setattr__(self, "coset_rep", coset_rep)
+        object.__setattr__(self, "rotation_exponent", rotation_exponent)
 
 
 def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, ...]:

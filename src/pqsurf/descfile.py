@@ -11,13 +11,12 @@ from __future__ import annotations
 import configparser
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .covering import GeneratingVector
 from .errors import InternalInconsistency, ParseError, SizeLimit
-from .groups import ORDER_CAP, Group, catalog_group, group_from_generators
+from .groups import ORDER_CAP, Group, Record, catalog_group, group_from_generators
 from .perms import parse_permutation
 
 _GROUP_KEYS = {"name", "generators"}
@@ -25,36 +24,57 @@ _CURVE_KEYS = {"genus0", "handles", "monodromies", "orders", "search"}
 _OPTION_KEYS = {"format"}
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    genus0: int
-    handles: Optional[tuple[str, ...]]       # 2*genus0 permutation strings
-    monodromies: Optional[tuple[str, ...]]
-    orders: Optional[tuple[int, ...]]
-    search: Optional[tuple[int, ...]]
+class CurveSpec(Record):
+    __slots__ = ("genus0", "handles", "monodromies", "orders", "search")
+
+    def __init__(
+        self,
+        genus0: int,
+        handles: Optional[tuple[str, ...]],  # 2*genus0 permutation strings
+        monodromies: Optional[tuple[str, ...]],
+        orders: Optional[tuple[int, ...]],
+        search: Optional[tuple[int, ...]],
+    ) -> None:
+        object.__setattr__(self, "genus0", genus0)
+        object.__setattr__(self, "handles", handles)
+        object.__setattr__(self, "monodromies", monodromies)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "search", search)
 
     @property
     def is_search(self) -> bool:
         return self.search is not None
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    name: Optional[str]
-    generators: Optional[tuple[str, ...]]
+class GroupSpec(Record):
+    __slots__ = ("name", "generators")
+
+    def __init__(self, name: Optional[str], generators: Optional[tuple[str, ...]]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "generators", generators)
 
     def label(self) -> str:
         return self.name if self.name else "custom group"
 
 
-@dataclass(frozen=True)
-class SurfaceDescription:
-    group: GroupSpec
-    curve1: CurveSpec
-    curve2: CurveSpec
-    text: str                                # the file's text, as parsed
-    output_format: str = "text"
-    aux: Optional[tuple[GroupSpec, CurveSpec]] = None
+class SurfaceDescription(Record):
+    __slots__ = ("group", "curve1", "curve2", "text", "output_format", "aux")
+
+    def __init__(
+        self,
+        group: GroupSpec,
+        curve1: CurveSpec,
+        curve2: CurveSpec,
+        text: str,  # the file's text, as parsed
+        output_format: str = "text",
+        aux: Optional[tuple[GroupSpec, CurveSpec]] = None,
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "curve1", curve1)
+        object.__setattr__(self, "curve2", curve2)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "output_format", output_format)
+        object.__setattr__(self, "aux", aux)
 
 
 def _entries(raw: str, sep: str, what: str) -> list[str]:

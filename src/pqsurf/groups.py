@@ -10,12 +10,16 @@ builds it.  Closures and class walks compose plain image tuples
 ``Permutation``, and the class walks, centralizers and power classes read
 each product back from the group's table of its own elements.  A product
 that the table lacks raises InternalInconsistency.
+
+``Record`` is the base of the package's value classes, and ``stored``
+keeps a stage's value on the object it was computed for.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, wraps
 from math import lcm
+from operator import attrgetter
 
 from .errors import InternalInconsistency, NonPermutation, NotInGroup, SizeLimit, UnknownName
 from .perms import Permutation, _inverse_images, _times, parse_permutation
@@ -43,6 +47,44 @@ def stored(fn):
         return value
 
     return once
+
+
+class Record:
+    """An immutable value.  Its fields are the names in a subclass's
+    ``__slots__``, which the subclass's ``__init__`` sets once through
+    ``object.__setattr__``.  Records compare and hash by class and fields,
+    and repr as ``Name(field=value, ...)``; a field whose name starts with an
+    underscore, such as the ``_memo`` that ``stored`` writes to, is left out
+    of all three.  Records can be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # the fields' values, or the one field's value
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which checks
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Group:

@@ -14,7 +14,6 @@ domain ``decomposition_label`` and ``motive_h2_decomposition`` return None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +24,7 @@ from .chars import (
 )
 from .covering import GeneratingVector, hurwitz_character, genus, require_same_group
 from .errors import InternalInconsistency
-from .groups import stored
+from .groups import Record, stored
 
 
 @stored
@@ -79,26 +78,37 @@ def decomposition_label(gv: GeneratingVector) -> Optional[str]:
     return " x ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class PairingMatch:
+class PairingMatch(Record):
     """Rational character ``rational_index``, of reduced dimension d1, d2 > 0
     on the two curves."""
 
-    rational_index: int
-    d1: int
-    d2: int
-    partner_label: Optional[str]
+    __slots__ = ("rational_index", "d1", "d2", "partner_label")
+
+    def __init__(self, rational_index: int, d1: int, d2: int, partner_label: Optional[str]) -> None:
+        object.__setattr__(self, "rational_index", rational_index)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "partner_label", partner_label)
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(Record):
     """Certificate data for the K3 partner of the quotient surface."""
 
-    status: str  # "unique" | "none" | "multiple"
-    matches: tuple[PairingMatch, ...]
-    rank_z2: int
-    generic_k: int
-    notes: tuple[str, ...]
+    __slots__ = ("status", "matches", "rank_z2", "generic_k", "notes")
+
+    def __init__(
+        self,
+        status: str,  # "unique" | "none" | "multiple"
+        matches: tuple[PairingMatch, ...],
+        rank_z2: int,
+        generic_k: int,
+        notes: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "rank_z2", rank_z2)
+        object.__setattr__(self, "generic_k", generic_k)
+        object.__setattr__(self, "notes", notes)
 
 
 def _rank_z2(gv1: GeneratingVector, gv2: GeneratingVector) -> int:

@@ -18,8 +18,6 @@ no rank-22 lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     Degenerate,
     InternalInconsistency,
@@ -27,7 +25,7 @@ from .errors import (
     NotEven,
     NotUnimodular,
 )
-from .groups import stored
+from .groups import Record, stored
 
 GUARANTEED = "guaranteed"
 CRITERION_NOT_SATISFIED = "criterion_not_satisfied"
@@ -41,17 +39,17 @@ K3_RANK = 22
 _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
-    gram: tuple[tuple[int, ...], ...]
-    # what ``stored`` functions derive from the lattice
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class IntegralLattice(Record):
+    # _memo holds what ``stored`` functions derive from the lattice
+    __slots__ = ("gram", "_memo")
 
-    def __post_init__(self):
-        if not isinstance(self.gram, tuple) or not all(isinstance(r, tuple) for r in self.gram):
+    def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_memo", {})
+        if not isinstance(gram, tuple) or not all(isinstance(r, tuple) for r in gram):
             raise InvalidParameter("Gram matrix must be a tuple of tuples")
-        n = len(self.gram)
-        for row in self.gram:
+        n = len(gram)
+        for row in gram:
             if len(row) != n:
                 raise InvalidParameter("Gram matrix must be square")
             for x in row:
@@ -59,7 +57,7 @@ class IntegralLattice:
                     raise InvalidParameter(f"Gram matrix entry {x!r} is not an integer")
         for i in range(n):
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise InvalidParameter("Gram matrix must be symmetric")
 
     @property
@@ -67,9 +65,11 @@ class IntegralLattice:
         return len(self.gram)
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    invariant_factors: tuple[int, ...]
+class DiscriminantGroup(Record):
+    __slots__ = ("invariant_factors",)
+
+    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
+        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     @property
     def ell(self) -> int:

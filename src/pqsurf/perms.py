@@ -112,9 +112,14 @@ def _inverse_images(x) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _point(token: str, text: str) -> int:
+def _point(token: str, text: str, degree: int) -> int:
     if not token.strip():
         raise NonPermutation(f"empty entry in {text!r}")
+    # a longer number is out of range, and int() refuses one of over 4300
+    # digits; neither message echoes such a point, or the text around it
+    digits = token.strip().lstrip("0")
+    if digits.isdecimal() and len(digits) > len(str(degree)):
+        raise NonPermutation(f"point of {len(digits)} digits is out of range 1..{degree}")
     try:
         return int(token)
     except ValueError:
@@ -129,14 +134,15 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     in a cycle, points are separated by a comma or by blanks.  Any other
     text, such as "[2,1", "[2,1]]" or "((1,2))", is refused, and so is an
     empty entry, as in "(1,,2)" or "[2,1,4,3,]".  Cycles must be disjoint;
-    points must lie in 1..degree.
+    points must lie in 1..degree, and a point with more digits than the
+    degree, leading zeros aside, is refused before it is read.
     """
     s = text.strip()
     if s in ("id", "e"):
         return Permutation.identity(degree)
     array = _IMAGES_RE.fullmatch(s)
     if array:
-        imgs = [_point(tok, text) for tok in array[1].split(",")]
+        imgs = [_point(tok, text, degree) for tok in array[1].split(",")]
         if len(imgs) != degree:
             raise NonPermutation(f"image array has length {len(imgs)}, expected {degree}")
         return Permutation(imgs)
@@ -147,7 +153,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     for body in _CYCLE_RE.findall(s):
         if not body.strip():
             continue
-        pts = [_point(tok, text) for tok in re.split(r"\s*,\s*|\s+", body.strip())]
+        pts = [_point(tok, text, degree) for tok in re.split(r"\s*,\s*|\s+", body.strip())]
         if any(p < 1 or p > degree for p in pts):
             raise NonPermutation(f"point out of range 1..{degree} in {text!r}")
         if len(set(pts)) != len(pts) or seen & set(pts):

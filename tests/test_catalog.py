@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import pqsurf.cli as cli
@@ -34,7 +32,10 @@ def test_row_n_m_pins_the_paired_character(row):
 
 def test_wrong_schur_index_is_a_mismatch(monkeypatch, capsys):
     q8 = catalog.row_by_name("Q8")
-    perturbed = dataclasses.replace(q8, paired=(2, 1, 1))  # Q8's match has m = 2
+    perturbed = catalog.TableRow(
+        q8.name, q8.group_name, q8.genera, q8.branch1, q8.branch2, q8.k2, q8.singularities,
+        q8.eta, q8.family_dim, q8.jac1, q8.jac2, paired=(2, 1, 1),  # Q8's match has m = 2
+    )
     monkeypatch.setattr(cli, "ROWS", (perturbed,))
     assert main(["reproduce-tables"]) == EXIT_MISMATCH
     out = capsys.readouterr().out

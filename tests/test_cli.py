@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -375,6 +374,24 @@ def test_exit_3_a_generator_point_too_long_to_convert(tmp_path, capsys, generato
     assert err == "SizeLimit: point of 5000 digits in the generators exceeds the limit 10000\n"
 
 
+@pytest.mark.parametrize(
+    "monodromy, digits",
+    [("({},2)".format("1" * 5000), 5000), ("[2,1,{},3]".format("1" * 4000), 4000),
+     ("({},2)".format("1" * 4000), 4000)],
+    ids=["past-int", "array", "cycle"],
+)
+def test_exit_3_a_curve_point_too_long_for_the_degree(tmp_path, capsys, monodromy, digits):
+    # the point is refused by its digit count, before int() reads it, and
+    # the message echoes neither the point nor the permutation
+    text = (SURFACES / "v4.surface").read_text(encoding="utf-8")
+    path = tmp_path / "long.surface"
+    path.write_text(text.replace("monodromies = (1,2)(3,4) ;", f"monodromies = {monodromy} ;", 1), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"NonPermutation: point of {digits} digits is out of range 1..4\n"
+    assert len(err.encode()) < 200
+
+
 def test_leading_zeros_do_not_count_toward_a_point():
     assert resolve_group(GroupSpec(None, ("(1,000000002)",))).degree == 2
     with pytest.raises(SizeLimit, match="point of 6 digits"):
@@ -651,7 +668,11 @@ def test_reproduce_tables_exit_5(monkeypatch, capsys):
 
 def test_reproduce_tables_exit_5_on_a_genera_mismatch(monkeypatch, capsys):
     # the witnesses of row V4 have genera (3, 3)
-    perturbed = dataclasses.replace(ROWS[0], genera=(3, 4))
+    v4 = ROWS[0]
+    perturbed = TableRow(
+        v4.name, v4.group_name, (3, 4), v4.branch1, v4.branch2, v4.k2, v4.singularities,
+        v4.eta, v4.family_dim, v4.jac1, v4.jac2, v4.paired,
+    )
     monkeypatch.setattr(catalog, "ROWS", (perturbed,))
     monkeypatch.setattr(cli, "ROWS", (perturbed,))
     code, out, err = run(capsys, "reproduce-tables")

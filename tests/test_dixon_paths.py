@@ -21,7 +21,6 @@ tables and on seeded random polynomials.
 """
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -282,8 +281,8 @@ def test_rational_characters_match_fraction_sums(name):
     old = reference_rational_characters(table)
     assert len(new) == len(old)
     for a, b in zip(new, old):
-        for field in fields(RationalCharacter):
-            assert getattr(a, field.name) == getattr(b, field.name), (name, field.name, b.orbit)
+        for field in ("psi", "orbit", "schur_index", "multiplicity_n", "schur_index_unverified"):
+            assert getattr(a, field) == getattr(b, field), (name, field, b.orbit)
     e = table.group.exponent
     for i in range(len(table.irreducibles)):
         assert frobenius_schur(table, i) == reference_frobenius_schur(table, i), (name, i)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import os
 import random
@@ -517,7 +516,7 @@ def test_lattice_memo_is_not_part_of_equality_hash_or_repr():
 def test_lattice_replace_starts_with_an_empty_memo():
     lat = direct_sum(rank1(1), rank1(3))
     disc = discriminant_group(lat)
-    copy = dataclasses.replace(lat)
+    copy = IntegralLattice(lat.gram)
     assert copy == lat and copy._memo == {}
     assert discriminant_group(copy) == disc
     assert discriminant_group(copy) is not disc

@@ -26,12 +26,21 @@ UNREACHED = {
     # named by the benchmark's traced layers (bench/spans.py)
     "chars.induced_trivial": "the chars.induced layer",
     "covering.fixed_point_data": "the covering.fixed_points layer",
+    "covering.FixedPoint.__init__": "built by fixed_point_data",
     "lattice.nikulin_embeds": "the lattice.embed layer",
     # read by the benchmark's JSON form of a search result (bench/child.py)
     "perms.Permutation.images": "bench/child.py",
     # for a reader at the prompt
     "groups.Group.__repr__": "repr",
+    "groups.Record.__repr__": "repr",
     "perms.Permutation.__repr__": "repr",
+    # the records' value semantics: a record is a dict key (a pair stage is
+    # kept under its partner vector), so equal records must compare equal,
+    # and fields that are hashed must not change
+    "groups.Record.__eq__": "value equality",
+    "groups.Record.__setattr__": "immutability",
+    "groups.Record.__delattr__": "immutability",
+    "groups.Record.__reduce__": "copy and pickle",
 }
 
 TRAFFIC = r"""

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsurf.analysis import analyze_pair
-from pqsurf.chars import ClassFunction, character_table
+from pqsurf.chars import CharacterTable, ClassFunction, character_table
 from pqsurf.covering import GeneratingVector, hurwitz_character, genus, search_generating_vectors
 from pqsurf import surface
 from pqsurf.errors import InternalInconsistency, NotCoprime, OutOfRange
@@ -21,7 +20,7 @@ from pqsurf.surface import (
     invariants,
     quotient_singularities,
 )
-from conveniences import class_index
+from conveniences import class_index, rebuilt
 from cyclotomic_reference import Cyclotomic, value_cyc
 from planted import planted
 from test_covering import s3_branch3, v4_example_pair
@@ -233,7 +232,7 @@ def planted_table(monkeypatch, group, classes, value):
         ClassFunction(group, tuple(value(d) if k in classes else v for k, v in enumerate(cf.values)))
         for cf, d in zip(table.irreducibles, table.degrees)
     )
-    faulty = dataclasses.replace(table, irreducibles=irreducibles)
+    faulty = CharacterTable(table.group, irreducibles, table.degrees, table.dual)
     monkeypatch.setattr(surface, "character_table", lambda group: faulty)
 
 
@@ -241,8 +240,8 @@ def planted_table(monkeypatch, group, classes, value):
 def test_planted_chevalley_weil_faults_are_internal_inconsistency(monkeypatch):
     # fresh vectors, so no multiplicities are kept on them yet
     s3 = catalog_group("S3")
-    elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
-    rational = dataclasses.replace(search_generating_vectors(s3, 0, (2, 2, 3))[0])
+    elliptic = rebuilt(search_generating_vectors(s3, 1, (3,))[0])
+    rational = rebuilt(search_generating_vectors(s3, 0, (2, 2, 3))[0])
     three_cycles = {class_index(s3, elliptic.monodromies[0])}
     # a single eigenvalue zeta_3 = zeta_6^2 at the branch point of order 3 adds 1/3: not an integer
     planted_table(monkeypatch, s3, three_cycles, lambda d: ((2, 1),))
@@ -261,7 +260,7 @@ def test_planted_chevalley_weil_genus_fault_is_internal_inconsistency(monkeypatc
     # every eigenvalue 1 at the branch point: the trivial character once and
     # nothing else, dimension 1, where the S3 cover of signature (1; 3) has genus 3
     s3 = catalog_group("S3")
-    elliptic = dataclasses.replace(search_generating_vectors(s3, 1, (3,))[0])
+    elliptic = rebuilt(search_generating_vectors(s3, 1, (3,))[0])
     assert genus(elliptic) == 3
     three_cycles = {class_index(s3, elliptic.monodromies[0])}
     planted_table(monkeypatch, s3, three_cycles, lambda d: ((0, d),))
@@ -274,7 +273,7 @@ def c4_rational_vector():
     pair stage is kept on it yet.  Its pair with itself has six points
     1/2(1,1) and four 1/4(1,1), p_g = 0 and K^2 = -4, and the dual map of
     C4 is not the identity."""
-    return dataclasses.replace(search_generating_vectors(catalog_group("C4"), 0, (2, 4, 4))[0])
+    return rebuilt(search_generating_vectors(catalog_group("C4"), 0, (2, 4, 4))[0])
 
 
 def test_c4_rational_pair_meets_the_basket_formulas():
@@ -294,7 +293,7 @@ def test_planted_dual_map_fault_is_internal_inconsistency(monkeypatch):
     table = character_table(gv.group)
     identity = tuple(range(len(table.dual)))
     assert table.dual != identity
-    faulty = dataclasses.replace(table, dual=identity)
+    faulty = CharacterTable(table.group, table.irreducibles, table.degrees, identity)
     monkeypatch.setattr(surface, "character_table", lambda group: faulty)
     with pytest.raises(InternalInconsistency, match="basket formulas give"):
         invariants(gv, gv)
@@ -345,7 +344,7 @@ def test_planted_dual_map_fault_fails_the_b2_certificate(monkeypatch):
     gv = c4_rational_vector()
     table = character_table(gv.group)
     assert table.dual == (0, 1, 3, 2)
-    faulty = dataclasses.replace(table, dual=(0, 3, 1, 2))
+    faulty = CharacterTable(table.group, table.irreducibles, table.degrees, (0, 3, 1, 2))
     monkeypatch.setattr(surface, "character_table", lambda group: faulty)
     with pytest.raises(InternalInconsistency, match=re.escape("b2 = 2 + D + eta = 13, not 14")) as raised:
         invariants(gv, gv)
