@@ -17,6 +17,7 @@ from typing import Optional
 from . import __version__
 from .chars import character_table, rational_characters
 from .covering import GeneratingVector, genus, hurwitz_character
+from .errors import InternalInconsistency
 from .jacobian import (
     decomposition_label,
     isotypical_dimensions,
@@ -73,6 +74,15 @@ def analyze_pair(
     group = gv1.group
     surf = invariants(gv1, gv2)
     pairing = k3_pairing(gv1, gv2)
+    # D = <chi1, chi2> twice: the Hurwitz characters give the rank of Z2
+    # plus 4 g1 g2, the Chevalley-Weil multiplicities b2 - 2 - eta
+    d_hurwitz = pairing.rank_z2 + 4 * gv1.base_genus * gv2.base_genus
+    d_chevalley_weil = surf["b2"] - 2 - surf["eta"]
+    if d_hurwitz != d_chevalley_weil:
+        raise InternalInconsistency(
+            f"the Hurwitz characters give D = rank Z2 + 4 g1 g2 = {d_hurwitz}, "
+            f"the Chevalley-Weil multiplicities D = b2 - 2 - eta = {d_chevalley_weil}"
+        )
     # with q = 2 the Albanese map is surjective exactly when both base
     # curves are elliptic: H^1(S) is H^1(C1/G) + H^1(C2/G)
     surjective = gv1.base_genus == 1 and gv2.base_genus == 1

@@ -20,44 +20,18 @@ for V4, the three linear characters that ``Aut(V4)`` permutes.
 from __future__ import annotations
 
 from .covering import GeneratingVector, search_generating_vectors
-from .errors import NoWitness, UnknownName
+from .errors import NoWitness, UnknownName, _quoted
 from .groups import Record, catalog_group
 from .surface import geometric_genus
 
 
 class TableRow(Record):
+    # singularities: sorted (n, q) pairs; jac1, jac2: sorted (d, n) pairs of
+    # the nontrivial factors; paired: (d, n, m) of the matched character
     __slots__ = (
         "name", "group_name", "genera", "branch1", "branch2", "k2", "singularities",
         "eta", "family_dim", "jac1", "jac2", "paired",
     )
-
-    def __init__(
-        self,
-        name: str,
-        group_name: str,
-        genera: tuple[int, int],
-        branch1: tuple[int, ...],
-        branch2: tuple[int, ...],
-        k2: int,
-        singularities: tuple[tuple[int, int], ...],  # sorted (n, q) pairs
-        eta: int,
-        family_dim: int,
-        jac1: tuple[tuple[int, int], ...],  # sorted (d, n) pairs, nontrivial factors
-        jac2: tuple[tuple[int, int], ...],
-        paired: tuple[int, int, int],  # (d, n, m) of the matched character
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "group_name", group_name)
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "branch1", branch1)
-        object.__setattr__(self, "branch2", branch2)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "singularities", singularities)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "family_dim", family_dim)
-        object.__setattr__(self, "jac1", jac1)
-        object.__setattr__(self, "jac2", jac2)
-        object.__setattr__(self, "paired", paired)
 
 
 ROWS: tuple[TableRow, ...] = (
@@ -84,7 +58,7 @@ def row_by_name(name: str) -> TableRow:
     for row in ROWS:
         if row.name == name:
             return row
-    raise UnknownName(f"no catalog row named {name!r}; known: {', '.join(r.name for r in ROWS)}")
+    raise UnknownName(f"no catalog row named {_quoted(name)}; known: {', '.join(r.name for r in ROWS)}")
 
 
 def select_pair(vectors1, vectors2):

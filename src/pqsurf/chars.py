@@ -99,10 +99,8 @@ class ClassFunction(Record):
 
     __slots__ = ("group", "values")
 
-    def __init__(self, group: Group, values: tuple) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", values)
-        if len(values) != len(group.classes):
+    def _check(self) -> None:
+        if len(self.values) != len(self.group.classes):
             raise ValueError("one value per conjugacy class required")
 
 
@@ -115,38 +113,11 @@ class CharacterTable(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        group: Group,
-        irreducibles: tuple[ClassFunction, ...],
-        degrees: tuple[int, ...],
-        dual: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "irreducibles", irreducibles)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "_memo", {})
-
 
 class RationalCharacter(Record):
     """A Galois orbit of complex irreducibles: psi = m * (sum of the orbit)."""
 
     __slots__ = ("psi", "orbit", "schur_index", "multiplicity_n", "schur_index_unverified")
-
-    def __init__(
-        self,
-        psi: ClassFunction,
-        orbit: tuple[int, ...],
-        schur_index: int,
-        multiplicity_n: int,
-        schur_index_unverified: bool = False,
-    ) -> None:
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "schur_index", schur_index)
-        object.__setattr__(self, "multiplicity_n", multiplicity_n)
-        object.__setattr__(self, "schur_index_unverified", schur_index_unverified)
 
     @property
     def quaternionic(self) -> bool:

@@ -48,18 +48,7 @@ SEARCH_SPACE_LIMIT = 10 ** 6
 class GeneratingVector(Record):
     __slots__ = ("group", "handles", "monodromies", "orders", "_memo")
 
-    def __init__(
-        self,
-        group: Group,
-        handles: tuple[tuple[Permutation, Permutation], ...],
-        monodromies: tuple[Permutation, ...],
-        orders: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "handles", handles)
-        object.__setattr__(self, "monodromies", monodromies)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "_memo", {})
+    def _check(self) -> None:
         validate(self)
 
     @property
@@ -186,11 +175,6 @@ class FixedPoint(Record):
     the primitive root of unity of order m_j)."""
 
     __slots__ = ("branch_index", "coset_rep", "rotation_exponent")
-
-    def __init__(self, branch_index: int, coset_rep: Permutation, rotation_exponent: int) -> None:
-        object.__setattr__(self, "branch_index", branch_index)
-        object.__setattr__(self, "coset_rep", coset_rep)
-        object.__setattr__(self, "rotation_exponent", rotation_exponent)
 
 
 def fixed_point_data(gv: GeneratingVector, g: Permutation) -> tuple[FixedPoint, ...]:

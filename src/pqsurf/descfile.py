@@ -12,10 +12,9 @@ import configparser
 import json
 import re
 from pathlib import Path
-from typing import Optional
 
 from .covering import GeneratingVector
-from .errors import InternalInconsistency, ParseError, SizeLimit
+from .errors import InternalInconsistency, ParseError, SizeLimit, _quoted
 from .groups import ORDER_CAP, Group, Record, catalog_group, group_from_generators
 from .perms import parse_permutation
 
@@ -25,21 +24,8 @@ _OPTION_KEYS = {"format"}
 
 
 class CurveSpec(Record):
+    # handles: 2*genus0 permutation strings
     __slots__ = ("genus0", "handles", "monodromies", "orders", "search")
-
-    def __init__(
-        self,
-        genus0: int,
-        handles: Optional[tuple[str, ...]],  # 2*genus0 permutation strings
-        monodromies: Optional[tuple[str, ...]],
-        orders: Optional[tuple[int, ...]],
-        search: Optional[tuple[int, ...]],
-    ) -> None:
-        object.__setattr__(self, "genus0", genus0)
-        object.__setattr__(self, "handles", handles)
-        object.__setattr__(self, "monodromies", monodromies)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "search", search)
 
     @property
     def is_search(self) -> bool:
@@ -49,32 +35,13 @@ class CurveSpec(Record):
 class GroupSpec(Record):
     __slots__ = ("name", "generators")
 
-    def __init__(self, name: Optional[str], generators: Optional[tuple[str, ...]]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generators", generators)
-
     def label(self) -> str:
         return self.name if self.name else "custom group"
 
 
 class SurfaceDescription(Record):
+    # text: the file's text, as parsed; aux: a (GroupSpec, CurveSpec) or None
     __slots__ = ("group", "curve1", "curve2", "text", "output_format", "aux")
-
-    def __init__(
-        self,
-        group: GroupSpec,
-        curve1: CurveSpec,
-        curve2: CurveSpec,
-        text: str,  # the file's text, as parsed
-        output_format: str = "text",
-        aux: Optional[tuple[GroupSpec, CurveSpec]] = None,
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "curve1", curve1)
-        object.__setattr__(self, "curve2", curve2)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "output_format", output_format)
-        object.__setattr__(self, "aux", aux)
 
 
 def _entries(raw: str, sep: str, what: str) -> list[str]:
@@ -84,7 +51,7 @@ def _entries(raw: str, sep: str, what: str) -> list[str]:
         return []
     entries = [tok.strip() for tok in raw.split(sep)]
     if "" in entries:
-        raise ParseError(f"{what} has an empty entry: {raw!r}")
+        raise ParseError(f"{what} has an empty entry: {_quoted(raw)}")
     return entries
 
 
@@ -96,10 +63,10 @@ def _split_perms(raw, what: str) -> tuple[str, ...]:
         return tuple(_entries(raw, ";", what))
     if isinstance(raw, list) and all(isinstance(p, str) for p in raw):
         if any(not p.strip() for p in raw):
-            raise ParseError(f"{what} has an empty entry: {raw!r}")
+            raise ParseError(f"{what} has an empty entry: {_quoted(raw)}")
         return tuple(raw)
     raise ParseError(
-        f"{what} must be a list of permutation strings or a ';'-separated string, not {raw!r}"
+        f"{what} must be a list of permutation strings or a ';'-separated string, not {_quoted(raw)}"
     )
 
 
@@ -113,7 +80,7 @@ def _to_int(raw, what: str) -> int:
             return int(raw)
         except ValueError:
             pass
-    raise ParseError(f"{what} must be an integer, not {raw!r}")
+    raise ParseError(f"{what} must be an integer, not {_quoted(raw)}")
 
 
 def _split_ints(raw, what: str) -> tuple[int, ...]:
@@ -162,7 +129,7 @@ def _group_from_mapping(section: str, data: dict) -> GroupSpec:
     if (name is None) == (gens is None):
         raise ParseError(f"[{section}] requires exactly one of name or generators")
     if name is not None and not isinstance(name, str):
-        raise ParseError(f"[{section}] name must be a string, not {name!r}")
+        raise ParseError(f"[{section}] name must be a string, not {_quoted(name)}")
     if gens is not None:
         gens = _split_perms(gens, f"[{section}] generators")
         if not gens:
@@ -215,7 +182,7 @@ def _from_mappings(payload: dict, text: str) -> SurfaceDescription:
             raise ParseError(f"[options] has unknown keys: {', '.join(sorted(unknown))}")
         fmt = str(opts.get("format", "text"))
         if fmt not in ("text", "json"):
-            raise ParseError(f"unknown output format {fmt!r}")
+            raise ParseError(f"unknown output format {_quoted(fmt)}")
     aux = None
     if "aux" in payload:
         aux_data = dict(payload["aux"])

@@ -1,7 +1,18 @@
 """Exception types.  Class names carry the name of the violated invariant,
 so error messages and CLI diagnostics can quote them directly.  An error
 marks bad input or a failed certificate; a value that valid input leaves
-undefined, such as a Jacobian label off an elliptic base, is None."""
+undefined, such as a Jacobian label off an elliptic base, is None.
+A message quotes the user's text through ``_quoted``, so its length is
+bounded whatever the input."""
+
+
+def _quoted(value) -> str:
+    """The repr of ``value``: whole up to 60 characters, else its first 45
+    and its length."""
+    text = repr(value)
+    if len(text) <= 60:
+        return text
+    return f"{text[:45]}... ({len(text)} characters)"
 
 
 class PqsurfError(Exception):

@@ -11,8 +11,9 @@ builds it.  Closures and class walks compose plain image tuples
 each product back from the group's table of its own elements.  A product
 that the table lacks raises InternalInconsistency.
 
-``Record`` is the base of the package's value classes, and ``stored``
-keeps a stage's value on the object it was computed for.
+``Record`` is the base of the package's value classes: one constructor
+takes every field by position or keyword and runs the class's ``_check``.
+``stored`` keeps a stage's value on the object it was computed for.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property, lru_cache, wraps
 from math import lcm
 from operator import attrgetter
 
-from .errors import InternalInconsistency, NonPermutation, NotInGroup, SizeLimit, UnknownName
+from .errors import InternalInconsistency, NonPermutation, NotInGroup, SizeLimit, UnknownName, _quoted
 from .perms import Permutation, _inverse_images, _times, parse_permutation
 
 ORDER_CAP = 10_000
@@ -50,12 +51,13 @@ def stored(fn):
 
 
 class Record:
-    """An immutable value.  Its fields are the names in a subclass's
-    ``__slots__``, which the subclass's ``__init__`` sets once through
-    ``object.__setattr__``.  Records compare and hash by class and fields,
-    and repr as ``Name(field=value, ...)``; a field whose name starts with an
-    underscore, such as the ``_memo`` that ``stored`` writes to, is left out
-    of all three.  Records can be weakly referenced."""
+    """An immutable value.  Its fields are the names in its class's
+    ``__slots__`` that do not start with an underscore.  The one constructor
+    takes every field, by position or by keyword, else raises TypeError; it
+    sets the fields, gives a ``_memo`` slot an empty memo for ``stored``, and
+    runs ``_check``, a subclass's construction check.  Records compare and
+    hash by class and fields, and repr as ``Name(field=value, ...)``, all
+    without ``_memo``.  Records can be weakly referenced."""
 
     __slots__ = ("__weakref__",)
 
@@ -63,6 +65,30 @@ class Record:
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # the fields' values, or the one field's value
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, not {len(args)}")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name} has no field {field!r}")
+            if field in values:
+                raise TypeError(f"{name} got field {field!r} twice")
+        values.update(kwargs)
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name} needs every field, and lacks {', '.join(missing)}")
+        for field, value in values.items():
+            object.__setattr__(self, field, value)
+        # the memo is set before the check, which may store a stage on it
+        if "_memo" in self.__slots__:
+            object.__setattr__(self, "_memo", {})
+        self._check()
+
+    def _check(self) -> None:
+        """A subclass's construction check; the fields and memo are set."""
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -334,6 +360,6 @@ CATALOG_NAMES = tuple(_CATALOG)
 def catalog_group(name: str) -> Group:
     """Fixed permutation realization of a named group; stable across runs."""
     if name not in _CATALOG:
-        raise UnknownName(f"unknown catalog group {name!r}; known: {', '.join(CATALOG_NAMES)}")
+        raise UnknownName(f"unknown catalog group {_quoted(name)}; known: {', '.join(CATALOG_NAMES)}")
     degree, gens = _CATALOG[name]
     return group_from_generators([parse_permutation(g, degree) for g in gens])

@@ -84,31 +84,12 @@ class PairingMatch(Record):
 
     __slots__ = ("rational_index", "d1", "d2", "partner_label")
 
-    def __init__(self, rational_index: int, d1: int, d2: int, partner_label: Optional[str]) -> None:
-        object.__setattr__(self, "rational_index", rational_index)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "partner_label", partner_label)
-
 
 class PairingReport(Record):
     """Certificate data for the K3 partner of the quotient surface."""
 
+    # status: "unique", "none" or "multiple"
     __slots__ = ("status", "matches", "rank_z2", "generic_k", "notes")
-
-    def __init__(
-        self,
-        status: str,  # "unique" | "none" | "multiple"
-        matches: tuple[PairingMatch, ...],
-        rank_z2: int,
-        generic_k: int,
-        notes: tuple[str, ...],
-    ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "matches", matches)
-        object.__setattr__(self, "rank_z2", rank_z2)
-        object.__setattr__(self, "generic_k", generic_k)
-        object.__setattr__(self, "notes", notes)
 
 
 def _rank_z2(gv1: GeneratingVector, gv2: GeneratingVector) -> int:

@@ -43,9 +43,8 @@ class IntegralLattice(Record):
     # _memo holds what ``stored`` functions derive from the lattice
     __slots__ = ("gram", "_memo")
 
-    def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_memo", {})
+    def _check(self) -> None:
+        gram = self.gram
         if not isinstance(gram, tuple) or not all(isinstance(r, tuple) for r in gram):
             raise InvalidParameter("Gram matrix must be a tuple of tuples")
         n = len(gram)
@@ -67,9 +66,6 @@ class IntegralLattice(Record):
 
 class DiscriminantGroup(Record):
     __slots__ = ("invariant_factors",)
-
-    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
-        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     @property
     def ell(self) -> int:

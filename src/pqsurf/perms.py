@@ -6,7 +6,7 @@ import re
 from math import lcm
 from operator import itemgetter
 
-from .errors import NonPermutation
+from .errors import NonPermutation, _quoted
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 # the two notations, each matched against the whole stripped text: cycles
@@ -32,7 +32,7 @@ class Permutation(tuple):
     def __new__(cls, images) -> "Permutation":
         imgs = tuple(int(x) for x in images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise NonPermutation(f"not a permutation of 1..{len(imgs)}: {imgs}")
+            raise NonPermutation(f"not a permutation of 1..{len(imgs)}: {_quoted(imgs)}")
         return super().__new__(cls, imgs)
 
     @property
@@ -114,7 +114,7 @@ def _inverse_images(x) -> tuple[int, ...]:
 
 def _point(token: str, text: str, degree: int) -> int:
     if not token.strip():
-        raise NonPermutation(f"empty entry in {text!r}")
+        raise NonPermutation(f"empty entry in {_quoted(text)}")
     # a longer number is out of range, and int() refuses one of over 4300
     # digits; neither message echoes such a point, or the text around it
     digits = token.strip().lstrip("0")
@@ -123,7 +123,7 @@ def _point(token: str, text: str, degree: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise NonPermutation(f"point {token.strip()!r} is not an integer in {text!r}") from None
+        raise NonPermutation(f"point {_quoted(token.strip())} is not an integer in {_quoted(text)}") from None
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
@@ -147,7 +147,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             raise NonPermutation(f"image array has length {len(imgs)}, expected {degree}")
         return Permutation(imgs)
     if not _CYCLES_RE.fullmatch(s):
-        raise NonPermutation(f"cannot parse permutation: {text!r}")
+        raise NonPermutation(f"cannot parse permutation: {_quoted(text)}")
     images = list(range(1, degree + 1))
     seen: set[int] = set()
     for body in _CYCLE_RE.findall(s):
@@ -155,9 +155,9 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             continue
         pts = [_point(tok, text, degree) for tok in re.split(r"\s*,\s*|\s+", body.strip())]
         if any(p < 1 or p > degree for p in pts):
-            raise NonPermutation(f"point out of range 1..{degree} in {text!r}")
+            raise NonPermutation(f"point out of range 1..{degree} in {_quoted(text)}")
         if len(set(pts)) != len(pts) or seen & set(pts):
-            raise NonPermutation(f"cycles are not disjoint in {text!r}")
+            raise NonPermutation(f"cycles are not disjoint in {_quoted(text)}")
         seen.update(pts)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b

@@ -392,6 +392,33 @@ def test_exit_3_a_curve_point_too_long_for_the_degree(tmp_path, capsys, monodrom
     assert len(err.encode()) < 200
 
 
+# (text in v4.surface, its long replacement, exit code, start of the message)
+LONG_TEXTS = {
+    "signed-point": ("monodromies = (1,2)(3,4) ;", "monodromies = (+{},2) ;".format("1" * 5000),
+                     EXIT_VALIDATION, "NonPermutation: point '+111"),
+    "letters": ("monodromies = (1,2)(3,4) ;", "monodromies = (1{},2) ;".format("x" * 5000),
+                EXIT_VALIDATION, "NonPermutation: point '1xxx"),
+    "repeats": ("monodromies = (1,2)(3,4) ;", "monodromies = (1{}) ;".format(",2" * 3000),
+                EXIT_VALIDATION, "NonPermutation: cycles are not disjoint in '(1,2,2"),
+    "orders": ("orders = 2, 2", "orders = 2, {}".format("9" * 5000),
+               EXIT_PARSE, "ParseError: [curve1] orders must be an integer, not '999"),
+    "genus0": ("genus0 = 1", "genus0 = 1{}".format("x" * 5000),
+               EXIT_PARSE, "ParseError: [curve1] genus0 must be an integer, not '1xxx"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_TEXTS)
+def test_an_error_quotes_a_bounded_part_of_a_long_text(tmp_path, capsys, case):
+    old, new, exit_code, start = LONG_TEXTS[case]
+    text = (SURFACES / "v4.surface").read_text(encoding="utf-8")
+    path = tmp_path / "long.surface"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (exit_code, "")
+    assert err.startswith(start) and err.count("\n") == 1
+    assert " characters)" in err and len(err.encode()) <= 200
+
+
 def test_leading_zeros_do_not_count_toward_a_point():
     assert resolve_group(GroupSpec(None, ("(1,000000002)",))).degree == 2
     with pytest.raises(SizeLimit, match="point of 6 digits"):
@@ -730,6 +757,21 @@ def test_exit_7_from_the_rank_z2_certificate(monkeypatch, capsys):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("InternalInconsistency: rank of Z2 must be even")
+
+
+@planted
+def test_exit_7_when_the_two_derivations_of_d_disagree(monkeypatch, capsys):
+    # v4.surface's explicit vectors are built anew, so no pairing is kept on
+    # them; a rank of Z2 off by 2 stays even and nonnegative, so only the
+    # Chevalley-Weil derivation of D = <chi1, chi2> sees it
+    real = jacobian._rank_z2
+    monkeypatch.setattr(jacobian, "_rank_z2", lambda gv1, gv2: real(gv1, gv2) + 2)
+    code, out, err = run(capsys, "analyze", str(SURFACES / "v4.surface"))
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == (
+        "InternalInconsistency: the Hurwitz characters give D = rank Z2 + 4 g1 g2 = 10, "
+        "the Chevalley-Weil multiplicities D = b2 - 2 - eta = 8\n"
+    )
 
 
 TRIVIAL_GROUP_SURFACE = """\

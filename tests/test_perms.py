@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqsurf.errors import NonPermutation
+from pqsurf.errors import NonPermutation, _quoted
 from pqsurf.perms import Permutation, parse_permutation
 
 
@@ -116,3 +116,9 @@ def test_unbalanced_or_nested_brackets_are_refused(p, before, after):
     if text != image_array(p):
         with pytest.raises(NonPermutation):
             parse_permutation(text, p.degree)
+
+
+def test_a_message_quotes_short_text_whole_and_cuts_long_text():
+    assert _quoted("x" * 58) == repr("x" * 58)
+    assert _quoted("x" * 59) == "'" + "x" * 44 + "... (61 characters)"
+    assert _quoted((1,) * 30) == "(" + "1, " * 14 + "1,... (90 characters)"

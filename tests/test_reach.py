@@ -26,10 +26,11 @@ UNREACHED = {
     # named by the benchmark's traced layers (bench/spans.py)
     "chars.induced_trivial": "the chars.induced layer",
     "covering.fixed_point_data": "the covering.fixed_points layer",
-    "covering.FixedPoint.__init__": "built by fixed_point_data",
     "lattice.nikulin_embeds": "the lattice.embed layer",
     # read by the benchmark's JSON form of a search result (bench/child.py)
     "perms.Permutation.images": "bench/child.py",
+    # the traffic is valid input, and only an error message quotes the input
+    "errors._quoted": "error messages",
     # for a reader at the prompt
     "groups.Group.__repr__": "repr",
     "groups.Record.__repr__": "repr",

@@ -3,9 +3,10 @@
 Each record compares and hashes by its fields (a character table by
 identity), refuses assignment and deletion, can be weakly referenced, and
 runs its construction check when it is built, also when it is copied or
-unpickled.  Importing the package loads
-neither ``dataclasses`` nor ``inspect``: the records compile no generated
-methods at import.
+unpickled.  Every record is built by the one constructor on ``Record``,
+which takes every field once and runs the check after the memo is set.
+Importing the package loads neither ``dataclasses`` nor ``inspect``: the
+records compile no generated methods at import.
 """
 
 import copy
@@ -23,7 +24,7 @@ from pqsurf.chars import CharacterTable, ClassFunction, RationalCharacter, chara
 from pqsurf.covering import FixedPoint, GeneratingVector, fixed_point_data
 from pqsurf.descfile import CurveSpec, GroupSpec, SurfaceDescription, parse_description
 from pqsurf.errors import InvalidParameter, NotGenerating, OrderMismatch, RelationFails, TrivialMonodromy
-from pqsurf.groups import catalog_group
+from pqsurf.groups import Record, catalog_group
 from pqsurf.jacobian import PairingMatch, PairingReport, k3_pairing
 from pqsurf.lattice import DiscriminantGroup, IntegralLattice, discriminant_group, lambda_d, rank1
 from pqsurf.perms import parse_permutation
@@ -56,7 +57,7 @@ def table():
 
 def rational_character():
     rc = rational_characters(character_table(catalog_group("Q8")))[-1]
-    return RationalCharacter(rc.psi, rc.orbit, rc.schur_index, rc.multiplicity_n)
+    return RationalCharacter(rc.psi, rc.orbit, rc.schur_index, rc.multiplicity_n, rc.schur_index_unverified)
 
 
 def fixed_point():
@@ -138,15 +139,53 @@ def test_constructors_take_positions_keywords_and_defaults():
     group = GroupSpec(name=None, generators=("(1,2)",))
     assert group == GroupSpec(None, ("(1,2)",))
     curve = CurveSpec(1, None, None, None, (2,))
-    described = SurfaceDescription(group, curve, curve, "")
-    assert (described.output_format, described.aux) == ("text", None)
+    described = SurfaceDescription(group, curve, curve, "", "text", None)
     assert described == SurfaceDescription(group, curve, curve, text="", output_format="text", aux=None)
+    with pytest.raises(TypeError, match="output_format, aux"):
+        SurfaceDescription(group, curve, curve, "")
     psi = class_function()
-    assert RationalCharacter(psi, (1,), 1, 1).schur_index_unverified is False
+    with pytest.raises(TypeError, match="schur_index_unverified"):
+        RationalCharacter(psi, (1,), 1, 1)
     assert FixedPoint(branch_index=1, coset_rep=p4("()"), rotation_exponent=1) == FixedPoint(1, p4("()"), 1)
     match = PairingMatch(1, d1=1, d2=1, partner_label=None)
     assert PairingReport("unique", (match,), 2, 1, ()).matches == (match,)
     assert DiscriminantGroup(invariant_factors=(2, 2)).order == 4
+
+
+def test_no_record_defines_a_constructor_of_its_own():
+    records = [cls for cls in Record.__subclasses__() if cls.__module__.startswith("pqsurf.")]
+    assert sorted(cls.__name__ for cls in records) == sorted(RECORDS)
+    assert not [cls.__name__ for cls in records if "__init__" in vars(cls)]
+    # the one place that knows how a record stores its fields
+    writers = sorted(
+        path.name for path in (REPO / "src" / "pqsurf").glob("*.py") if "object.__setattr__" in path.read_text()
+    )
+    assert writers == ["groups.py"]
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("V4",), {}, "lacks generators"),
+    (("V4", None, None), {}, "takes 2 fields, not 3"),
+    (("V4", None), {"label": "V4"}, "no field 'label'"),
+    (("V4",), {"name": "V4", "generators": None}, "field 'name' twice"),
+])
+def test_every_field_is_given_once(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        GroupSpec(*args, **kwargs)
+
+
+class _Probe(Record):
+    __slots__ = ("value", "_memo")
+
+    def _check(self):
+        # a check may store a stage on the record, as validate does
+        self._memo["seen"] = self.value
+
+
+def test_the_check_runs_after_the_fields_and_the_memo_are_set():
+    probe = _Probe(value=3)
+    assert probe._memo == {"seen": 3}
+    assert _Probe(3) == probe and repr(probe) == "_Probe(value=3)"
 
 
 def test_generating_vector_runs_validate():
