@@ -11,7 +11,7 @@ the tool version)."""
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Optional
 
 from . import __version__
@@ -173,7 +173,57 @@ def analyze_pair(
 
 
 def to_json(doc: dict | list) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, so the document is
+    written here instead, in one walk that appends to one list.  Values are
+    dicts with str keys, lists, str, int, bool and None; any other value
+    raises TypeError."""
+    parts = []
+    _write(doc, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, push, newline: str) -> None:
+    """Push the JSON text of ``value``, whose closing bracket starts the
+    line ``newline``; each level indents its entries by two spaces more."""
+    if isinstance(value, str):
+        push(_string(value))
+    elif value is None:
+        push("null")
+    elif value is True:
+        push("true")
+    elif value is False:
+        push("false")
+    elif isinstance(value, int):
+        push(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            push("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"a JSON key must be a str, not {type(key).__name__}")
+            push(sep + _string(key) + ": ")
+            _write(value[key], push, inner)
+            sep = "," + inner
+        push(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            push("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            push(sep)
+            _write(item, push, inner)
+            sep = "," + inner
+        push(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def _seq(values) -> str:

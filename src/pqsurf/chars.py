@@ -495,7 +495,7 @@ def induced_trivial(group: Group, subgroup) -> ClassFunction:
     sub = frozenset(subgroup)
     if any(h not in group for h in sub):
         raise NotASubgroup("subgroup elements must belong to the group")
-    if _closure(sub, group.identity, len(sub) + 1) != sub:
+    if _closure(sub, group.identity, len(sub) + 1, group._element) != sub:
         raise NotASubgroup("set is not closed under the group operations")
     values = permutation_character(group, [group._class_of[x] for x in sub])
     return ClassFunction(group, values)

@@ -40,7 +40,7 @@ from .groups import Group, Record, permutation_character, stored
 from .perms import Permutation
 
 # largest scan ``search_generating_vectors`` runs, in tuples, not time: the
-# work per tuple depends on the group, from about 230 to 27,000 tuples a
+# work per tuple depends on the group, from about 1,600 to 55,000 tuples a
 # second (see the README)
 SEARCH_SPACE_LIMIT = 10 ** 6
 

@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 from .covering import GeneratingVector
-from .errors import InternalInconsistency, ParseError, SizeLimit, _quoted
+from .errors import InternalInconsistency, ParseError, SizeLimit, _clipped, _quoted
 from .groups import ORDER_CAP, Group, Record, catalog_group, group_from_generators
 from .perms import parse_permutation
 
@@ -42,6 +42,14 @@ class GroupSpec(Record):
 class SurfaceDescription(Record):
     # text: the file's text, as parsed; aux: a (GroupSpec, CurveSpec) or None
     __slots__ = ("group", "curve1", "curve2", "text", "output_format", "aux")
+
+
+def _names(keys) -> str:
+    """The keys in sorted order, each clipped to 60 characters, and past
+    the third only their count, so a message that lists them is bounded."""
+    keys = sorted(keys)
+    listed = ", ".join(_clipped(key) for key in keys[:3])
+    return listed if len(keys) <= 3 else f"{listed} and {len(keys) - 3} more"
 
 
 def _entries(raw: str, sep: str, what: str) -> list[str]:
@@ -94,7 +102,7 @@ def _split_ints(raw, what: str) -> tuple[int, ...]:
 def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
     unknown = set(data) - _CURVE_KEYS
     if unknown:
-        raise ParseError(f"[{section}] has unknown keys: {', '.join(sorted(unknown))}")
+        raise ParseError(f"[{section}] has unknown keys: {_names(unknown)}")
     if "genus0" not in data:
         raise ParseError(f"[{section}] requires genus0")
     genus0 = _to_int(data["genus0"], f"[{section}] genus0")
@@ -123,7 +131,7 @@ def _curve_from_mapping(section: str, data: dict) -> CurveSpec:
 def _group_from_mapping(section: str, data: dict) -> GroupSpec:
     unknown = set(data) - _GROUP_KEYS
     if unknown:
-        raise ParseError(f"[{section}] has unknown keys: {', '.join(sorted(unknown))}")
+        raise ParseError(f"[{section}] has unknown keys: {_names(unknown)}")
     name = data.get("name")
     gens = data.get("generators")
     if (name is None) == (gens is None):
@@ -154,7 +162,8 @@ def parse_description(path) -> SurfaceDescription:
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ParseError(f"invalid description file {path}: {exc}") from exc
+        # the message quotes the offending line or name whole
+        raise ParseError(f"invalid description file {path}: {_clipped(str(exc), 160)}") from exc
     payload = {section: dict(parser.items(section)) for section in parser.sections()}
     return _from_mappings(payload, text)
 
@@ -164,7 +173,7 @@ def _from_mappings(payload: dict, text: str) -> SurfaceDescription:
         raise ParseError("description must be a mapping")
     unknown = set(payload) - {"group", "curve1", "curve2", "options", "aux"}
     if unknown:
-        raise ParseError(f"unknown sections: {', '.join(sorted(unknown))}")
+        raise ParseError(f"unknown sections: {_names(unknown)}")
     for required in ("group", "curve1", "curve2"):
         if required not in payload:
             raise ParseError(f"missing [{required}] section")
@@ -179,7 +188,7 @@ def _from_mappings(payload: dict, text: str) -> SurfaceDescription:
         opts = payload["options"]
         unknown = set(opts) - _OPTION_KEYS
         if unknown:
-            raise ParseError(f"[options] has unknown keys: {', '.join(sorted(unknown))}")
+            raise ParseError(f"[options] has unknown keys: {_names(unknown)}")
         fmt = str(opts.get("format", "text"))
         if fmt not in ("text", "json"):
             raise ParseError(f"unknown output format {_quoted(fmt)}")

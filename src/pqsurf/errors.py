@@ -2,17 +2,22 @@
 so error messages and CLI diagnostics can quote them directly.  An error
 marks bad input or a failed certificate; a value that valid input leaves
 undefined, such as a Jacobian label off an elliptic base, is None.
-A message quotes the user's text through ``_quoted``, so its length is
-bounded whatever the input."""
+A message quotes the user's text through ``_quoted``, or names it through
+``_clipped``, so its length is bounded whatever the input."""
+
+
+def _clipped(text: str, width: int = 60) -> str:
+    """``text`` whole up to ``width`` characters, else its first
+    ``width - 15`` and its length."""
+    if len(text) <= width:
+        return text
+    return f"{text[:width - 15]}... ({len(text)} characters)"
 
 
 def _quoted(value) -> str:
     """The repr of ``value``: whole up to 60 characters, else its first 45
     and its length."""
-    text = repr(value)
-    if len(text) <= 60:
-        return text
-    return f"{text[:45]}... ({len(text)} characters)"
+    return _clipped(repr(value))
 
 
 class PqsurfError(Exception):

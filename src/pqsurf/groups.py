@@ -4,12 +4,13 @@ Conjugacy classes are ordered canonically (identity class first, then by
 element order and lexicographically smallest representative) so that every
 derived table and report is stable across runs.
 
-Each element is checked to be a bijection once, when the closure first
-builds it.  Closures and class walks compose plain image tuples
-(``perms._times``): the closure turns each new tuple into one
-``Permutation``, and the class walks, centralizers and power classes read
-each product back from the group's table of its own elements.  A product
-that the table lacks raises InternalInconsistency.
+Each element is checked to be a bijection once, when the closure that
+builds the group first meets it.  Closures and class walks compose plain
+image tuples (``perms._times``): ``group_from_generators`` turns each new
+tuple into one ``Permutation``, and the closures inside a group, the class
+walks, centralizers and power classes read each product back from the
+group's table of its own elements.  A product that the table lacks raises
+InternalInconsistency.
 
 ``Record`` is the base of the package's value classes: one constructor
 takes every field by position or keyword and runs the class's ``_check``.
@@ -175,7 +176,7 @@ class Group:
     def generated_by(self, elements) -> bool:
         """Whether the elements generate the whole group; the closure stops
         as soon as it holds |G| elements."""
-        return len(_closure(elements, self.identity, self.order)) == self.order
+        return len(_closure(elements, self.identity, self.order, self._element)) == self.order
 
     @cached_property
     def _power_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -260,13 +261,15 @@ def _conjugacy_classes(table, generators):
     return tuple(classes), to_rep
 
 
-def _closure(gens, identity: Permutation, limit: int) -> set[Permutation]:
+def _closure(gens, identity: Permutation, limit: int, table=None) -> set[Permutation]:
     """The elements generated by ``gens``, or the first ``limit`` > 1 of
     them met, whichever is fewer.
 
     Each product s x is composed as an image tuple.  A tuple already in the
-    set equals an element that was checked; each new one becomes one
-    ``Permutation``, whose construction checks it."""
+    set equals an element that was checked.  Inside a known group,
+    ``table`` is its element table and each new tuple is read back from it
+    (``_read``); else each new one becomes one ``Permutation``, whose
+    construction checks it."""
     gens = [s for s in gens if s != identity]
     elements = {identity}
     frontier = [identity]
@@ -275,7 +278,7 @@ def _closure(gens, identity: Permutation, limit: int) -> set[Permutation]:
         for s in gens:
             y = times_x(s)
             if y not in elements:
-                y = Permutation(y)
+                y = Permutation(y) if table is None else _read(table, y, "closure")
                 elements.add(y)
                 if len(elements) >= limit:
                     return elements

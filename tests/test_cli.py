@@ -419,6 +419,31 @@ def test_an_error_quotes_a_bounded_part_of_a_long_text(tmp_path, capsys, case):
     assert " characters)" in err and len(err.encode()) <= 200
 
 
+# (text in v4.surface, its replacement, start of the ParseError message)
+LONG_NAMES = {
+    "curve-key": ("genus0 = 1", "genus0 = 1\n{} = 1".format("k" * 5001), "[curve1] has unknown keys: kkk"),
+    "group-key": ("name = V4", "name = V4\n{} = 1".format("k" * 5001), "[group] has unknown keys: kkk"),
+    "options-key": ("[curve1]", "[options]\n{} = 1\n[curve1]".format("k" * 5001), "[options] has unknown keys: kkk"),
+    "section": ("[curve1]", "[{}]\n[curve1]".format("s" * 5001), "unknown sections: sss"),
+    "many-keys": ("genus0 = 1", "genus0 = 1\n" + "\n".join(f"{k:k<50} = 1" for k in range(40)),
+                  "[curve1] has unknown keys: 0kkk"),
+    "no-equals": ("genus0 = 1", "genus0 = 1\n" + "x" * 5000, "invalid description file "),
+}
+
+
+@pytest.mark.parametrize("case", LONG_NAMES)
+def test_a_parse_error_names_a_bounded_part_of_a_long_name(tmp_path, capsys, case):
+    old, new, start = LONG_NAMES[case]
+    text = (SURFACES / "v4.surface").read_text(encoding="utf-8")
+    path = tmp_path / "long.surface"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("ParseError: " + start)
+    assert " characters)" in err or " and 37 more" in err
+    assert all(len(line.encode()) < 300 for line in err.splitlines())
+
+
 def test_leading_zeros_do_not_count_toward_a_point():
     assert resolve_group(GroupSpec(None, ("(1,000000002)",))).degree == 2
     with pytest.raises(SizeLimit, match="point of 6 digits"):

@@ -4,10 +4,12 @@ against the paths they replace.
 ``groups.power_map`` reads the group's power-class table;
 ``covering.fixed_point_data`` walks the powers of each c_j once for both
 the cosets of <c_j> and the discrete log; ``groups._closure`` serves
-``group_from_generators`` and ``Group.generated_by``; ``chars._twist``
-finds the complex duals and the Galois orbits.  The closure, the conjugacy
+``group_from_generators``, ``Group.generated_by`` and
+``chars.induced_trivial``; ``chars._twist``
+finds the complex duals and the Galois orbits.  The closures, the conjugacy
 classes, the centralizers and the power classes compose image tuples, so
-each element is constructed, and checked to be a bijection, once.  The
+each element is constructed, and checked to be a bijection, once, by the
+closure that builds the group.  The
 references are the earlier implementations: square-and-multiply powers,
 the cyclic subgroup and the discrete log by a walk g, g^2, ..., the cosets
 built as sets of products (``scale_groups``), a closure that counts until
@@ -240,11 +242,14 @@ def test_generated_by_matches_counting_closure(name):
         n = reference_closure_size(elements, G)
         outcomes.add(n == G.order)
         assert G.generated_by(elements) == (n == G.order), elements
-        # the closure stops as soon as it holds ``limit`` elements
+        # the closure stops as soon as it holds ``limit`` elements; inside
+        # the group it holds the group's own element objects
         for limit in (n - 1, n, n + 1):
             if limit > 1:
-                size = len(groups._closure(elements, G.identity, limit))
-                assert size == min(limit, n), (elements, limit)
+                built = groups._closure(elements, G.identity, limit)
+                read = groups._closure(elements, G.identity, limit, G._element)
+                assert len(built) == len(read) == min(limit, n), (elements, limit)
+                assert all(G._element[x] is x for x in read)
     if G.order > 2:
         assert outcomes == {True, False}
 
@@ -313,9 +318,9 @@ def test_each_element_is_constructed_once(constructions, degree, gens):
     # read from the element table
     assert count == G.order
     assert [c for _, c in built] == [count] * 3
+    # a closure inside the group reads each product from its element table
     for elements in (G.generators, G.class_reps[1:3]):
-        counts = {constructions_of(constructions, G.generated_by, elements)[1] for _ in range(3)}
-        assert len(counts) == 1 and counts.pop() <= G.order + len(elements) + 1
+        assert [constructions_of(constructions, G.generated_by, elements)[1] for _ in range(3)] == [0] * 3
 
 
 # -- a product missing from the element table ----------------------------------------
@@ -325,8 +330,8 @@ def lacking(monkeypatch):
     element of every group used below, from each closure it returns."""
     real = groups._closure
 
-    def closure(gens, identity, limit):
-        elements = real(gens, identity, limit)
+    def closure(gens, identity, limit, table=None):
+        elements = real(gens, identity, limit, table)
         return elements - {max(elements)}
 
     monkeypatch.setattr(groups, "_closure", closure)
@@ -348,6 +353,16 @@ def test_planted_missing_element_stops_the_class_walk(monkeypatch, capsys, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("InternalInconsistency: conjugacy classes: the product ")
+
+
+@planted
+def test_planted_missing_element_stops_the_closure_inside_the_group(monkeypatch):
+    G = group_from_generators(group("S4").generators)
+    g = max(G.elements)
+    assert g not in G.centre
+    monkeypatch.delitem(G._element, g)
+    with pytest.raises(InternalInconsistency, match="closure: the product .* is not in"):
+        G.generated_by(G.generators)
 
 
 @planted

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqsurf.errors import NonPermutation, _quoted
+from pqsurf.errors import NonPermutation, _clipped, _quoted
 from pqsurf.perms import Permutation, parse_permutation
 
 
@@ -122,3 +122,7 @@ def test_a_message_quotes_short_text_whole_and_cuts_long_text():
     assert _quoted("x" * 58) == repr("x" * 58)
     assert _quoted("x" * 59) == "'" + "x" * 44 + "... (61 characters)"
     assert _quoted((1,) * 30) == "(" + "1, " * 14 + "1,... (90 characters)"
+    # a name is clipped the same way, without the quotes
+    assert _clipped("x" * 60) == "x" * 60
+    assert _clipped("x" * 61) == "x" * 45 + "... (61 characters)"
+    assert _clipped("x" * 200, 160) == "x" * 145 + "... (200 characters)"

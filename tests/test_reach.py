@@ -31,6 +31,8 @@ UNREACHED = {
     "perms.Permutation.images": "bench/child.py",
     # the traffic is valid input, and only an error message quotes the input
     "errors._quoted": "error messages",
+    "errors._clipped": "error messages",
+    "descfile._names": "error messages",
     # for a reader at the prompt
     "groups.Group.__repr__": "repr",
     "groups.Record.__repr__": "repr",
